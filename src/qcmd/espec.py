@@ -165,7 +165,7 @@ def detect_crossings(field, trajectory, c_min=1e-8, sigma_tol=1e-10, gap_tol=1e-
             events.append(CrossingEvent(sigma=float(sigma),
                                         X_sigma=float(np.interp(sigma, t, X)),
                                         level=level, slope=float(slope),
-                                        degenerate=slope < c_min))
+                                        degenerate=bool(slope < c_min)))
     events.sort(key=lambda e: e.sigma)
     # simultaneous crossings of two levels are rejected as degenerate
     flag = [e.degenerate for e in events]

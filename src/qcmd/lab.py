@@ -85,7 +85,7 @@ class RunRecord:
     pre_asymptotic: bool = False
     observable_names: list = field(default_factory=list)
     wall_times: dict = field(default_factory=dict)
-    version: str = "qcmd-0.1.0"
+    version: str = "qcmd-0.2.0"
 
     def to_json(self):
         return json.dumps(asdict(self), sort_keys=True)
@@ -295,7 +295,6 @@ def converge(model, scheme, M_list, observables=None, e_ref=None, n_loops=8,
         per_k_errors = []
         caustics = []
         crossings = []
-        c_means, c_sigmas = {}, {}
         for sel in quantum["states"]:
             # caustic certificate at the matched energy, on every loop surface
             for mu_j in loop_mu:
@@ -315,7 +314,9 @@ def converge(model, scheme, M_list, observables=None, e_ref=None, n_loops=8,
             errs = {name: sel["quantum"][name] - c_obs[name]
                     for name in observables}
             per_k_errors.append((errs, c_scatter))
-            c_means, c_sigmas = c_obs, c_scatter
+            if len(per_k_errors) == 1:
+                # the entry reports the first state, like E_q and quantum
+                c_means, c_sigmas = c_obs, c_scatter
         # average the per-state errors: the error constant oscillates from
         # state to state, the rate is carried by the envelope (mean absolute
         # error) or, over a microcanonical window, by the signed mean resolved

@@ -1,9 +1,23 @@
 """Exact grid reference for the time-independent eigenproblem.
 
-Assembles H = V(X) - (1/2M) Laplacian on a 1-D periodic grid (Fourier
-spectral Laplacian by default, 4th-order finite differences as a config
-switch), solves for eigenpairs near a target energy, and evaluates densities,
-observables and residuals of approximate eigenfunctions.
+The operator is the collocation Hamiltonian H = V(X) - (1/2M) Laplacian on a
+1-D periodic grid of n nodes, with the Fourier spectral Laplacian by default
+and 4th-order finite differences as a config switch.  Both Laplacians are
+circulant, so they are diagonal in the real plane-wave basis
+
+    1, cos(m x), sin(m x) (0 < m < n/2), cos(n x / 2) (n even),
+
+sampled at the nodes and normalized (an orthogonal n x n matrix Q).  In the
+order 0, cos 1, sin 1, cos 2, sin 2, ..., Nyquist, with the d levels
+innermost, Q^T H Q is banded: its entries are sums of Fourier coefficients of
+the sampled V_ab(x_j), and a mode m couples only to modes m' with |m - m'| up
+to the highest harmonic of V, aliasing wrap-around included.  This is an
+exact orthogonal similarity transform of the collocation operator, not a
+Galerkin truncation; only Fourier coefficients at the rounding level of the
+FFT are dropped.  Eigenvalues come from a windowed banded solve (LAPACK
+``dsbevx``), eigenvectors from block inverse iteration on each
+near-degenerate cluster, and every returned pair is certified by its
+residual against the full collocation operator, applied by FFT.
 """
 
 from dataclasses import dataclass
@@ -27,16 +41,33 @@ __all__ = [
 ]
 
 _RESIDUAL_TOL = 1e-8
+# Fourier coefficients of V below this fraction of the largest are FFT
+# rounding noise of exact zeros; dropping them keeps the band tight
+_COEF_TOL = 1e-15
+# extra vectors in each inverse-iteration block, so that a partner level just
+# outside a cluster cannot stall convergence
+_GUARD = 2
+_MAX_ITER = 30
 
 
 @dataclass(frozen=True)
 class DiscreteHamiltonian:
+    """Collocation operator in banded real plane-wave form.
+
+    ``matrix`` is the upper band of Q^T H Q in LAPACK symmetric band storage,
+    shape (bandwidth + 1, n_grid * d); ``potential`` holds V(x_j) and
+    ``kinetic`` the kinetic symbol at the FFT frequencies, from which the full
+    collocation operator is applied for residuals.
+    """
+
     matrix: np.ndarray
     grid: np.ndarray
     M: float
     n_grid: int
     d: int
     L: float
+    potential: np.ndarray    # (n_grid, d, d)
+    kinetic: np.ndarray      # (n_grid,), eigenvalues of -(1/2M) Laplacian
 
 
 @dataclass(frozen=True)
@@ -58,26 +89,63 @@ def required_grid(L, e_max, M, points_per_wavelength=16):
                        / (2.0 * np.pi)))
 
 
-def _spectral_laplacian(n, L):
-    k = 2.0 * np.pi / L * np.fft.fftfreq(n, d=1.0 / n)
-    D2 = np.fft.ifft(-(k ** 2)[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0).real
-    return 0.5 * (D2 + D2.T)
+def _laplacian_symbol(n, L, laplacian):
+    """Eigenvalues of the circulant Laplacian at the FFT frequencies."""
+    if laplacian == "spectral":
+        k = 2.0 * np.pi / L * np.fft.fftfreq(n, d=1.0 / n)
+        return -(k ** 2)
+    if laplacian == "fd4":
+        theta = 2.0 * np.pi * np.arange(n) / n
+        h = L / n
+        return (-5.0 / 2.0 + 8.0 / 3.0 * np.cos(theta)
+                - 1.0 / 6.0 * np.cos(2.0 * theta)) / h ** 2
+    raise ValueError(f"unknown laplacian {laplacian!r}")
 
 
-def _fd4_laplacian(n, L):
-    h = L / n
-    D2 = np.zeros((n, n))
-    stencil = {0: -5.0 / 2.0, 1: 4.0 / 3.0, 2: -1.0 / 12.0}
-    for off, coef in stencil.items():
-        for i in range(n):
-            D2[i, (i + off) % n] += coef
-            if off:
-                D2[i, (i - off) % n] += coef
-    return D2 / h ** 2
+def _real_modes(n):
+    """Wavenumber, sine flag and normalization weight of each real mode."""
+    r = np.arange(n)
+    m = (r + 1) // 2
+    sine = (r > 0) & (r % 2 == 0)
+    weight = np.where((m == 0) | (2 * m == n), np.sqrt(0.5), 1.0)
+    return m, sine, weight
+
+
+def _band(V, kinetic):
+    """Upper band of Q^T H Q from the samples V(x_j) and the kinetic symbol."""
+    n, d, _ = V.shape
+    coef = np.fft.fft(V, axis=0) / n          # V_ab(x_j) = sum_q coef_q e^{i q x_j}
+    tol = _COEF_TOL * np.abs(coef).max()
+    A = np.where(np.abs(coef.real) > tol, coef.real, 0.0)     # cosine coefficients
+    B = np.where(np.abs(coef.imag) > tol, -coef.imag, 0.0)    # sine coefficients
+    harmonics = np.flatnonzero((A != 0.0).any(axis=(1, 2)) | (B != 0.0).any(axis=(1, 2)))
+    K = int(np.minimum(harmonics, n - harmonics).max()) if harmonics.size else 0
+    N = n * d
+    b_max = min((2 * K + 2) * d - 1, N - 1)
+    m, sine, weight = _real_modes(n)
+    offset = np.arange(b_max + 1)[:, None]
+    j = np.arange(N)[None, :]
+    i = j - offset                             # entry (i, j) sits at band[b - offset, j]
+    inside = i >= 0
+    i = np.where(inside, i, j)                 # any valid index; masked out below
+    ri, ai, rj, aj = i // d, i % d, j // d, j % d
+    mi, mj = m[ri], m[rj]
+    si, sj = sine[ri], sine[rj]
+    diff, total = (mi - mj) % n, (mi + mj) % n
+    val = np.where(
+        si == sj,
+        A[diff, ai, aj] + np.where(si, -1.0, 1.0) * A[total, ai, aj],
+        B[total, ai, aj] + (si.astype(float) - sj) * B[diff, ai, aj])
+    val *= weight[ri] * weight[rj]
+    val[0] += kinetic[m[j[0] // d]]            # Q^T K Q is diagonal
+    val = np.where(inside, val, 0.0)
+    nonzero = np.flatnonzero(np.abs(val).max(axis=1) > 0.0)
+    b = int(nonzero.max()) if nonzero.size else 0
+    return np.ascontiguousarray(val[b::-1])
 
 
 def assemble_hamiltonian(model, M, n_grid, e_max=None, laplacian="spectral"):
-    """Discrete symmetric operator on level-valued grid functions.
+    """Banded form of the collocation operator on level-valued grid functions.
 
     ``e_max`` is the highest kinetic energy scale the grid must resolve;
     when given, the resolution rule is enforced and violation refuses
@@ -89,53 +157,121 @@ def assemble_hamiltonian(model, M, n_grid, e_max=None, laplacian="spectral"):
             raise ResolutionError(
                 f"n_grid = {n_grid} under-resolves the fast scale; need >= {need}",
                 required=need)
-    if laplacian == "spectral":
-        D2 = _spectral_laplacian(n_grid, model.L)
-    elif laplacian == "fd4":
-        D2 = _fd4_laplacian(n_grid, model.L)
-    else:
-        raise ValueError(f"unknown laplacian {laplacian!r}")
-    d = model.d
-    H = np.kron(-D2 / (2.0 * M), np.eye(d))
+    kinetic = -_laplacian_symbol(n_grid, model.L, laplacian) / (2.0 * M)
     grid = periodic_grid(model.L, n_grid)
-    for i, x in enumerate(grid):
-        H[i * d:(i + 1) * d, i * d:(i + 1) * d] += model_mod.evaluate_potential(model, x)
-    H = 0.5 * (H + H.T)
-    return DiscreteHamiltonian(matrix=H, grid=grid, M=float(M), n_grid=n_grid,
-                               d=d, L=model.L)
+    V = np.array([model_mod.evaluate_potential(model, x) for x in grid],
+                 dtype=float).reshape(n_grid, model.d, model.d)
+    V = 0.5 * (V + V.transpose(0, 2, 1))
+    return DiscreteHamiltonian(matrix=_band(V, kinetic), grid=grid, M=float(M),
+                               n_grid=n_grid, d=model.d, L=model.L,
+                               potential=V, kinetic=kinetic)
+
+
+def _residual(H, Phi, E):
+    """|| (H - E) Phi || / || Phi ||, the full collocation H applied by FFT."""
+    kin = np.fft.ifft(H.kinetic[:, None] * np.fft.fft(Phi, axis=0), axis=0)
+    if not np.iscomplexobj(Phi):
+        kin = kin.real
+    HPhi = kin + np.einsum("jab,jb->ja", H.potential, Phi)
+    return float(np.linalg.norm(HPhi - E * Phi) / np.linalg.norm(Phi))
+
+
+def _band_matvec(band, X):
+    b = band.shape[0] - 1
+    Y = band[b][:, None] * X
+    for k in range(1, b + 1):
+        diag = band[b - k, k:][:, None]
+        Y[:-k] += diag * X[k:]
+        Y[k:] += diag * X[:-k]
+    return Y
+
+
+def _to_grid(H, vec):
+    """Grid values (n_grid, d) of a vector of real-mode coefficients."""
+    n = H.n_grid
+    U = vec.reshape(n, H.d)
+    Z = np.zeros((n // 2 + 1, H.d), dtype=complex)
+    Z[0] = U[0]
+    top = (n - 1) // 2
+    Z[1:top + 1] = (U[1:2 * top:2] - 1j * U[2:2 * top + 1:2]) / np.sqrt(2.0)
+    if n % 2 == 0:
+        Z[n // 2] = U[n - 1]
+    return np.fft.irfft(Z * np.sqrt(n), n, axis=0)
+
+
+def _cluster_vectors(band, energies, scale):
+    """Orthonormal eigenvectors for a cluster of close eigenvalues.
+
+    Block inverse iteration shifted just off the cluster (so that an exact
+    eigenvalue never makes the shifted band singular), from a fixed-seed
+    start block with ``_GUARD`` extra columns, then a Rayleigh-Ritz rotation
+    inside the block; the Ritz vectors nearest the shift are returned in
+    ascending order of their Ritz values.
+    """
+    b = band.shape[0] - 1
+    N = band.shape[1]
+    c = len(energies)
+    width = min(c + _GUARD, N)
+    sigma = float(np.mean(energies)) + 1e-10 * scale   # far below any level gap
+    shifted = np.zeros((2 * b + 1, N))
+    shifted[:b + 1] = band
+    shifted[b] -= sigma
+    for k in range(1, b + 1):
+        shifted[b + k, :N - k] = band[b - k, k:]
+    X = np.linalg.qr(np.random.default_rng(0).standard_normal((N, width)))[0]
+    tol = 1e-12 * scale
+    best = np.inf
+    for _ in range(_MAX_ITER):
+        X = np.linalg.qr(scipy.linalg.solve_banded((b, b), shifted, X))[0]
+        HX = _band_matvec(band, X)
+        theta, W = np.linalg.eigh(X.T @ HX)
+        keep = np.sort(np.argsort(np.abs(theta - sigma), kind="stable")[:c])
+        vecs = X @ W[:, keep]
+        res = np.linalg.norm(HX @ W[:, keep] - vecs * theta[keep], axis=0).max()
+        if res <= tol or res > 0.9 * best:     # converged, or at the rounding floor
+            break
+        best = res
+    return vecs
 
 
 def _make_pair(H, E, vec):
     h = H.L / H.n_grid
-    Phi = vec.reshape(H.n_grid, H.d) / np.sqrt(h)
+    Phi = _to_grid(H, vec) / np.sqrt(h)
     rho = np.sum(np.abs(Phi) ** 2, axis=1)
     rho = rho / (rho.sum() * h)
-    res = np.linalg.norm(H.matrix @ vec - E * vec) / np.linalg.norm(vec)
     return QuantumEigenpair(E=float(E), Phi=Phi, M=H.M, n_grid=H.n_grid,
-                            grid=H.grid, density=rho, residual=float(res))
+                            grid=H.grid, density=rho, residual=_residual(H, Phi, E))
 
 
 def eigensolve_near(H, E_target, count=1):
     """The ``count`` eigenpairs nearest E_target, sorted by |E - E_target|.
 
     Uses a window solve that widens until enough levels are captured, so
-    near-degenerate traveling-wave doublets are both returned.
+    near-degenerate traveling-wave doublets are both returned; eigenvalues
+    closer than 1e-6 of the operator scale share one inverse-iteration block,
+    so exactly degenerate partners come out orthogonal.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    n = H.matrix.shape[0]
-    scale = max(1.0, np.abs(np.diag(H.matrix)).max())
+    diag = np.diagonal(H.potential, axis1=1, axis2=2) + H.kinetic.mean()
+    scale = max(1.0, np.abs(diag).max())
     width = 0.05 * scale
     for _ in range(40):
-        vals, vecs = scipy.linalg.eigh(H.matrix,
-                                       subset_by_value=(E_target - width, E_target + width))
+        vals = scipy.linalg.eig_banded(H.matrix, eigvals_only=True, select="v",
+                                       select_range=(E_target - width, E_target + width))
         if vals.size >= count:
             break
         width *= 2.0
     else:
         raise RuntimeError("window solve failed to capture the requested levels")
     order = np.argsort(np.abs(vals - E_target), kind="stable")[:count]
-    pairs = [_make_pair(H, vals[i], vecs[:, i]) for i in order]
+    chosen = np.sort(order)
+    vectors = {}
+    split = np.flatnonzero(np.diff(vals[chosen]) > 1e-6 * scale) + 1
+    for group in np.split(chosen, split):
+        vecs = _cluster_vectors(H.matrix, vals[group], scale)
+        vectors.update(zip(group.tolist(), vecs.T))
+    pairs = [_make_pair(H, vals[i], vectors[i]) for i in order]
     for pair in pairs:
         if pair.residual > _RESIDUAL_TOL:
             raise RuntimeError(
@@ -160,10 +296,9 @@ def observable(rho, g, grid):
 
 
 def residual_norm(H, Phi, E):
-    """|| (H - E) Phi || / || Phi || on the grid."""
+    """|| (H - E) Phi || / || Phi || on the grid, with the full collocation H."""
     Phi = np.asarray(Phi)
     if Phi.shape != (H.n_grid, H.d):
         raise ValueError(
             f"grid mismatch: Phi has shape {Phi.shape}, operator expects {(H.n_grid, H.d)}")
-    vec = Phi.reshape(-1)
-    return float(np.linalg.norm(H.matrix @ vec - E * vec) / np.linalg.norm(vec))
+    return _residual(H, Phi, E)

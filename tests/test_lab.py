@@ -84,3 +84,22 @@ def test_symplectic_study_verlet_slope_and_euler_positions():
     # dt -> 0: the total error plateaus at the mass floor
     total_small = [e["error"] for e in out["entries"] if e["dt"] <= 2.5e-2]
     assert max(total_small) <= 3.0 * out["floor"] + 1e-12
+
+
+def test_converge_classical_values_belong_to_first_state():
+    m = build_model(ModelSpec(family="two_level_gap", params={"delta": 0.25}, d=2))
+    obs = {"cos2": lambda x: np.cos(2 * x)}
+    one = lab.converge(m, "bo", [64.0], observables=obs, n_loops=2).per_M[0]
+    two = lab.converge(m, "bo", [64.0], observables=obs, n_loops=2, k_spread=2).per_M[0]
+    assert two["k_spread"] == 2
+    assert two["E_q"] == pytest.approx(one["E_q"], abs=1e-12)
+    for key in ("quantum", "classical", "scatter"):
+        assert two[key]["cos2"] == pytest.approx(one[key]["cos2"], rel=1e-8, abs=1e-12)
+
+
+def test_record_with_crossings_json_roundtrip():
+    m = build_model(ModelSpec(family="two_level_cross", d=2))
+    rec = lab.converge(m, "bo", [64.0], n_loops=1)
+    assert rec.per_M[0]["crossings"]
+    again = lab.RunRecord.from_json(rec.to_json())
+    assert again.comparable() == rec.comparable()

@@ -1,16 +1,65 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-from qcmd import ModelSpec, build_model, qref
+from qcmd import ModelSpec, build_model, espec, model, qref, wkb
+from qcmd._util import periodic_grid
 from qcmd.errors import ResolutionError
+
+FAMILIES = {
+    "free": ModelSpec(family="free"),
+    "scalar_cos": ModelSpec(family="scalar_cos", params={"a": 0.1}),
+    "two_level_gap": ModelSpec(family="two_level_gap", params={"delta": 0.25}, d=2),
+    "two_level_cross": ModelSpec(family="two_level_cross", d=2),
+    "multi_level": ModelSpec(family="multi_level", d=3,
+                             params={"a0": 0.2, "gaps": [[1.0, 0.02], [2.0, 0.03]],
+                                     "rot": 0.3}),
+}
 
 
 def free_model():
-    return build_model(ModelSpec(family="free"))
+    return build_model(FAMILIES["free"])
 
 
 def gap_model():
-    return build_model(ModelSpec(family="two_level_gap", params={"delta": 0.25}, d=2))
+    return build_model(FAMILIES["two_level_gap"])
+
+
+def dense_collocation(m, M, n, laplacian="spectral"):
+    """The (n*d)^2 collocation matrix, built entry by entry as the reference."""
+    if laplacian == "spectral":
+        k = 2.0 * np.pi / m.L * np.fft.fftfreq(n, d=1.0 / n)
+        D2 = np.fft.ifft(-(k ** 2)[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0).real
+        D2 = 0.5 * (D2 + D2.T)
+    else:
+        D2 = np.zeros((n, n))
+        for off, coef in {0: -5.0 / 2.0, 1: 4.0 / 3.0, 2: -1.0 / 12.0}.items():
+            for i in range(n):
+                D2[i, (i + off) % n] += coef
+                if off:
+                    D2[i, (i - off) % n] += coef
+        D2 /= (m.L / n) ** 2
+    H = np.kron(-D2 / (2.0 * M), np.eye(m.d))
+    for i, x in enumerate(periodic_grid(m.L, n)):
+        H[i * m.d:(i + 1) * m.d, i * m.d:(i + 1) * m.d] += model.evaluate_potential(m, x)
+    return 0.5 * (H + H.T)
+
+
+def real_fourier_basis(n):
+    """Columns 1, cos 1, sin 1, ..., Nyquist on the grid, orthonormal."""
+    theta = 2.0 * np.pi * np.arange(n) / n
+    cols = [np.ones(n) / np.sqrt(n)]
+    for m in range(1, (n - 1) // 2 + 1):
+        cols += [np.sqrt(2.0 / n) * np.cos(m * theta), np.sqrt(2.0 / n) * np.sin(m * theta)]
+    if n % 2 == 0:
+        cols.append(np.cos(np.pi * np.arange(n)) / np.sqrt(n))
+    return np.column_stack(cols)
+
+
+def dense_nearest(Hd, E, count):
+    vals = np.linalg.eigvalsh(Hd)
+    return vals[np.argsort(np.abs(vals - E), kind="stable")[:count]]
 
 
 def test_free_spectrum_exact():
@@ -25,10 +74,82 @@ def test_free_spectrum_exact():
     assert lowest[2] == pytest.approx(k1, rel=1e-10)   # (+k, -k) doublet
 
 
-def test_hamiltonian_exactly_symmetric():
-    m = gap_model()
+def test_band_is_orthogonal_transform_of_collocation():
+    # the stored band, mirrored, is Q^T H Q exactly (so H stays symmetric),
+    # and nothing above rounding lies outside it; odd n has no Nyquist mode
+    for family in ("two_level_cross", "multi_level"):
+        m = build_model(FAMILIES[family])
+        for n in (32, 33):
+            H = qref.assemble_hamiltonian(m, 64.0, n)
+            Q = np.kron(real_fourier_basis(n), np.eye(m.d))
+            expect = Q.T @ dense_collocation(m, 64.0, n) @ Q
+            b = H.matrix.shape[0] - 1
+            full = np.diag(H.matrix[b])
+            for k in range(1, b + 1):
+                full = full + np.diag(H.matrix[b - k, k:], k) + np.diag(H.matrix[b - k, k:], -k)
+            assert np.abs(full - expect).max() < 1e-12
+            assert np.abs(np.triu(expect, b + 1)).max(initial=0.0) < 1e-13
+
+
+@pytest.mark.parametrize("laplacian", ["spectral", "fd4"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_eigensolve_matches_dense_oracle(family, laplacian):
+    m = build_model(FAMILIES[family])
+    for n, M, E, count in ((64, 64.0, 0.3, 6), (128, 256.0, 1.5, 8)):
+        H = qref.assemble_hamiltonian(m, M, n, laplacian=laplacian)
+        pairs = qref.eigensolve_near(H, E, count=count)
+        Hd = dense_collocation(m, M, n, laplacian)
+        expect = dense_nearest(Hd, E, count)
+        got = np.array([p.E for p in pairs])
+        # same chosen set, in the same order of distance from the target
+        assert np.abs(np.abs(got - E) - np.abs(expect - E)).max() < 1e-12
+        assert np.abs(np.sort(got) - np.sort(expect)).max() < 1e-12
+        for p in pairs:
+            vec = p.Phi.reshape(-1)
+            assert np.linalg.norm(Hd @ vec - p.E * vec) / np.linalg.norm(vec) < 1e-11
+
+
+@pytest.mark.parametrize("count", [3, 8])
+def test_free_exact_doublets(count):
+    m = free_model()
     H = qref.assemble_hamiltonian(m, 64.0, 64)
-    assert np.abs(H.matrix - H.matrix.T).max() == 0.0
+    # the target sits exactly on the ground eigenvalue, partners are exact doublets
+    pairs = qref.eigensolve_near(H, 0.0, count=count)
+    k1 = (2 * np.pi / m.L) ** 2 / (2 * 64.0)
+    levels = np.array([0] + [j * j for j in range(1, 5) for _ in range(2)])[:count]
+    assert np.abs(np.sort([p.E for p in pairs]) - levels * k1).max() < 1e-12
+    h = m.L / H.n_grid
+    Phi = np.column_stack([p.Phi[:, 0] for p in pairs])
+    assert np.abs(h * Phi.T @ Phi - np.eye(count)).max() < 1e-12
+    assert max(p.residual for p in pairs) < 1e-12
+
+
+def test_residual_norm_complex_wkb_matches_dense():
+    m = build_model(FAMILIES["scalar_cos"])
+    M = 256.0
+    k = wkb.bohr_sommerfeld_index(m, 1.0, M)
+    E = wkb.quantized_energy(m, k, M)
+    n = 128
+    field = wkb.field_from_energy(m, E, M, n_grid=n, k=k)
+    Phi = wkb.assemble_wkb_eigenfunction(m, field, espec.eigendecompose_field(m, field.grid), M)
+    assert np.iscomplexobj(Phi) and np.abs(Phi.imag).max() > 0.1
+    H = qref.assemble_hamiltonian(m, M, n)
+    vec = Phi.reshape(-1)
+    dense = np.linalg.norm(dense_collocation(m, M, n) @ vec - E * vec) / np.linalg.norm(vec)
+    assert qref.residual_norm(H, Phi, E) == pytest.approx(dense, rel=1e-10)
+
+
+def test_eigensolve_bit_identical_across_runs_and_threads():
+    m = gap_model()
+    H = qref.assemble_hamiltonian(m, 1024.0, 512)
+
+    def solve(_):
+        return [(p.E, p.Phi.tobytes()) for p in qref.eigensolve_near(H, 1.4, count=16)]
+
+    first = solve(0)
+    with ThreadPoolExecutor(max_workers=3) as pool:
+        runs = list(pool.map(solve, range(3)))
+    assert all(run == first for run in [solve(0)] + runs)
 
 
 def test_gap_eigenvalues_real_sorted():
