@@ -103,7 +103,7 @@ def _branch_force(model, X, b):
     """Force on the smooth eigenvalue branch continued from the unit vector b."""
     lam, vecs = espec.eigen_at(model, X)
     ov = vecs.T @ b
-    j = int(np.argmax(np.abs(ov)))
+    j = int(np.abs(ov).argmax())
     v = vecs[:, j] if ov[j] >= 0.0 else -vecs[:, j]
     dV = model_mod.potential_derivative(model, X)
     return -float(v @ dV @ v), v
@@ -121,7 +121,7 @@ def hamiltonian(model, state, scheme):
         return kinetic + float((np.vdot(state.phi, V @ state.phi)).real)
     if state.phi is not None and model.d > 1:
         b = state.phi.real
-        b = b / np.linalg.norm(b)
+        b = b / np.sqrt(b.dot(b))
         return kinetic + float(b @ V @ b)
     lam0 = espec.eigen_at(model, state.X[0])[0][0]
     return kinetic + float(lam0)
@@ -169,6 +169,33 @@ def step_ehrenfest(model, state, dt, M, c_step=DEFAULT_C_STEP):
     return PhaseState(X=X1, p=p1, phi=phi1, z=z1, t=state.t + dt)
 
 
+def _bo_start(model, state):
+    """(force, branch vector) at the state; the vector is None on the sorted level."""
+    if state.phi is not None and model.d > 1:
+        b = state.phi.real
+        return _branch_force(model, state.X[0], b / np.sqrt(b.dot(b)))
+    return espec.ground_force(model, state.X[0]), None
+
+
+def _bo_verlet(model, state, dt, start):
+    """Verlet step from the ``_bo_start`` pair; returns the new state and the
+    pair at its end, which equals ``_bo_start`` of the new state bit for bit
+    (the same eigenvector column of V(X1) is selected)."""
+    F0, v0 = start
+    p0 = state.p
+    p_half = p0 + 0.5 * dt * np.array([F0])
+    X1 = state.X + dt * p_half
+    if v0 is None:
+        end = espec.ground_force(model, X1[0]), None
+        phi1 = state.phi
+    else:
+        end = _branch_force(model, X1[0], v0)
+        phi1 = end[1].astype(complex)
+    p1 = p_half + 0.5 * dt * np.array([end[0]])
+    z1 = state.z + dt / 6.0 * float(p0 @ p0 + 4.0 * (p_half @ p_half) + p1 @ p1)
+    return PhaseState(X=X1, p=p1, phi=phi1, z=z1, t=state.t + dt), end
+
+
 def step_bo(model, state, dt):
     """One Stoermer-Verlet step on the adiabatic surface; action by Simpson on |p|^2.
 
@@ -177,30 +204,14 @@ def step_bo(model, state, dt):
     crossing; without one the sorted ground level is used.  An exactly
     degenerate level rejects the step (the Hellmann-Feynman force raises).
     """
-    p0 = state.p
-    if state.phi is not None and model.d > 1:
-        b = state.phi.real
-        b = b / np.linalg.norm(b)
-        F0, v0 = _branch_force(model, state.X[0], b)
-        p_half = p0 + 0.5 * dt * np.array([F0])
-        X1 = state.X + dt * p_half
-        F1, v1 = _branch_force(model, X1[0], v0)
-        p1 = p_half + 0.5 * dt * np.array([F1])
-        phi1 = v1.astype(complex)
-    else:
-        p_half = p0 + 0.5 * dt * _bo_force(model, state.X)
-        X1 = state.X + dt * p_half
-        p1 = p_half + 0.5 * dt * _bo_force(model, X1)
-        phi1 = state.phi
-    z1 = state.z + dt / 6.0 * float(p0 @ p0 + 4.0 * (p_half @ p_half) + p1 @ p1)
-    return PhaseState(X=X1, p=p1, phi=phi1, z=z1, t=state.t + dt)
+    return _bo_verlet(model, state, dt, _bo_start(model, state))[0]
 
 
 def step_symplectic_euler(model, state, dt):
     """Symplectic Euler (kick then drift); positions match Verlet's on shifted momenta."""
     if state.phi is not None and model.d > 1:
         b = state.phi.real
-        b = b / np.linalg.norm(b)
+        b = b / np.sqrt(b.dot(b))
         F0, v0 = _branch_force(model, state.X[0], b)
         p1 = state.p + dt * np.array([F0])
         phi1 = v0.astype(complex)
@@ -296,16 +307,18 @@ def simulate(model, init, scheme, T_final, dt, surface=None, rng=None,
     record(0, state)
     hits = []
     j = 1
+    bo_end = None    # a BO step's end force is the next step's start force
     for i in range(n_steps):
         if scheme == "ehrenfest":
             new = step_ehrenfest(model, state, dt, M, c_step=c_step)
         elif scheme == "bo":
-            new = step_bo(model, state, dt)
+            start = bo_end if bo_end is not None else _bo_start(model, state)
+            new, bo_end = _bo_verlet(model, state, dt, start)
         elif scheme == "langevin":
             new = step_langevin(model, state, dt, T, K, rng, force=force)
         else:
             new = step_smoluchowski(model, state, dt, T, rng, force=force)
-        if not (np.all(np.isfinite(new.X)) and np.all(np.isfinite(new.p))):
+        if not (np.isfinite(new.X).all() and np.isfinite(new.p).all()):
             raise RuntimeError(
                 f"non-finite state at t = {new.t:.6g} (X = {new.X}, p = {new.p}); aborting")
         if surface is not None:

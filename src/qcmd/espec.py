@@ -266,8 +266,9 @@ def hellmann_feynman(field_or_model, X, n):
     """d(lambda_n)/dX = <v_n, dV/dX v_n> for a simple eigenvalue."""
     model = getattr(field_or_model, "model", field_or_model)
     lam, vec = eigen_at(model, X)
-    others = np.delete(lam, n)
-    if others.size and np.min(np.abs(others - lam[n])) < _DEGENERACY_TOL:
+    dist = np.abs(lam - lam[n])
+    dist[n] = np.inf
+    if dist.min() < _DEGENERACY_TOL:
         raise CrossingError(f"lambda_{n} is degenerate at X = {X}; force undefined")
     dV = model_mod.potential_derivative(model, X)
     return float(vec[:, n] @ dV @ vec[:, n])

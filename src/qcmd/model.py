@@ -202,16 +202,27 @@ def _multi_level(params, L, d):
             dl.append(dlam0 - eps * w * np.sin(w * X))
         return np.array(dl)
 
+    # a force needs V and dV/dX at the same X, and a recorded energy needs V
+    # where the next step starts, so the rotation and V of the last point are
+    # kept (one immutable tuple, so threads sharing the model cannot mix frames)
+    last = [(None, None, None)]
+
+    def frame(X):
+        X_last, Q, V = last[0]
+        if X_last != X:
+            Q = rotation(rot * np.sin(w * X)).real
+            V = (Q * levels(X)) @ Q.T
+            last[0] = (X, Q, V)
+        return Q, V
+
     def pot(X):
-        Q = rotation(rot * np.sin(w * X)).real
-        V = Q @ np.diag(levels(X)) @ Q.T
+        _, V = frame(X)
         return 0.5 * (V + V.T)
 
     def dpot(X):
-        Q = rotation(rot * np.sin(w * X)).real
-        V = Q @ np.diag(levels(X)) @ Q.T
+        Q, V = frame(X)
         dphi = rot * w * np.cos(w * X)
-        dV = dphi * (A @ V - V @ A) + Q @ np.diag(dlevels(X)) @ Q.T
+        dV = dphi * (A @ V - V @ A) + (Q * dlevels(X)) @ Q.T
         return 0.5 * (dV + dV.T)
 
     # gap profiles must stay positive and ordered for adiabatic labelling

@@ -37,6 +37,22 @@ def test_bo_one_step_position_formula():
     assert new.X[0] == pytest.approx(X0 + p0 * dt + 0.5 * dt * dt * force, abs=1e-15)
 
 
+def test_simulate_bo_matches_repeated_steps_bitwise():
+    # simulate carries each step's end force into the next step, step_bo
+    # recomputes it; on the sorted level and on a branch through a crossing
+    cross = build_model(ModelSpec(family="two_level_cross", d=2))
+    branch = espec.eigen_at(cross, 1.0)[1][:, 0].astype(complex)
+    for m, phi in ((gap_model(), None), (cross, branch)):
+        init = dynamics.PhaseState.make(1.0, 2.5, phi=phi)
+        traj = dynamics.simulate(m, init, "bo", T_final=3.0, dt=1e-3)
+        assert traj.X[-1, 0] > 2.0 * np.pi
+        st = init
+        for i in range(1, traj.t.size):
+            st = dynamics.step_bo(m, st, 1e-3)
+            assert (st.X[0], st.p[0], st.z) == (traj.X[i, 0], traj.p[i, 0], traj.z[i])
+        assert np.array_equal(traj.H[-1:], [dynamics.hamiltonian(m, st, "bo")])
+
+
 def test_bo_energy_error_scales_dt_squared():
     m = cos_model(0.3)
     E0 = 1.0

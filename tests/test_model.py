@@ -1,4 +1,5 @@
 import json
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -91,6 +92,22 @@ def test_derivative_matches_central_difference_everywhere():
             an = model.potential_derivative(m, X)
             scale = max(1.0, np.abs(an).max())
             assert np.abs(num - an).max() / scale < 1e-6
+
+
+def test_multi_level_values_independent_of_call_order():
+    # V and dV/dX share the last point's rotation; neither the order of the
+    # points nor threads sharing one model may change a value
+    spec = ModelSpec(family="multi_level", d=3,
+                     params={"a0": 0.1, "gaps": [[0.8, 0.12], [1.6, 0.16]], "rot": 0.3})
+    xs = np.random.default_rng(5).uniform(0.0, 2.0 * np.pi, 60)
+    fresh = [(model.evaluate_potential(build_model(spec), x),
+              model.potential_derivative(build_model(spec), x)) for x in xs]
+    m = build_model(spec)
+    with ThreadPoolExecutor(max_workers=3) as pool:
+        shared = list(pool.map(lambda x: (model.potential_derivative(m, x),
+                                          model.evaluate_potential(m, x)), xs))
+    for (V, dV), (dV2, V2) in zip(fresh, shared):
+        assert np.array_equal(V, V2) and np.array_equal(dV, dV2)
 
 
 def test_spec_round_trip_lossless():

@@ -74,6 +74,16 @@ def test_free_spectrum_exact():
     assert lowest[2] == pytest.approx(k1, rel=1e-10)   # (+k, -k) doublet
 
 
+def test_hamiltonian_exactly_symmetric():
+    # the full operator is symmetric level blocks at the nodes plus a circulant
+    # kinetic term, which is symmetric when its symbol is even in frequency
+    m = gap_model()
+    H = qref.assemble_hamiltonian(m, 64.0, 64)
+    assert np.abs(H.potential - H.potential.transpose(0, 2, 1)).max() == 0.0
+    mirror = (-np.arange(H.n_grid)) % H.n_grid
+    assert np.abs(H.kinetic - H.kinetic[mirror]).max() == 0.0
+
+
 def test_band_is_orthogonal_transform_of_collocation():
     # the stored band, mirrored, is Q^T H Q exactly (so H stays symmetric),
     # and nothing above rounding lies outside it; odd n has no Nyquist mode
