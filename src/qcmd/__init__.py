@@ -11,7 +11,7 @@ from .errors import (BoundViolationError, CausticError, CrossingError,
                      HittingTimeError, QcmdError, ResolutionError)
 from .model import ModelSpec, ModelSystem, build_model
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "model", "espec", "dynamics", "wkb", "qref", "gibbs", "oscint", "lab",

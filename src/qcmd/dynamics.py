@@ -5,7 +5,13 @@ Born-Oppenheimer (Stoermer-Verlet on the ground surface).  Stochastic:
 Langevin (BAOAB) and Smoluchowski (Euler-Maruyama), both with unit mass in
 the slow variables and the ground eigenvalue as potential.
 
-All step functions are pure: they take a PhaseState and return a new one.
+Each scheme has one step kernel over B stacked lanes: positions X (B,),
+momenta p (B,), electron or branch vectors (B, d), with per-lane step sizes
+and masses.  Every operation in a kernel acts lane by lane, so a lane's
+numbers do not depend on the other lanes.  ``simulate_ensemble`` drives the
+kernels in lockstep, ``simulate`` is its one-lane case, and the public step
+functions are pure one-lane wrappers: they take a PhaseState and return a
+new one.
 """
 
 from dataclasses import dataclass, field
@@ -14,7 +20,7 @@ import numpy as np
 
 from . import espec
 from . import model as model_mod
-from .errors import HittingTimeError, ResolutionError
+from .errors import CrossingError, HittingTimeError, ResolutionError
 from ._util import wrap
 
 __all__ = [
@@ -28,6 +34,7 @@ __all__ = [
     "step_langevin",
     "step_smoluchowski",
     "simulate",
+    "simulate_ensemble",
     "time_average",
     "loop_average",
     "hitting_value_function",
@@ -35,6 +42,8 @@ __all__ = [
 ]
 
 DEFAULT_C_STEP = 0.1
+# recorded states whose energies are evaluated in one stacked call
+_ENERGY_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -90,23 +99,224 @@ class Trajectory:
                           z=float(self.z[i]), t=float(self.t[i]))
 
 
-def _ehrenfest_force(model, X, phi):
-    dV = model_mod.potential_derivative(model, X[0])
-    return np.array([-(np.vdot(phi, dV @ phi)).real])
+# ------------------------------------------------------------ lane kernels
+#
+# A kernel step maps (X, p, vec, z, F) of the active lanes to the same tuple
+# one step later; F is the force at the step's start, which the step returns
+# for its end so that the next step need not evaluate it again.  ``par``
+# holds the per-lane constants built by ``_lane_params``.
 
 
-def _bo_force(model, X):
-    return np.array([espec.ground_force(model, X[0])])
+# Every product below is a stacked matmul of per-lane vectors and matrices,
+# the same BLAS calls, lane by lane, as the 2-D products of a single state.
 
 
-def _branch_force(model, X, b):
-    """Force on the smooth eigenvalue branch continued from the unit vector b."""
-    lam, vecs = espec.eigen_at(model, X)
-    ov = vecs.T @ b
-    j = int(np.abs(ov).argmax())
-    v = vecs[:, j] if ov[j] >= 0.0 else -vecs[:, j]
-    dV = model_mod.potential_derivative(model, X)
-    return -float(v @ dV @ v), v
+def _expectation(phi, A):
+    """<phi, A phi> per lane, as phi^* (A phi); phi (B, d), A (B, d, d)."""
+    return (phi.conj()[:, None, :] @ (A @ phi[:, :, None]))[:, 0, 0]
+
+
+def _form(v, A):
+    """v A v per lane, as (v A) v, for real v (B, d)."""
+    return ((v[:, None, :] @ A) @ v[:, :, None])[:, 0, 0]
+
+
+def _ehrenfest_force(dV, phi):
+    """-<phi, dV/dX phi> per lane."""
+    return -_expectation(phi, dV).real
+
+
+def _ehrenfest_start(model, par, X, phi):
+    return _ehrenfest_force(model_mod.potential_derivative(model, X), phi)
+
+
+def _ehrenfest_step(model, par, X, p, phi, z, F):
+    """Strang step: half-kick, drift, exact electron rotation at the midpoint, half-kick."""
+    norm = (phi.conj()[:, None, :] @ phi[:, :, None]).real
+    if norm.max() > 1.0 + 1e-8 or norm.min() < 1.0 - 1e-8:
+        raise ValueError("electron amplitude must be normalized to 1e-8")
+    dt, half = par["dt"], par["half"]
+    p_half = p + half * F
+    X1 = X + dt * p_half
+    X_mid = X + half * p_half
+    # the midpoint potential and the end force in one evaluation
+    V, dV = model_mod.potential_and_derivative(model, np.concatenate([X_mid, X1]))
+    B = X.size
+    lam, U = espec._eigh(V[:B], X_mid)
+    phase = np.exp(par["spin"] * lam * par["dt_col"])
+    phi1 = (U @ (phase[:, :, None] * (U.transpose(0, 2, 1) @ phi[:, :, None])))[:, :, 0]
+    F1 = _ehrenfest_force(dV[B:], phi1)
+    p1 = p_half + half * F1
+    z1 = z + par["sixth"] * (p * p + 4.0 * (p_half * p_half) + p1 * p1)
+    return X1, p1, phi1, z1, F1
+
+
+def _bo_force(model, X, b):
+    """Force on every lane and the vectors it followed.
+
+    With unit vectors b (B, d) the force follows the smooth branch through
+    the eigenvector of V(X) with the largest overlap, signed to keep the
+    overlap nonnegative; with b None, the sorted ground level, where an
+    exact degeneracy makes the force undefined.
+    """
+    V, dV = model_mod.potential_and_derivative(model, X)
+    if model.d == 1:
+        return -dV[:, 0, 0], None
+    lam, vecs = espec._eigh(V, X)
+    if b is None:
+        degenerate = lam[:, 1] - lam[:, 0] < espec._DEGENERACY_TOL
+        if degenerate.any():
+            x = X[np.argmax(degenerate)]
+            raise CrossingError(f"lambda_0 is degenerate at X = {x}; force undefined")
+        return -_form(vecs[:, :, 0], dV), None
+    ov = (vecs.transpose(0, 2, 1) @ b[:, :, None])[:, :, 0]
+    rows = np.arange(X.size)
+    j = np.abs(ov).argmax(axis=1)
+    v = vecs.transpose(0, 2, 1)[rows, j]
+    v = np.where((ov[rows, j] >= 0.0)[:, None], v, -v)
+    return -_form(v, dV), v
+
+
+def _bo_start(model, par, X, b):
+    return _bo_force(model, X, b)[0]
+
+
+def _bo_step(model, par, X, p, b, z, F):
+    """Stoermer-Verlet step on the adiabatic surface; action by Simpson on |p|^2."""
+    dt, half = par["dt"], par["half"]
+    p_half = p + half * F
+    X1 = X + dt * p_half
+    F1, b1 = _bo_force(model, X1, b)
+    p1 = p_half + half * F1
+    z1 = z + par["sixth"] * (p * p + 4.0 * (p_half * p_half) + p1 * p1)
+    return X1, p1, b1, z1, F1
+
+
+def _noise(rngs):
+    """One standard normal per lane, each from the lane's own stream."""
+    if len(rngs) == 1:
+        return rngs[0].standard_normal(1)
+    return np.array([r.standard_normal() for r in rngs])
+
+
+def _langevin_start(model, par, X, vec):
+    return par["force"](X)
+
+
+def _langevin_step(model, par, X, p, vec, z, F):
+    """BAOAB step with unit mass; the O-substep is the exact OU update."""
+    half = par["half"]
+    p1 = p + half * F
+    X1 = X + half * p1
+    p1 = par["c1"] * p1 + par["c2"] * _noise(par["rng"])
+    X1 = X1 + half * p1
+    F1 = par["force"](X1)
+    p1 = p1 + half * F1
+    return X1, p1, vec, z + half * (p * p + p1 * p1), F1
+
+
+def _smoluchowski_start(model, par, X, vec):
+    return None
+
+
+def _smoluchowski_step(model, par, X, p, vec, z, F):
+    """Euler-Maruyama step of the overdamped dynamics."""
+    X1 = X + par["dt"] * par["force"](X) + par["kick"] * _noise(par["rng"])
+    return X1, p, vec, z, None
+
+
+_KERNELS = {
+    "ehrenfest": (_ehrenfest_start, _ehrenfest_step),
+    "bo": (_bo_start, _bo_step),
+    "langevin": (_langevin_start, _langevin_step),
+    "smoluchowski": (_smoluchowski_start, _smoluchowski_step),
+}
+
+
+def _next_surface(surface, L, X):
+    """The copy surface + k L that a forward drift from X hits first, and the
+    band of positions with the same first copy, narrowed by a margin far
+    above rounding: a drift that ends inside the band hits nothing."""
+    k = np.ceil((X - surface) / L + 1e-12)
+    target = surface + k * L
+    margin = L * (1e-9 + 1e-14 * np.abs(k))
+    return target, target - L + margin, target - margin
+
+
+def _per_lane(value, B):
+    return np.array(np.broadcast_to(np.asarray(value, dtype=float), (B,)))
+
+
+def _lane_params(model, scheme, B, dt, M=None, T=None, K=None, force=None,
+                 rng=None, c_step=DEFAULT_C_STEP):
+    """Per-lane constants of a kernel: step sizes, rotation rates, OU
+    coefficients, noise streams and the force of the stochastic schemes."""
+    dt = _per_lane(dt, B)
+    par = {"dt": dt, "half": 0.5 * dt, "sixth": dt / 6.0}
+    if scheme == "ehrenfest":
+        M = _per_lane(model.M[0] if M is None else M, B)
+        dt_max = c_step / np.sqrt(M)
+        over = dt > dt_max * (1.0 + 1e-12)
+        if over.any():
+            i = int(np.argmax(over))
+            raise ResolutionError(
+                f"dt = {dt[i]} exceeds the Ehrenfest stiffness guard {dt_max[i]}",
+                required=float(dt_max[i]))
+        par["spin"] = -1j * np.sqrt(M)[:, None]
+        par["dt_col"] = dt[:, None]
+    elif scheme in ("langevin", "smoluchowski"):
+        if scheme == "langevin" and (T < 0.0 or K <= 0.0):
+            raise ValueError("Langevin needs T >= 0 and K > 0")
+        rngs = list(rng) if isinstance(rng, (list, tuple)) else [rng]
+        if len(rngs) != B:
+            raise ValueError(f"{B} lanes need {B} random generators, got {len(rngs)}")
+        par["rng"] = np.empty(B, dtype=object)
+        par["rng"][:] = rngs
+        par["force"] = (force if force is not None
+                        else lambda x: _bo_force(model, x, None)[0])
+        if scheme == "langevin":
+            c1 = np.exp(-K * dt)
+            par["c1"] = c1
+            par["c2"] = np.sqrt(T * (1.0 - c1 * c1))
+        else:
+            par["kick"] = np.sqrt(2.0 * T * dt)
+    return par
+
+
+def _unit(b):
+    """Rows of b divided by their lengths."""
+    return b / np.sqrt(b[:, None, :] @ b[:, :, None])[:, 0]
+
+
+def _lane_vectors(model, scheme, states):
+    """The vectors the kernel carries and the ones the energy reads.
+
+    Ehrenfest carries the electron amplitudes.  The other schemes carry
+    phi.real as a branch vector when the states hold one and d > 1
+    (normalized for Born-Oppenheimer, whose force follows it); else None.
+    """
+    if scheme == "ehrenfest":
+        phi = np.array([s.phi for s in states], dtype=complex)
+        return phi, phi
+    given = [s.phi is not None for s in states]
+    if model.d == 1 or not any(given):
+        return None, None
+    if not all(given):
+        raise ValueError("either every lane or no lane may carry a branch vector")
+    raw = np.array([s.phi.real for s in states])
+    return (_unit(raw) if scheme == "bo" else raw), raw
+
+
+def _energies(model, scheme, X, p, vec):
+    """Scheme energy of stacked states: |p|^2/2 plus <phi, V phi> (Ehrenfest),
+    the branch level <b, V b> of the normalized vectors, or the sorted ground level."""
+    kinetic = 0.5 * (p * p)
+    V = model_mod.evaluate_potential(model, X)
+    if scheme == "ehrenfest":
+        return kinetic + _expectation(vec, V).real
+    if vec is not None:
+        return kinetic + _form(_unit(vec), V)
+    return kinetic + espec._eigh(V, X)[0][:, 0]
 
 
 def hamiltonian(model, state, scheme):
@@ -115,16 +325,8 @@ def hamiltonian(model, state, scheme):
     A Born-Oppenheimer state carrying a branch vector reports the smooth
     branch level <b, V b>; otherwise the sorted ground level.
     """
-    kinetic = 0.5 * float(state.p @ state.p)
-    V = model_mod.evaluate_potential(model, state.X[0])
-    if scheme == "ehrenfest":
-        return kinetic + float((np.vdot(state.phi, V @ state.phi)).real)
-    if state.phi is not None and model.d > 1:
-        b = state.phi.real
-        b = b / np.sqrt(b.dot(b))
-        return kinetic + float(b @ V @ b)
-    lam0 = espec.eigen_at(model, state.X[0])[0][0]
-    return kinetic + float(lam0)
+    vec = _lane_vectors(model, scheme, [state])[1]
+    return float(_energies(model, scheme, state.X[:1], state.p[:1], vec)[0])
 
 
 def initial_electron_state(model, X, p, M, perp_correction=False):
@@ -148,52 +350,17 @@ def initial_electron_state(model, X, p, M, perp_correction=False):
     return phi
 
 
+# ------------------------------------------------------ one-lane wrappers
+
+
 def step_ehrenfest(model, state, dt, M, c_step=DEFAULT_C_STEP):
     """One Strang step: half-kick, drift, exact electron rotation at the midpoint, half-kick."""
-    dt_max = c_step / np.sqrt(M)
-    if dt > dt_max * (1.0 + 1e-12):
-        raise ResolutionError(
-            f"dt = {dt} exceeds the Ehrenfest stiffness guard {dt_max}", required=dt_max)
-    norm = float(np.vdot(state.phi, state.phi).real)
-    if abs(norm - 1.0) > 1e-8:
-        raise ValueError("electron amplitude must be normalized to 1e-8")
-    p0 = state.p
-    p_half = p0 + 0.5 * dt * _ehrenfest_force(model, state.X, state.phi)
-    X1 = state.X + dt * p_half
-    X_mid = state.X + 0.5 * dt * p_half
-    lam, U = espec.eigen_at(model, X_mid[0])
-    phase = np.exp(-1j * np.sqrt(M) * lam * dt)
-    phi1 = U @ (phase * (U.T @ state.phi))
-    p1 = p_half + 0.5 * dt * _ehrenfest_force(model, X1, phi1)
-    z1 = state.z + dt / 6.0 * float(p0 @ p0 + 4.0 * (p_half @ p_half) + p1 @ p1)
-    return PhaseState(X=X1, p=p1, phi=phi1, z=z1, t=state.t + dt)
-
-
-def _bo_start(model, state):
-    """(force, branch vector) at the state; the vector is None on the sorted level."""
-    if state.phi is not None and model.d > 1:
-        b = state.phi.real
-        return _branch_force(model, state.X[0], b / np.sqrt(b.dot(b)))
-    return espec.ground_force(model, state.X[0]), None
-
-
-def _bo_verlet(model, state, dt, start):
-    """Verlet step from the ``_bo_start`` pair; returns the new state and the
-    pair at its end, which equals ``_bo_start`` of the new state bit for bit
-    (the same eigenvector column of V(X1) is selected)."""
-    F0, v0 = start
-    p0 = state.p
-    p_half = p0 + 0.5 * dt * np.array([F0])
-    X1 = state.X + dt * p_half
-    if v0 is None:
-        end = espec.ground_force(model, X1[0]), None
-        phi1 = state.phi
-    else:
-        end = _branch_force(model, X1[0], v0)
-        phi1 = end[1].astype(complex)
-    p1 = p_half + 0.5 * dt * np.array([end[0]])
-    z1 = state.z + dt / 6.0 * float(p0 @ p0 + 4.0 * (p_half @ p_half) + p1 @ p1)
-    return PhaseState(X=X1, p=p1, phi=phi1, z=z1, t=state.t + dt), end
+    par = _lane_params(model, "ehrenfest", 1, dt, M=M, c_step=c_step)
+    phi = np.array([state.phi], dtype=complex)
+    F = _ehrenfest_start(model, par, state.X, phi)
+    X1, p1, phi1, z1, _ = _ehrenfest_step(model, par, state.X, state.p, phi,
+                                          np.array([state.z]), F)
+    return PhaseState(X=X1, p=p1, phi=phi1[0], z=float(z1[0]), t=state.t + dt)
 
 
 def step_bo(model, state, dt):
@@ -204,147 +371,185 @@ def step_bo(model, state, dt):
     crossing; without one the sorted ground level is used.  An exactly
     degenerate level rejects the step (the Hellmann-Feynman force raises).
     """
-    return _bo_verlet(model, state, dt, _bo_start(model, state))[0]
+    par = _lane_params(model, "bo", 1, dt)
+    b = _lane_vectors(model, "bo", [state])[0]
+    X1, p1, b1, z1, _ = _bo_step(model, par, state.X, state.p, b, np.array([state.z]),
+                                 _bo_start(model, par, state.X, b))
+    phi1 = state.phi if b1 is None else b1[0].astype(complex)
+    return PhaseState(X=X1, p=p1, phi=phi1, z=float(z1[0]), t=state.t + dt)
 
 
 def step_symplectic_euler(model, state, dt):
     """Symplectic Euler (kick then drift); positions match Verlet's on shifted momenta."""
-    if state.phi is not None and model.d > 1:
-        b = state.phi.real
-        b = b / np.sqrt(b.dot(b))
-        F0, v0 = _branch_force(model, state.X[0], b)
-        p1 = state.p + dt * np.array([F0])
-        phi1 = v0.astype(complex)
-    else:
-        p1 = state.p + dt * _bo_force(model, state.X)
-        phi1 = state.phi
+    F, b1 = _bo_force(model, state.X, _lane_vectors(model, "bo", [state])[0])
+    p1 = state.p + dt * F
     X1 = state.X + dt * p1
     z1 = state.z + dt * float(p1 @ p1)
+    phi1 = state.phi if b1 is None else b1[0].astype(complex)
     return PhaseState(X=X1, p=p1, phi=phi1, z=z1, t=state.t + dt)
 
 
 def step_langevin(model, state, dt, T, K, rng, force=None):
     """One BAOAB step with unit mass; the O-substep is the exact OU update."""
-    if T < 0.0 or K <= 0.0:
-        raise ValueError("Langevin needs T >= 0 and K > 0")
-    f = force if force is not None else (lambda x: _bo_force(model, x))
-    p = state.p + 0.5 * dt * f(state.X)
-    X = state.X + 0.5 * dt * p
-    c1 = np.exp(-K * dt)
-    c2 = np.sqrt(T * (1.0 - c1 * c1))
-    p = c1 * p + c2 * rng.standard_normal(p.shape)
-    X = X + 0.5 * dt * p
-    p = p + 0.5 * dt * f(X)
-    z1 = state.z + 0.5 * dt * float(state.p @ state.p + p @ p)
-    return PhaseState(X=X, p=p, phi=state.phi, z=z1, t=state.t + dt)
+    par = _lane_params(model, "langevin", 1, dt, T=T, K=K, force=force, rng=rng)
+    X1, p1, _, z1, _ = _langevin_step(model, par, state.X, state.p, None,
+                                      np.array([state.z]), par["force"](state.X))
+    return PhaseState(X=X1, p=p1, phi=state.phi, z=float(z1[0]), t=state.t + dt)
 
 
 def step_smoluchowski(model, state, dt, T, rng, force=None):
     """One Euler-Maruyama step of the overdamped dynamics."""
-    f = force if force is not None else (lambda x: _bo_force(model, x))
-    X = state.X + dt * f(state.X) + np.sqrt(2.0 * T * dt) * rng.standard_normal(state.X.shape)
-    return PhaseState(X=X, p=state.p, phi=state.phi, z=state.z, t=state.t + dt)
+    par = _lane_params(model, "smoluchowski", 1, dt, T=T, force=force, rng=rng)
+    X1 = _smoluchowski_step(model, par, state.X, state.p, None, state.z, None)[0]
+    return PhaseState(X=X1, p=state.p, phi=state.phi, z=state.z, t=state.t + dt)
 
 
-def _detect_hit(model, surface, X0, X1, t0, dt, z0, z1):
-    """Positive-direction crossing of {X = surface mod L} within one drift."""
-    if X1 <= X0:
-        return None
+# ---------------------------------------------------------------- drivers
+
+
+def simulate_ensemble(model, inits, scheme, T_final, dt, surface=None, rng=None,
+                      M=None, T=None, K=None, force=None, record_every=1,
+                      c_step=DEFAULT_C_STEP, max_hits=None):
+    """Integrate one trajectory per initial state, all lanes in lockstep.
+
+    ``T_final``, ``dt``, ``M`` and ``max_hits`` take one value for all lanes
+    or one per lane; a stochastic scheme takes one generator per lane in
+    ``rng`` (a single generator for a single lane), and ``force`` maps the
+    positions of the lanes (B,) to their forces (B,).  Hitting records are
+    appended each time a lane crosses {X = surface mod L} in the positive
+    direction; the crossing is located inside the drift substep, where the
+    position is linear in time.  A lane retires when its steps or its hit
+    budget run out.  Every recorded state's energy is evaluated after the
+    loop.  Each returned Trajectory equals bit for bit the one its lane
+    gives alone.
+    """
+    if scheme not in _KERNELS:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    inits = list(inits)
+    B = len(inits)
+    if scheme == "ehrenfest" and any(s.phi is None for s in inits):
+        raise ValueError("Ehrenfest needs an electron amplitude in the initial state")
+    if scheme in ("langevin", "smoluchowski"):
+        T = model.T if T is None else T
+        K = model.K if K is None else K
+        if rng is None:
+            raise ValueError("stochastic schemes need an rng")
+    par = _lane_params(model, scheme, B, dt, M=M, T=T, K=K, force=force, rng=rng,
+                       c_step=c_step)
+    dt_lane = par["dt"]         # par shrinks as lanes retire
+    n_steps = np.floor(_per_lane(T_final, B) / dt_lane + 1e-9).astype(int)
+    per_lane_hits = max_hits if isinstance(max_hits, (list, tuple)) else [max_hits] * B
+    budget = np.array([np.inf if h is None else h for h in per_lane_hits], dtype=float)
+    X = np.array([s.X[0] for s in inits], dtype=float)
+    p = np.array([s.p[0] for s in inits], dtype=float)
+    z = np.array([s.z for s in inits], dtype=float)
+    t = np.array([s.t for s in inits], dtype=float)
+    t0 = t.copy()
+    vec, vec_rec = _lane_vectors(model, scheme, inits)
+
+    # records row by row, so that the pages in use grow with the rows written
+    # (the rows for T_final are allocated, a hit budget may stop far earlier);
+    # the times are rebuilt after the loop
+    R = int((n_steps // record_every).max(initial=0)) + 1
+    rec = {"X": np.empty((R, B)), "p": np.empty((R, B)), "z": np.empty((R, B))}
+    rec["X"][0], rec["p"][0], rec["z"][0] = X, p, z
+    if vec is not None:
+        rec["vec"] = np.empty((R, B, model.d), dtype=vec.dtype)
+        rec["vec"][0] = vec_rec
+    hits = [[] for _ in range(B)]
+    n_hit = np.zeros(B)
+    steps_done = np.zeros(B, dtype=int)
+    lanes = np.arange(B)
+    cols = slice(None)          # the record columns of the active lanes
+    F = None
+
+    def retire(keep):
+        nonlocal lanes, cols, X, p, vec, z, F, t, par, n_steps, budget, n_hit, bounds
+        steps_done[lanes[~keep]] = i
+        lanes, X, p, z, t = lanes[keep], X[keep], p[keep], z[keep], t[keep]
+        cols = lanes
+        bounds = None if bounds is None else tuple(a[keep] for a in bounds)
+        n_steps, budget, n_hit = n_steps[keep], budget[keep], n_hit[keep]
+        vec = None if vec is None else vec[keep]
+        F = None if F is None else F[keep]
+        par = {k: v[keep] if isinstance(v, np.ndarray) else v for k, v in par.items()}
+
     L = model.L
-    k_lo = np.ceil((X0 - surface) / L + 1e-12)
-    target = surface + k_lo * L
-    if X0 < target <= X1:
-        frac = (target - X0) / (X1 - X0)
-        return HittingRecord(tau=t0 + frac * dt, X=target,
-                             p=(X1 - X0) / dt, theta=z0 + frac * (z1 - z0))
-    return None
+    bounds = None if surface is None else _next_surface(surface, L, X)
+    i = 0
+    if not (n_steps > 0).all():
+        retire(n_steps > 0)
+    start, step = _KERNELS[scheme]
+    if lanes.size:
+        F = start(model, par, X, vec)
+    next_end = n_steps.min(initial=np.iinfo(int).max)
+    while lanes.size:
+        X1, p1, vec1, z1, F1 = step(model, par, X, p, vec, z, F)
+        t1 = t + par["dt"]
+        if not (np.isfinite(X1).all() and np.isfinite(p1).all()):
+            k = int(np.argmin(np.isfinite(X1) & np.isfinite(p1)))
+            raise RuntimeError(f"non-finite state at t = {t1[k]:.6g} "
+                               f"(X = {X1[k:k + 1]}, p = {p1[k:k + 1]}); aborting")
+        i += 1
+        spent = False
+        if bounds is not None and ((X1 < bounds[1]) | (X1 > bounds[2])).any():
+            # the drift left its band: look for a crossing, and move the band
+            target = bounds[0]
+            bounds = _next_surface(surface, L, X1)
+            crossed = (X < target) & (target <= X1)
+            if crossed.any():
+                dt_a = par["dt"]
+                for k in np.flatnonzero(crossed):
+                    frac = (target[k] - X[k]) / (X1[k] - X[k])
+                    hits[lanes[k]].append(HittingRecord(
+                        tau=t[k] + frac * dt_a[k], X=target[k],
+                        p=(X1[k] - X[k]) / dt_a[k], theta=z[k] + frac * (z1[k] - z[k])))
+                n_hit += crossed
+                spent = (n_hit >= budget).any()
+        X, p, vec, z, F, t = X1, p1, vec1, z1, F1, t1
+        if i % record_every == 0:
+            j = i // record_every
+            rec["X"][j, cols], rec["p"][j, cols], rec["z"][j, cols] = X, p, z
+            if vec is not None:
+                rec["vec"][j, cols] = vec
+        if spent or i == next_end:
+            retire((n_steps != i) & (n_hit < budget))
+            next_end = n_steps.min(initial=np.iinfo(int).max)
+
+    spec = model.spec().to_json()
+    M_meta = (_per_lane(model.M[0] if M is None else M, B)
+              if scheme == "ehrenfest" or M is not None else None)
+    out = []
+    for b in range(B):
+        n = steps_done[b] // record_every + 1
+        # t + dt repeated, as the loop accumulated it
+        t_b = np.ascontiguousarray(
+            np.cumsum(np.r_[t0[b], np.full(steps_done[b], dt_lane[b])])[::record_every])
+        Xb, pb = rec["X"][:n, b], rec["p"][:n, b]
+        vb = rec["vec"][:n, b] if vec_rec is not None else None
+        H = np.empty(n)
+        for lo in range(0, n, _ENERGY_CHUNK):
+            hi = lo + _ENERGY_CHUNK
+            H[lo:hi] = _energies(model, scheme, Xb[lo:hi], pb[lo:hi],
+                                 None if vb is None else np.ascontiguousarray(vb[lo:hi]))
+        out.append(Trajectory(
+            scheme=scheme, dt=float(dt_lane[b]), t=t_b, X=Xb[:, None], p=pb[:, None],
+            H=H, z=rec["z"][:n, b], phi=vb if scheme == "ehrenfest" else None,
+            hits=hits[b],
+            meta={"model": spec, "L": model.L,
+                  "M": None if M_meta is None else float(M_meta[b]), "T": T, "K": K,
+                  "surface": surface, "mass_convention": "unit mass in slow variables"}))
+    return out
 
 
 def simulate(model, init, scheme, T_final, dt, surface=None, rng=None,
              M=None, T=None, K=None, force=None, record_every=1,
              c_step=DEFAULT_C_STEP, max_hits=None):
-    """Drive a step operation and record the trajectory.
-
-    Hitting records are appended each time the first coordinate crosses
-    {X = surface mod L} in the positive direction; the crossing is located
-    inside the drift substep, where the position is linear in time.
-    """
-    if scheme not in ("ehrenfest", "bo", "langevin", "smoluchowski"):
-        raise ValueError(f"unknown scheme {scheme!r}")
-    if scheme == "ehrenfest":
-        if M is None:
-            M = model.M[0]
-        if init.phi is None:
-            raise ValueError("Ehrenfest needs an electron amplitude in the initial state")
-    if scheme in ("langevin", "smoluchowski"):
-        if T is None:
-            T = model.T
-        if K is None:
-            K = model.K
-        if rng is None:
-            raise ValueError("stochastic schemes need an rng")
-
-    n_steps = int(np.floor(T_final / dt + 1e-9))
-    n_rec = n_steps // record_every + 1
-    d = model.d
-    t_arr = np.empty(n_rec)
-    X_arr = np.empty((n_rec, init.X.size))
-    p_arr = np.empty((n_rec, init.p.size))
-    H_arr = np.empty(n_rec)
-    z_arr = np.empty(n_rec)
-    phi_arr = np.empty((n_rec, d), dtype=complex) if scheme == "ehrenfest" else None
-
-    def record(j, s):
-        t_arr[j] = s.t
-        X_arr[j] = s.X
-        p_arr[j] = s.p
-        z_arr[j] = s.z
-        H_arr[j] = hamiltonian(model, s, scheme)
-        if phi_arr is not None:
-            phi_arr[j] = s.phi
-
-    state = init
-    record(0, state)
-    hits = []
-    j = 1
-    bo_end = None    # a BO step's end force is the next step's start force
-    for i in range(n_steps):
-        if scheme == "ehrenfest":
-            new = step_ehrenfest(model, state, dt, M, c_step=c_step)
-        elif scheme == "bo":
-            start = bo_end if bo_end is not None else _bo_start(model, state)
-            new, bo_end = _bo_verlet(model, state, dt, start)
-        elif scheme == "langevin":
-            new = step_langevin(model, state, dt, T, K, rng, force=force)
-        else:
-            new = step_smoluchowski(model, state, dt, T, rng, force=force)
-        if not (np.isfinite(new.X).all() and np.isfinite(new.p).all()):
-            raise RuntimeError(
-                f"non-finite state at t = {new.t:.6g} (X = {new.X}, p = {new.p}); aborting")
-        if surface is not None:
-            hit = _detect_hit(model, surface, state.X[0], new.X[0], state.t, dt,
-                              state.z, new.z)
-            if hit is not None:
-                hits.append(hit)
-                if max_hits is not None and len(hits) >= max_hits:
-                    state = new
-                    if (i + 1) % record_every == 0:
-                        record(j, state)
-                        j += 1
-                    break
-        state = new
-        if (i + 1) % record_every == 0:
-            record(j, state)
-            j += 1
-
-    traj = Trajectory(scheme=scheme, dt=dt, t=t_arr[:j], X=X_arr[:j], p=p_arr[:j],
-                      H=H_arr[:j], z=z_arr[:j],
-                      phi=None if phi_arr is None else phi_arr[:j],
-                      hits=hits,
-                      meta={"model": model.spec().to_json(), "L": model.L,
-                            "M": M, "T": T, "K": K, "surface": surface,
-                            "mass_convention": "unit mass in slow variables"})
-    return traj
+    """Drive one trajectory: the one-lane case of :func:`simulate_ensemble`."""
+    return simulate_ensemble(model, [init], scheme, T_final, dt, surface=surface,
+                             rng=rng, M=M, T=T, K=K, force=force,
+                             record_every=record_every, c_step=c_step,
+                             max_hits=max_hits)[0]
 
 
 def time_average(trajectory, g, burn_in=0.0, n_blocks=16):

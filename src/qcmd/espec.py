@@ -25,6 +25,7 @@ __all__ = [
     "hellmann_feynman",
     "ground_force",
     "ground_curvature",
+    "level_slopes",
     "gap_derivatives",
     "kappa",
 ]
@@ -56,22 +57,25 @@ class CrossingEvent:
     degenerate: bool = False
 
 
-def eigen_at(model, X):
-    """Eigenvalues (ascending) and eigenvectors of V(X) at one point."""
+def _eigh(V, X):
+    """Stacked symmetric eigensolve of V = V(X); a failure becomes a RuntimeError."""
     try:
-        lam, vec = np.linalg.eigh(model_mod.evaluate_potential(model, X))
+        return np.linalg.eigh(V)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigensolver failed to converge at X = {X}") from exc
-    return lam, vec
+
+
+def eigen_at(model, X):
+    """Eigenvalues (ascending) and eigenvectors of V(X), at one point or stacked points."""
+    return _eigh(model_mod.evaluate_potential(model, X), X)
 
 
 def eigenvalues_along(model, X_values):
     """Ascending eigenvalues at many points, using closed forms when available."""
-    X_values = np.asarray(X_values, dtype=float)
-    closed = model_mod.eigenvalues_closed_form(model, 0.0)
+    closed = model_mod.eigenvalues_closed_form(model, X_values)
     if closed is not None:
-        return np.array([model_mod.eigenvalues_closed_form(model, x) for x in X_values])
-    return np.array([eigen_at(model, x)[0] for x in X_values])
+        return closed
+    return eigen_at(model, np.asarray(X_values, dtype=float))[0]
 
 
 def eigendecompose_field(model, grid):
@@ -81,21 +85,16 @@ def eigendecompose_field(model, grid):
         raise ValueError("grid must be 1-D and strictly increasing")
     if grid[0] < 0.0 or grid[-1] >= model.L:
         raise ValueError("grid must lie inside [0, L)")
-    n, d = grid.size, model.d
-    lambdas = np.empty((n, d))
-    vectors = np.empty((n, d, d))
-    for i, x in enumerate(grid):
-        lam, vec = eigen_at(model, x)
-        if i == 0:
-            for m in range(d):
-                lead = np.argmax(np.abs(vec[:, m]))
-                if vec[lead, m] < 0.0:
-                    vec[:, m] = -vec[:, m]
-        else:
-            overlaps = np.einsum("jm,jm->m", vectors[i - 1], vec)
-            vec[:, overlaps < 0.0] *= -1.0
-        lambdas[i] = lam
-        vectors[i] = vec
+    lambdas, vectors = eigen_at(model, grid)
+    # the first point's columns lead with a positive entry; every later
+    # column keeps a nonnegative overlap with its sign-fixed predecessor
+    lead = np.abs(vectors[0]).argmax(axis=0)
+    overlaps = np.einsum("ijm,ijm->im", vectors[:-1], vectors[1:])
+    signs = np.empty(lambdas.shape)
+    signs[0] = np.where(vectors[0][lead, np.arange(model.d)] < 0.0, -1.0, 1.0)
+    for i in range(1, grid.size):
+        signs[i] = np.where(signs[i - 1] * overlaps[i - 1] < 0.0, -1.0, 1.0)
+    vectors *= signs[:, None, :]
     gaps = lambdas - lambdas[:, :1]
     return ElectronBasisField(model=model, grid=grid, lambdas=lambdas,
                               vectors=vectors, gaps=gaps)
@@ -106,11 +105,6 @@ def detect_gap(field):
     if field.model.d < 2:
         raise ValueError("detect_gap needs d >= 2")
     return float(field.gaps[:, 1].min())
-
-
-def _gap_along_path(model, t, X, level):
-    lam = eigenvalues_along(model, X)
-    return lam[:, level] - lam[:, 0]
 
 
 def detect_crossings(field, trajectory, c_min=1e-8, sigma_tol=1e-10, gap_tol=1e-6):
@@ -132,12 +126,12 @@ def detect_crossings(field, trajectory, c_min=1e-8, sigma_tol=1e-10, gap_tol=1e-
         return lam[level] - lam[0]
 
     events = []
+    lam_path = eigenvalues_along(model, X)
+    dt = np.median(np.diff(t)) if t.size > 1 else 0.0
     for level in range(1, model.d):
-        g = _gap_along_path(model, t, X, level)
-        dt = np.median(np.diff(t)) if t.size > 1 else 0.0
-        for i in range(1, len(t) - 1):
-            if not (g[i] <= g[i - 1] and g[i] <= g[i + 1]):
-                continue
+        g = lam_path[:, level] - lam_path[:, 0]
+        minima = np.flatnonzero((g[1:-1] <= g[:-2]) & (g[1:-1] <= g[2:])) + 1
+        for i in minima:
             one_sided = max(abs(g[i] - g[i - 1]), abs(g[i + 1] - g[i])) / max(dt, 1e-300)
             if g[i] > max(10.0 * gap_tol, 2.0 * one_sided * dt):
                 continue
@@ -213,14 +207,29 @@ class BranchField:
         return changes
 
 
+def _greedy_match(ov):
+    """For each branch (column of ov) the sorted level (row) of largest |overlap|;
+    branches with the strongest best overlap choose first, each level once."""
+    best = np.abs(ov).argmax(axis=0)
+    if len(set(best.tolist())) == best.size:
+        return best             # no two branches want the same level
+    d = ov.shape[1]
+    assign = np.full(d, -1, dtype=int)
+    taken = set()
+    for j in np.argsort(-np.max(np.abs(ov), axis=0)):
+        for c in np.argsort(-np.abs(ov[:, j])):
+            if int(c) not in taken:
+                assign[j] = int(c)
+                taken.add(int(c))
+                break
+    return assign
+
+
 def smooth_branches(model, grid):
     """Continue eigenpairs smoothly around the torus; labels may swap at crossings."""
     grid = np.asarray(grid, dtype=float)
     n, d = grid.size, model.d
-    lam_all = np.empty((n, d))
-    vec_all = np.empty((n, d, d))
-    for i, x in enumerate(grid):
-        lam_all[i], vec_all[i] = eigen_at(model, x)
+    lam_all, vec_all = eigen_at(model, grid)
     gaps1 = lam_all[:, 1] - lam_all[:, 0] if d > 1 else np.ones(n)
     start = int(np.argmax(gaps1))
     order = np.r_[np.arange(start, n), np.arange(0, start)]
@@ -229,35 +238,14 @@ def smooth_branches(model, grid):
     prev = vec_all[start].copy()
     sorted_index[start] = np.arange(d)
     mu[start] = lam_all[start]
+    branches = np.arange(d)
     for i in order[1:]:
         ov = vec_all[i].T @ prev            # (sorted, branch)
-        assign = np.full(d, -1, dtype=int)
-        taken = set()
-        for j in np.argsort(-np.max(np.abs(ov), axis=0)):
-            choices = np.argsort(-np.abs(ov[:, j]))
-            for c in choices:
-                if int(c) not in taken:
-                    assign[j] = int(c)
-                    taken.add(int(c))
-                    break
-        new_prev = np.empty_like(prev)
-        for j in range(d):
-            c = assign[j]
-            sign = 1.0 if ov[c, j] >= 0.0 else -1.0
-            new_prev[:, j] = sign * vec_all[i][:, c]
-            sorted_index[i, j] = c
-            mu[i, j] = lam_all[i, c]
-        prev = new_prev
-    ov = vec_all[start].T @ prev
-    permutation = np.empty(d, dtype=int)
-    taken = set()
-    for j in np.argsort(-np.max(np.abs(ov), axis=0)):
-        choices = np.argsort(-np.abs(ov[:, j]))
-        for c in choices:
-            if int(c) not in taken:
-                permutation[j] = int(c)
-                taken.add(int(c))
-                break
+        assign = _greedy_match(ov)
+        prev = vec_all[i][:, assign] * np.where(ov[assign, branches] >= 0.0, 1.0, -1.0)
+        sorted_index[i] = assign
+        mu[i] = lam_all[i, assign]
+    permutation = _greedy_match(vec_all[start].T @ prev)
     return BranchField(grid=grid, mu=mu, sorted_index=sorted_index,
                        permutation=permutation, start=start)
 
@@ -265,12 +253,12 @@ def smooth_branches(model, grid):
 def hellmann_feynman(field_or_model, X, n):
     """d(lambda_n)/dX = <v_n, dV/dX v_n> for a simple eigenvalue."""
     model = getattr(field_or_model, "model", field_or_model)
-    lam, vec = eigen_at(model, X)
+    V, dV = model_mod.potential_and_derivative(model, X)
+    lam, vec = _eigh(V, X)
     dist = np.abs(lam - lam[n])
     dist[n] = np.inf
     if dist.min() < _DEGENERACY_TOL:
         raise CrossingError(f"lambda_{n} is degenerate at X = {X}; force undefined")
-    dV = model_mod.potential_derivative(model, X)
     return float(vec[:, n] @ dV @ vec[:, n])
 
 
@@ -285,8 +273,8 @@ def ground_curvature(model, X):
     """d2(lambda_0)/dX2 by second-order eigenvalue perturbation theory."""
     if model.d == 1:
         return float(model_mod.potential_second_derivative(model, X)[0, 0])
-    lam, vec = eigen_at(model, X)
-    dV = model_mod.potential_derivative(model, X)
+    V, dV = model_mod.potential_and_derivative(model, X)
+    lam, vec = _eigh(V, X)
     d2V = model_mod.potential_second_derivative(model, X)
     v0 = vec[:, 0]
     out = float(v0 @ d2V @ v0)
@@ -296,12 +284,18 @@ def ground_curvature(model, X):
     return out
 
 
+def level_slopes(model, X):
+    """Ascending eigenvalues of V(X) and their Hellmann-Feynman slopes
+    d(lambda_n)/dX, at one point or stacked points (no degeneracy check)."""
+    V, dV = model_mod.potential_and_derivative(model, X)
+    lam, vec = _eigh(V, X)
+    return lam, np.einsum("...jn,...jk,...kn->...n", vec, dV, vec)
+
+
 def gap_derivatives(model, X):
     """(gaps, d(gaps)/dX) for the excited levels at X, via Hellmann-Feynman."""
-    lam, vec = eigen_at(model, X)
-    dV = model_mod.potential_derivative(model, X)
-    forces = np.einsum("jn,jk,kn->n", vec, dV, vec)
-    return lam[1:] - lam[0], forces[1:] - forces[0]
+    lam, slopes = level_slopes(model, X)
+    return lam[..., 1:] - lam[..., :1], slopes[..., 1:] - slopes[..., :1]
 
 
 def kappa(field, domain, X_c, T=None, n_x=129, n_s=33):
@@ -316,29 +310,16 @@ def kappa(field, domain, X_c, T=None, n_x=129, n_s=33):
     if not (lo <= X_c <= hi):
         raise ValueError("X_c must lie inside the domain")
     if model.d < 2:
-        if T is None:
-            T = model.T
         return 0.0, 0.0
     xs = np.linspace(lo, hi, n_x)
     ss = np.linspace(0.0, 1.0, n_s)
-    cache = {}
-
-    def ratio_at(y):
-        key = round(y, 14)
-        if key not in cache:
-            gaps, dgaps = gap_derivatives(model, y)
-            if gaps.min() <= _DEGENERACY_TOL:
-                raise CrossingError(f"level crossing inside kappa domain at X = {y}")
-            cache[key] = (float(np.sum(dgaps / gaps)), float(gaps.min()))
-        return cache[key]
-
-    value = 0.0
-    min_gap = np.inf
-    for x in xs:
-        for s in ss:
-            ratio, gap_min = ratio_at(s * x + (1.0 - s) * X_c)
-            value = max(value, abs(ratio * (x - X_c)))
-            min_gap = min(min_gap, gap_min)
+    Y = ss * xs[:, None] + (1.0 - ss) * X_c        # (n_x, n_s) segment points
+    gaps, dgaps = gap_derivatives(model, Y)
+    closed = gaps.min(axis=-1) <= _DEGENERACY_TOL
+    if closed.any():
+        raise CrossingError(f"level crossing inside kappa domain at X = {Y[closed][0]}")
+    ratio = np.sum(dgaps / gaps, axis=-1)
+    value = float(np.abs(ratio * (xs - X_c)[:, None]).max())
     if T is None:
         T = model.T
-    return value, float(T / min_gap)
+    return value, float(T / gaps.min())

@@ -122,11 +122,11 @@ def marginal_ratio(model, X, X_c, T, n_samples=20000, rng=None, n_s=9,
     nodes, weights = np.polynomial.legendre.leggauss(n_s)
     s_nodes = 0.5 * (nodes + 1.0)
     s_weights = 0.5 * weights
+    ys = X_c + s_nodes * (X - X_c)
+    gaps_all, dgaps_all = espec.gap_derivatives(model, ys)
     total = 0.0
     var = 0.0
-    for s, w in zip(s_nodes, s_weights):
-        y = X_c + s * (X - X_c)
-        gaps, dgaps = espec.gap_derivatives(model, y)
+    for y, w, gaps, dgaps in zip(ys, s_weights, gaps_all, dgaps_all):
         if gaps.min() <= 1e-12:
             raise CrossingError(f"crossing on the integration segment at X = {y}")
         mom, sig = _sphere_moments(gaps, T, n_samples, rng)
@@ -167,22 +167,17 @@ def gibbs_observable(model, g, T, n_grid=65, n_samples=20000, rng=None, seed=0):
     if rng is None:
         rng = stream_rng(seed)
     grid = periodic_grid(model.L, n_grid)
-    lam0 = np.empty(n_grid)
-    drift = np.empty(n_grid)
-    node_sigma = np.empty(n_grid)
-    for i, x in enumerate(grid):
-        lam = espec.eigen_at(model, x)[0]
-        lam0[i] = lam[0]
-        if model.d > 1:
-            gaps, dgaps = espec.gap_derivatives(model, x)
+    lam0 = espec.eigen_at(model, grid)[0][:, 0]
+    drift = np.zeros(n_grid)
+    node_sigma = np.zeros(n_grid)
+    if model.d > 1:
+        gaps_all, dgaps_all = espec.gap_derivatives(model, grid)
+        for i, (x, gaps, dgaps) in enumerate(zip(grid, gaps_all, dgaps_all)):
             if gaps.min() <= 1e-12:
                 raise CrossingError(f"crossing in the domain at X = {x}")
             mom, sig = _sphere_moments(gaps, T, n_samples, rng)
             drift[i] = -(1.0 / T) * float(dgaps @ mom)
             node_sigma[i] = np.sqrt(float(dgaps ** 2 @ sig ** 2)) / T
-        else:
-            drift[i] = 0.0
-            node_sigma[i] = 0.0
     h = model.L / n_grid
     # cumulative trapezoid of the drift from the first grid point
     log_r = np.zeros(n_grid)
@@ -227,21 +222,18 @@ class CorrectedPotential:
     _model: object = field(repr=False, default=None)
 
     def potential(self, X):
+        """The corrected potential at one point (a float) or at stacked points."""
         lam = espec.eigen_at(self._model, X)[0]
-        gaps = lam[1:] - lam[0]
-        return float(lam[0] + self.trace_coefficient * self.T * np.sum(np.log(gaps)))
+        gaps = lam[..., 1:] - lam[..., :1]
+        value = lam[..., 0] + self.trace_coefficient * self.T * np.sum(np.log(gaps), axis=-1)
+        return float(value) if np.ndim(value) == 0 else value
 
     def force(self, X):
-        from . import model as model_mod
-
-        x = float(np.atleast_1d(X)[0])
-        lam, vec = espec.eigen_at(self._model, x)
-        dV = model_mod.potential_derivative(self._model, x)
-        forces = np.einsum("jn,jk,kn->n", vec, dV, vec)
-        gaps = lam[1:] - lam[0]
-        dgaps = forces[1:] - forces[0]
-        extra = self.trace_coefficient * self.T * float(np.sum(dgaps / gaps))
-        return np.atleast_1d(-forces[0] - extra)
+        """Forces (B,) at the positions X (B,) of a lane ensemble, lane by lane."""
+        lam, slopes = espec.level_slopes(self._model, np.atleast_1d(np.asarray(X, dtype=float)))
+        gaps = lam[:, 1:] - lam[:, :1]
+        dgaps = slopes[:, 1:] - slopes[:, :1]
+        return -slopes[:, 0] - self.trace_coefficient * self.T * np.sum(dgaps / gaps, axis=1)
 
 
 def corrected_potential(basis, T, trace_coefficient=0.5):
@@ -260,9 +252,7 @@ def corrected_potential(basis, T, trace_coefficient=0.5):
     if gaps.min() <= 0.0:
         raise CrossingError("crossing on the grid: log correction diverges")
     values = basis.lambdas[:, 0] + trace_coefficient * T * np.sum(np.log(gaps), axis=1)
-    dgaps = np.empty_like(gaps)
-    for i, x in enumerate(basis.grid):
-        dgaps[i] = espec.gap_derivatives(model, x)[1]
+    dgaps = espec.gap_derivatives(model, basis.grid)[1]
     diag = {
         "t_over_gap": float(np.max(T / gaps[:, 0])),
         "trace_ratio": float(np.max(np.sum(np.abs(dgaps) / gaps, axis=1))),

@@ -85,7 +85,14 @@ class RunRecord:
     pre_asymptotic: bool = False
     observable_names: list = field(default_factory=list)
     wall_times: dict = field(default_factory=dict)
-    version: str = "qcmd-0.2.0"
+    version: str = "qcmd-0.3.0"
+    # the remaining converge options, so that replay runs what the record ran
+    count: int = 16
+    k_spread: int = 1
+    energy_window: float = None
+    doublet_average: bool = True
+    n_grid_cap: int = None
+    perp_correction: bool = False
 
     def to_json(self):
         return json.dumps(asdict(self), sort_keys=True)
@@ -101,8 +108,7 @@ class RunRecord:
         return data
 
 
-def _bo_dt(M):
-    return 1e-3
+_BO_DT = 1e-3
 
 
 def _ehrenfest_dt(M, c_step=0.1):
@@ -118,31 +124,24 @@ def _launch_point(model):
     return float(grid[np.argmax(lam[:, 1] - lam[:, 0])])
 
 
-def _classical_observables(model, scheme, E, observables, M, n_loops, X0,
-                           cycle_len=1, perp_correction=False):
-    """Averages over n_loops full periods of the adiabatic loop.
+def _launch(model, scheme, E, M, X0, perp_correction=False):
+    """Initial state at energy E on the launch surface X0, and the step size."""
+    lam, vec = espec.eigen_at(model, X0)
+    p0 = np.sqrt(2.0 * (E - lam[0]))
+    if scheme == "ehrenfest":
+        phi0 = dynamics.initial_electron_state(model, X0, p0, M,
+                                               perp_correction=perp_correction)
+        return dynamics.PhaseState.make(X0, p0, phi=phi0), _ehrenfest_dt(M)
+    phi0 = None if model.d == 1 else vec[:, 0].astype(complex)
+    return dynamics.PhaseState.make(X0, p0, phi=phi0), _BO_DT
+
+
+def _loop_observables(traj, observables, n_hits, cycle_len=1):
+    """Averages over the first n_hits returns, and their scatter over full periods.
 
     One full period is ``cycle_len`` returns to the launch surface (a loop
     through a crossing closes only after visiting every branch of its cycle).
     """
-    lam0 = espec.eigen_at(model, X0)[0][0]
-    p0 = np.sqrt(2.0 * (E - lam0))
-    phi0 = espec.eigen_at(model, X0)[1][:, 0].astype(complex)
-    if scheme == "ehrenfest":
-        dt = _ehrenfest_dt(M)
-        phi0 = dynamics.initial_electron_state(model, X0, p0, M,
-                                               perp_correction=perp_correction)
-    elif scheme == "bo":
-        dt = _bo_dt(M)
-        if model.d == 1:
-            phi0 = None
-    else:
-        raise ValueError("convergence harness drives deterministic schemes only")
-    init = dynamics.PhaseState.make(X0, p0, phi=phi0)
-    n_hits = n_loops * cycle_len
-    t_loop = model.L / p0
-    traj = dynamics.simulate(model, init, scheme, T_final=4.0 * n_hits * t_loop,
-                             dt=dt, surface=X0, M=M, max_hits=n_hits)
     out, scatter = {}, {}
     taus = np.array([traj.t[0]] + [h.tau for h in traj.hits])
     circuit_dur = np.diff(taus)
@@ -156,7 +155,7 @@ def _classical_observables(model, scheme, E, observables, M, n_loops, X0,
             periods.append(np.average(per_circuit[sl], weights=circuit_dur[sl]))
         scatter[name] = float(np.std(periods, ddof=1) / np.sqrt(len(periods))
                               if len(periods) > 1 else 0.0)
-    return out, scatter, traj
+    return out, scatter
 
 
 def _lowpass_similarity(rho_a, rho_b, n_modes=8):
@@ -234,7 +233,7 @@ def _matched_eigenstates(model, M, e_ref, loop_mu, floor_lam, observables,
 def converge(model, scheme, M_list, observables=None, e_ref=None, n_loops=8,
              seed=0, count=16, k_spread=1, energy_window=None,
              doublet_average=True, cache=None, n_grid_cap=None,
-             perp_correction=False, workers=1):
+             perp_correction=False):
     """Measure the observable error against the exact reference over a mass sweep.
 
     Per mass: quantize the energy in a fixed window, solve the eigenproblem
@@ -245,7 +244,14 @@ def converge(model, scheme, M_list, observables=None, e_ref=None, n_loops=8,
     ``energy_window`` set, all states in a fixed microcanonical window are
     compared instead and the signed errors are averaged, which also cancels
     the oscillating component.  Returns a RunRecord with the fitted exponent.
+
+    The sweep runs in three phases: the references and caustic certificates
+    of every mass (the first failing mass raises CausticError), then every
+    (mass, state) trajectory as one lockstep ensemble, then the per-mass
+    errors, crossings and record entries.
     """
+    if scheme not in ("bo", "ehrenfest"):
+        raise ValueError("convergence harness drives deterministic schemes only")
     if observables is None:
         observables = default_observables(model.L)
     # smooth continuation of the adiabatic levels: the ground branch may close
@@ -266,13 +272,15 @@ def converge(model, scheme, M_list, observables=None, e_ref=None, n_loops=8,
                        master_seed=seed, M_list=[float(m) for m in M_list],
                        e_ref=float(e_ref), n_loops=n_loops,
                        dt_rule="bo: 1e-3; ehrenfest: min(0.1/sqrt(M), 1e-3)",
-                       per_M=[], observable_names=sorted(observables))
+                       per_M=[], observable_names=sorted(observables),
+                       count=count, k_spread=k_spread, energy_window=energy_window,
+                       doublet_average=doublet_average, n_grid_cap=n_grid_cap,
+                       perp_correction=perp_correction)
     cache = {} if cache is None else cache
-    basis_probe = espec.eigendecompose_field(
-        model, np.linspace(0.0, model.L * (1 - 1e-12), 65))
+    clock = time.perf_counter
+    t_start = clock()
 
-    def run_cell(M):
-        t0 = time.perf_counter()
+    def reference(M):
         k_spread_M = k_spread
         count_M = count
         if energy_window is not None:
@@ -284,27 +292,46 @@ def converge(model, scheme, M_list, observables=None, e_ref=None, n_loops=8,
             count_M = k_spread_M + 12
         key = (model.spec().to_json(), float(M), float(e_ref), count_M,
                k_spread_M, doublet_average)
-        if key in cache:
-            quantum = cache[key]
-        else:
-            quantum = _matched_eigenstates(model, M, e_ref, loop_mu, floor_lam,
-                                           observables, count_M, k_spread_M,
-                                           doublet_average, n_grid_cap,
-                                           index_offset=index_offset)
-            cache[key] = quantum
-        per_k_errors = []
-        caustics = []
-        crossings = []
+        if key not in cache:
+            cache[key] = _matched_eigenstates(model, M, e_ref, loop_mu, floor_lam,
+                                              observables, count_M, k_spread_M,
+                                              doublet_average, n_grid_cap,
+                                              index_offset=index_offset)
+        quantum = cache[key]
+        # caustic certificate at each matched energy, on every loop surface
         for sel in quantum["states"]:
-            # caustic certificate at the matched energy, on every loop surface
-            for mu_j in loop_mu:
-                p_sq = 2.0 * (sel["E_q"] - mu_j)
-                caustics += [float(x) for x in branch.grid[p_sq <= wkb.EPS_CAUSTIC]]
+            caustics = [float(x) for mu_j in loop_mu
+                        for x in branch.grid[2.0 * (sel["E_q"] - mu_j) <= wkb.EPS_CAUSTIC]]
             if caustics:
                 raise CausticError(f"caustics at M = {M}: {caustics}")
-            c_obs, c_scatter, traj = _classical_observables(
-                model, scheme, sel["E_q"], observables, M, n_loops, X0,
-                cycle_len=len(cycle), perp_correction=perp_correction)
+        return quantum
+
+    quanta = [reference(M) for M in M_list]
+    t_reference = clock()
+
+    # one lane per (mass, state)
+    n_hits = n_loops * len(cycle)
+    lanes = [(cell, sel) for cell, quantum in enumerate(quanta)
+             for sel in quantum["states"]]
+    launches = [_launch(model, scheme, sel["E_q"], M_list[cell], X0, perp_correction)
+                for cell, sel in lanes]
+    trajectories = dynamics.simulate_ensemble(
+        model, [init for init, _ in launches], scheme,
+        T_final=[4.0 * n_hits * (model.L / init.p[0]) for init, _ in launches],
+        dt=[dt for _, dt in launches], surface=X0,
+        M=[float(M_list[cell]) for cell, _ in lanes], max_hits=n_hits)
+    t_integrate = clock()
+
+    basis_probe = espec.eigendecompose_field(
+        model, np.linspace(0.0, model.L * (1 - 1e-12), 65))
+    for cell, (M, quantum) in enumerate(zip(M_list, quanta)):
+        per_k_errors = []
+        crossings = []
+        for (lane_cell, sel), traj in zip(lanes, trajectories):
+            if lane_cell != cell:
+                continue
+            c_obs, c_scatter = _loop_observables(traj, observables, n_hits,
+                                                 cycle_len=len(cycle))
             if model.d > 1 and not crossings:
                 crossings = [
                     {"sigma": ev.sigma, "X": ev.X_sigma, "level": ev.level,
@@ -337,7 +364,7 @@ def converge(model, scheme, M_list, observables=None, e_ref=None, n_loops=8,
             sigma_top = spread_sigma[top]
         else:
             sigma_top = float(np.mean([s[top] for _, s in per_k_errors]))
-        entry = {
+        record.per_M.append({
             "M": float(M), "k": quantum["k"], "E_bs": quantum["E_bs"],
             "n_grid": quantum["n_grid"],
             "E_q": quantum["states"][0]["E_q"],
@@ -347,22 +374,11 @@ def converge(model, scheme, M_list, observables=None, e_ref=None, n_loops=8,
             "classical": c_means, "errors": errors, "error": errors[top],
             "error_sigma": sigma_top, "scatter": c_sigmas,
             "k_spread": len(quantum["states"]),
-            "caustics": caustics, "crossings": crossings,
-        }
-        return entry, time.perf_counter() - t0
-
-    # fan the (M, scheme) cells out to a worker pool; cells share nothing
-    # mutable except the memo cache, and results merge by cell index
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(run_cell, M_list))
-    else:
-        cells = [run_cell(M) for M in M_list]
-    for M, (entry, wall) in zip(M_list, cells):
-        record.per_M.append(entry)
-        record.wall_times[str(M)] = wall
+            "caustics": [], "crossings": crossings,
+        })
+    record.wall_times = {"references": t_reference - t_start,
+                         "trajectories": t_integrate - t_reference,
+                         "errors": clock() - t_integrate}
     floor = 1e-9
     points = [(e["M"], max(e["error"], floor)) for e in record.per_M]
     record.floor_limited = all(e["error"] < 100.0 * floor for e in record.per_M)
@@ -382,12 +398,22 @@ def converge(model, scheme, M_list, observables=None, e_ref=None, n_loops=8,
 
 
 def replay(record):
-    """Re-run a record from its config snapshot; numbers must match bit-for-bit."""
+    """Re-run a record from its config snapshot and options; numbers must match
+    bit-for-bit.  Only records of the default observables can be replayed,
+    since a record keeps the observables' names, not their functions."""
     spec = model_mod.ModelSpec.from_json(record.config)
     model = model_mod.build_model(spec)
+    defaults = sorted(default_observables(model.L))
+    if sorted(record.observable_names) != defaults:
+        raise ValueError(f"record observables {record.observable_names} are not the "
+                         f"defaults {defaults}; they cannot be replayed")
     return converge(model, record.scheme, record.M_list,
                     e_ref=record.e_ref, n_loops=record.n_loops,
-                    seed=record.master_seed)
+                    seed=record.master_seed, count=record.count,
+                    k_spread=record.k_spread, energy_window=record.energy_window,
+                    doublet_average=record.doublet_average,
+                    n_grid_cap=record.n_grid_cap,
+                    perp_correction=record.perp_correction)
 
 
 def symplectic_perturbation_study(model, scheme, dt_list, M=4096.0, e_ref=None,
@@ -410,12 +436,13 @@ def symplectic_perturbation_study(model, scheme, dt_list, M=4096.0, e_ref=None,
     p0 = np.sqrt(2.0 * (E_q - lam0))
     t_loop = model.L / p0
     dt_list = sorted(float(dt) for dt in dt_list)
+    init = dynamics.PhaseState.make(X0, p0)
+    trajectories = dynamics.simulate_ensemble(
+        model, [init] * len(dt_list), "bo", T_final=3.0 * n_loops * t_loop,
+        dt=dt_list, surface=X0, max_hits=n_loops)
     values = {}
     euler_max_dev = 0.0
-    for dt in dt_list:
-        init = dynamics.PhaseState.make(X0, p0)
-        traj = dynamics.simulate(model, init, "bo", T_final=3.0 * n_loops * t_loop,
-                                 dt=dt, surface=X0, max_hits=n_loops)
+    for dt, traj in zip(dt_list, trajectories):
         values[dt] = {name: dynamics.loop_average(traj, g, n_loops)
                       for name, g in observables.items()}
         # symplectic Euler with momenta shifted half a kick behind Verlet

@@ -4,7 +4,9 @@ Every other module operates on a :class:`ModelSystem`: a d-level real
 symmetric potential matrix V(X) on a torus of length L, together with the
 nuclear mass, temperature and friction parameters.  Registered families
 carry closed forms for V, its X-derivatives and (where available) its
-eigenvalues.
+eigenvalues, evaluated on whole arrays of X at once: a scalar X gives one
+(d, d) matrix, an array of n points an (n, d, d) stack whose entries equal
+the per-point values bit for bit.
 """
 
 import json
@@ -17,6 +19,7 @@ __all__ = [
     "ModelSystem",
     "build_model",
     "evaluate_potential",
+    "potential_and_derivative",
     "potential_derivative",
     "potential_second_derivative",
     "eigenvalues_closed_form",
@@ -47,6 +50,12 @@ class ModelSpec:
     @classmethod
     def from_json(cls, text):
         data = json.loads(text)
+        known = set(cls.__dataclass_fields__)
+        unknown = sorted(set(data) - known)
+        if unknown:
+            raise ValueError(f"unknown config key(s) {unknown}; known: {sorted(known)}")
+        if "family" not in data:
+            raise ValueError("config needs a 'family'")
         data["M"] = tuple(float(m) for m in data.get("M", (1024.0,)))
         if "params" in data:
             data["params"] = dict(data["params"])
@@ -60,7 +69,13 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class ModelSystem:
-    """A validated finite-level model; immutable and safe to share."""
+    """A validated finite-level model; immutable and safe to share.
+
+    The family callables take a 1-D array of n points: ``_fields`` returns V
+    and dV/dX as (n, d, d) stacks, ``_second_derivative`` the (n, d, d)
+    stack of d2V/dX2 (None: finite differences of dV), ``_eigenvalues`` the
+    (n, d) closed-form eigenvalues, unsorted (None: no closed form).
+    """
 
     family: str
     params: dict
@@ -69,28 +84,37 @@ class ModelSystem:
     M: tuple
     T: float
     K: float
-    _potential: callable = field(repr=False)
-    _derivative: callable = field(repr=False)
+    _fields: callable = field(repr=False)
     _second_derivative: callable = field(repr=False, default=None)
     _eigenvalues: callable = field(repr=False, default=None)
 
     def potential(self, X):
-        return self._potential(float(X))
+        return evaluate_potential(self, X)
 
     def spec(self):
         return ModelSpec(family=self.family, params=dict(self.params), L=self.L,
                          d=self.d, M=self.M, T=self.T, K=self.K)
 
 
+def _sym2(a, b, c):
+    """Stacked symmetric 2 x 2 matrices [[a, b], [b, c]]; a has the stack shape."""
+    out = np.empty(a.shape + (2, 2))
+    out[:, 0, 0] = a
+    out[:, 0, 1] = b
+    out[:, 1, 0] = b
+    out[:, 1, 1] = c
+    return out
+
+
 def _free(params, L, d):
     if d != 1:
         raise ValueError("family 'free' has d = 1")
-    zero = np.zeros((1, 1))
 
-    def pot(X):
-        return zero.copy()
+    def zeros(X, *tail):
+        return np.zeros((X.size,) + tail)
 
-    return pot, lambda X: zero.copy(), lambda X: zero.copy(), lambda X: np.zeros(1)
+    return (lambda X: (zeros(X, 1, 1), zeros(X, 1, 1)),
+            lambda X: zeros(X, 1, 1), lambda X: zeros(X, 1))
 
 
 def _scalar_cos(params, L, d):
@@ -99,16 +123,14 @@ def _scalar_cos(params, L, d):
     a = float(params.get("a", 0.1))
     w = TWO_PI / L
 
-    def pot(X):
-        return np.array([[a * np.cos(w * X)]])
-
-    def dpot(X):
-        return np.array([[-a * w * np.sin(w * X)]])
+    def fields(X):
+        wX = w * X
+        return (a * np.cos(wX))[:, None, None], (-a * w * np.sin(wX))[:, None, None]
 
     def d2pot(X):
-        return np.array([[-a * w * w * np.cos(w * X)]])
+        return (-a * w * w * np.cos(w * X))[:, None, None]
 
-    return pot, dpot, d2pot, lambda X: np.array([a * np.cos(w * X)])
+    return fields, d2pot, lambda X: (a * np.cos(w * X))[:, None]
 
 
 def _two_level_gap(params, L, d):
@@ -120,23 +142,19 @@ def _two_level_gap(params, L, d):
     if delta <= 0.0:
         raise ValueError("two_level_gap requires delta > 0")
 
-    def pot(X):
-        c = np.cos(X)
-        return np.array([[c, delta], [delta, -c]])
-
-    def dpot(X):
-        s = np.sin(X)
-        return np.array([[-s, 0.0], [0.0, s]])
+    def fields(X):
+        c, s = np.cos(X), np.sin(X)
+        return _sym2(c, delta, -c), _sym2(-s, 0.0, s)
 
     def d2pot(X):
         c = np.cos(X)
-        return np.array([[-c, 0.0], [0.0, c]])
+        return _sym2(-c, 0.0, c)
 
     def eig(X):
         r = np.hypot(np.cos(X), delta)
-        return np.array([-r, r])
+        return np.stack([-r, r], axis=-1)
 
-    return pot, dpot, d2pot, eig
+    return fields, d2pot, eig
 
 
 def _two_level_cross(params, L, d):
@@ -147,23 +165,19 @@ def _two_level_cross(params, L, d):
     if abs(L - TWO_PI) > 1e-12:
         raise ValueError("family 'two_level_cross' is defined on L = 2*pi")
 
-    def pot(X):
+    def fields(X):
         s, c = np.sin(X), np.cos(X)
-        return np.array([[s, 1.0 - c], [1.0 - c, -s]])
-
-    def dpot(X):
-        s, c = np.sin(X), np.cos(X)
-        return np.array([[c, s], [s, -c]])
+        return _sym2(s, 1.0 - c, -s), _sym2(c, s, -c)
 
     def d2pot(X):
         s, c = np.sin(X), np.cos(X)
-        return np.array([[-s, c], [c, s]])
+        return _sym2(-s, c, s)
 
     def eig(X):
-        r = 2.0 * abs(np.sin(X / 2.0))
-        return np.array([-r, r])
+        r = 2.0 * np.abs(np.sin(X / 2.0))
+        return np.stack([-r, r], axis=-1)
 
-    return pot, dpot, d2pot, eig
+    return fields, d2pot, eig
 
 
 def _multi_level(params, L, d):
@@ -185,54 +199,32 @@ def _multi_level(params, L, d):
     omega, U = np.linalg.eig(A)
     U_inv = np.linalg.inv(U)
 
-    def rotation(phi):
-        return (U * np.exp(phi * omega)) @ U_inv
+    # level n is lambda_0 + g_n + eps_n cos(w X), with g_0 = eps_0 = 0
+    g = np.array([0.0] + [gap for gap, _ in gaps])
+    eps = np.array([0.0] + [amp for _, amp in gaps])
 
     def levels(X):
-        lam0 = a0 * np.cos(w * X)
-        lam = [lam0]
-        for g, eps in gaps:
-            lam.append(lam0 + g + eps * np.cos(w * X))
-        return np.array(lam)
+        c = np.cos(w * X)[:, None]
+        return (a0 * c + g) + eps * c
 
-    def dlevels(X):
-        dlam0 = -a0 * w * np.sin(w * X)
-        dl = [dlam0]
-        for _, eps in gaps:
-            dl.append(dlam0 - eps * w * np.sin(w * X))
-        return np.array(dl)
-
-    # a force needs V and dV/dX at the same X, and a recorded energy needs V
-    # where the next step starts, so the rotation and V of the last point are
-    # kept (one immutable tuple, so threads sharing the model cannot mix frames)
-    last = [(None, None, None)]
-
-    def frame(X):
-        X_last, Q, V = last[0]
-        if X_last != X:
-            Q = rotation(rot * np.sin(w * X)).real
-            V = (Q * levels(X)) @ Q.T
-            last[0] = (X, Q, V)
-        return Q, V
-
-    def pot(X):
-        _, V = frame(X)
-        return 0.5 * (V + V.T)
-
-    def dpot(X):
-        Q, V = frame(X)
-        dphi = rot * w * np.cos(w * X)
-        dV = dphi * (A @ V - V @ A) + (Q * dlevels(X)) @ Q.T
-        return 0.5 * (dV + dV.T)
+    def fields(X):
+        # V and dV/dX share the rotation Q(X), so they are built together
+        wX = w * X
+        c, s = np.cos(wX)[:, None], np.sin(wX)[:, None]
+        Q = ((U * np.exp(rot * s * omega)[:, None, :]) @ U_inv).real
+        QT = Q.transpose(0, 2, 1)
+        V = (Q * ((a0 * c + g) + eps * c)[:, None, :]) @ QT
+        dlam = -a0 * w * s - (eps * w) * s
+        dV = (rot * w * c)[:, :, None] * (A @ V - V @ A) + (Q * dlam[:, None, :]) @ QT
+        return 0.5 * (V + V.transpose(0, 2, 1)), 0.5 * (dV + dV.transpose(0, 2, 1))
 
     # gap profiles must stay positive and ordered for adiabatic labelling
-    probe = np.linspace(0.0, L, 257)
-    lam = np.array([levels(x) for x in probe])
+    lam = levels(np.linspace(0.0, L, 257))
     bar = lam[:, 1:] - lam[:, :1]
     if bar.min() <= 0.0 or np.any(np.diff(lam, axis=1) <= 0.0):
         raise ValueError("multi_level gap profiles must be positive and ordered")
 
-    return pot, dpot, None, levels
+    return fields, None, levels
 
 
 _FAMILIES = {
@@ -264,16 +256,31 @@ def build_model(spec):
         raise ValueError("temperature must be >= 0")
     if spec.K <= 0.0:
         raise ValueError("friction parameter must be > 0")
-    pot, dpot, d2pot, eig = _FAMILIES[spec.family](spec.params, spec.L, spec.d)
+    fields_, d2pot, eig = _FAMILIES[spec.family](spec.params, spec.L, spec.d)
     return ModelSystem(family=spec.family, params=dict(spec.params), L=spec.L,
                        d=spec.d, M=tuple(spec.M), T=spec.T, K=spec.K,
-                       _potential=pot, _derivative=dpot,
-                       _second_derivative=d2pot, _eigenvalues=eig)
+                       _fields=fields_, _second_derivative=d2pot, _eigenvalues=eig)
+
+
+def _stacked(fn, X, tail):
+    """fn over the points of X (any shape); results have shape X.shape + tail."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 1:
+        return fn(X)
+    out = fn(X.reshape(-1))
+    if isinstance(out, tuple):
+        return tuple(o.reshape(X.shape + tail) for o in out)
+    return out.reshape(X.shape + tail)
+
+
+def potential_and_derivative(model, X):
+    """V(X) and dV/dX together, (d, d) each for a scalar X, (n, d, d) for n points."""
+    return _stacked(model._fields, X, (model.d, model.d))
 
 
 def evaluate_potential(model, X):
-    """V(X): real symmetric d x d matrix from the family closed form."""
-    return model._potential(float(X))
+    """V(X): real symmetric d x d matrices from the family closed form."""
+    return potential_and_derivative(model, X)[0]
 
 
 def potential_derivative(model, X, method="analytic"):
@@ -282,23 +289,29 @@ def potential_derivative(model, X, method="analytic"):
     ``method="fd"`` uses a 4th-order central difference with step 1e-5*L,
     available as an independent code path for cross-checks.
     """
-    X = float(X)
     if method == "analytic":
-        return model._derivative(X)
+        return potential_and_derivative(model, X)[1]
     if method == "fd":
+        X = np.asarray(X, dtype=float)
         h = 1e-5 * model.L
-        v = model._potential
+
+        def v(x):
+            return evaluate_potential(model, x)
+
         return (-v(X + 2 * h) + 8.0 * v(X + h) - 8.0 * v(X - h) + v(X - 2 * h)) / (12.0 * h)
     raise ValueError(f"unknown method {method!r}")
 
 
 def potential_second_derivative(model, X):
     """d2V/dX2, analytic where the family provides it, else 4th-order FD of dV."""
-    X = float(X)
     if model._second_derivative is not None:
-        return model._second_derivative(X)
+        return _stacked(model._second_derivative, X, (model.d, model.d))
+    X = np.asarray(X, dtype=float)
     h = 1e-4 * model.L
-    dv = model._derivative
+
+    def dv(x):
+        return potential_derivative(model, x)
+
     return (-dv(X + 2 * h) + 8.0 * dv(X + h) - 8.0 * dv(X - h) + dv(X - 2 * h)) / (12.0 * h)
 
 
@@ -306,4 +319,4 @@ def eigenvalues_closed_form(model, X):
     """Ascending eigenvalues of V(X) from the family closed form, or None."""
     if model._eigenvalues is None:
         return None
-    return np.sort(model._eigenvalues(float(X)))
+    return np.sort(_stacked(model._eigenvalues, X, (model.d,)), axis=-1)

@@ -159,8 +159,7 @@ def assemble_hamiltonian(model, M, n_grid, e_max=None, laplacian="spectral"):
                 required=need)
     kinetic = -_laplacian_symbol(n_grid, model.L, laplacian) / (2.0 * M)
     grid = periodic_grid(model.L, n_grid)
-    V = np.array([model_mod.evaluate_potential(model, x) for x in grid],
-                 dtype=float).reshape(n_grid, model.d, model.d)
+    V = model_mod.evaluate_potential(model, grid)
     V = 0.5 * (V + V.transpose(0, 2, 1))
     return DiscreteHamiltonian(matrix=_band(V, kinetic), grid=grid, M=float(M),
                                n_grid=n_grid, d=model.d, L=model.L,
@@ -243,19 +242,37 @@ def _make_pair(H, E, vec):
                             grid=H.grid, density=rho, residual=_residual(H, Phi, E))
 
 
+def _window_half_width(H, E_target, count, scale):
+    """Half-width of a window around E_target expected to hold about 2 count levels.
+
+    Weyl's law for -(1/2M) d^2/dX^2 + V on the torus: the level density at E
+    is (1/pi) sum over the levels lambda_a(X) of V of the integral of
+    sqrt(M / (2 (E - lambda_a))) over the classically allowed region.  When
+    no region is allowed the start is 0.05 of the operator scale.
+    """
+    kinetic = E_target - np.linalg.eigvalsh(H.potential)
+    allowed = kinetic[kinetic > 0.0]
+    if allowed.size == 0:
+        return 0.05 * scale
+    density = (H.L / H.n_grid) / np.pi * np.sum(np.sqrt(H.M / (2.0 * allowed)))
+    return count / density
+
+
 def eigensolve_near(H, E_target, count=1):
     """The ``count`` eigenpairs nearest E_target, sorted by |E - E_target|.
 
-    Uses a window solve that widens until enough levels are captured, so
-    near-degenerate traveling-wave doublets are both returned; eigenvalues
-    closer than 1e-6 of the operator scale share one inverse-iteration block,
-    so exactly degenerate partners come out orthogonal.
+    Uses a window solve, sized from the semiclassical level density, that
+    widens until enough levels are captured, so near-degenerate traveling-wave
+    doublets are both returned (the chosen levels do not depend on the
+    window); eigenvalues closer than 1e-6 of the operator scale share one
+    inverse-iteration block, so exactly degenerate partners come out
+    orthogonal.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     diag = np.diagonal(H.potential, axis1=1, axis2=2) + H.kinetic.mean()
     scale = max(1.0, np.abs(diag).max())
-    width = 0.05 * scale
+    width = _window_half_width(H, E_target, count, scale)
     for _ in range(40):
         vals = scipy.linalg.eig_banded(H.matrix, eigvals_only=True, select="v",
                                        select_range=(E_target - width, E_target + width))

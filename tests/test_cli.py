@@ -129,3 +129,11 @@ def test_failed_certificate_exit_code(tmp_path, cos_config):
     code = cli.main(["wkb", "--config", cos_config, "--M", "1e9", "--k", "1",
                      "--out", out])
     assert code != 0
+
+
+def test_unknown_config_key_exits_one(tmp_path, capsys):
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps({"family": "scalar_cos", "params": {"a": 0.1},
+                                "d": 1, "temperature": 0.2}))
+    assert cli.main(["model", "show", "--config", str(path)]) == 1
+    assert "unknown config key(s) ['temperature']" in capsys.readouterr().err

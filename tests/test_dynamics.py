@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from qcmd import ModelSpec, build_model, dynamics, espec, wkb
+from qcmd import ModelSpec, build_model, dynamics, espec, model, wkb
 from qcmd.errors import HittingTimeError, ResolutionError
 from qcmd._util import stream_rng
 
@@ -236,6 +236,149 @@ def test_simulate_rejects_nonfinite():
     bad = dynamics.PhaseState.make(np.nan, 1.0)
     with pytest.raises(RuntimeError, match="non-finite"):
         dynamics.simulate(m, bad, "bo", T_final=0.1, dt=0.01)
+
+
+# ------------------------------------------------------- lane ensembles
+
+def _same_trajectory(a, b):
+    for key in ("t", "X", "p", "H", "z"):
+        assert np.array_equal(getattr(a, key), getattr(b, key)), key
+    assert (a.phi is None) == (b.phi is None)
+    if a.phi is not None:
+        assert np.array_equal(a.phi, b.phi)
+    assert [(h.tau, h.X, h.p, h.theta) for h in a.hits] == \
+        [(h.tau, h.X, h.p, h.theta) for h in b.hits]
+    assert a.dt == b.dt and a.meta == b.meta
+
+
+def _lanes_alone_and_together(m, inits, scheme, **per_lane):
+    # one value per lane for every keyword, the rest shared
+    names = list(per_lane)
+    together = dynamics.simulate_ensemble(m, inits, scheme, surface=1.0,
+                                          record_every=2, **per_lane)
+    for b, init in enumerate(inits):
+        alone = dynamics.simulate(m, init, scheme, surface=1.0, record_every=2,
+                                  **{k: per_lane[k][b] for k in names})
+        _same_trajectory(alone, together[b])
+    return together
+
+
+def test_ehrenfest_lanes_bitwise_alone_and_in_ensemble():
+    m = gap_model()
+    inits, masses = [], [1024.0, 4096.0, 256.0]
+    for X0, E, M in zip((1.0, 2.0, 0.5), (0.8, 0.6, 1.0), masses):
+        p0 = np.sqrt(2 * (E - espec.eigen_at(m, X0)[0][0]))
+        inits.append(dynamics.PhaseState.make(X0, p0, phi=dynamics.initial_electron_state(
+            m, X0, p0, M, perp_correction=M == 256.0)))
+    out = _lanes_alone_and_together(m, inits, "ehrenfest", M=masses,
+                                    dt=[1e-3, 1.5e-3, 2e-3], T_final=[3.0, 8.0, 6.0],
+                                    max_hits=[None, 1, 2])
+    # the budgets and step counts retire the lanes at different iterations
+    assert [len(t.hits) for t in out] == [0, 1, 2]
+    assert len({t.t.size for t in out}) == 3
+
+
+def test_bo_lanes_bitwise_alone_and_in_ensemble():
+    m = gap_model()
+    inits = [dynamics.PhaseState.make(X0, p0) for X0, p0 in ((0.2, 1.5), (3.0, 2.0), (5.0, -1.0))]
+    out = _lanes_alone_and_together(m, inits, "bo", dt=[1e-3, 2e-3, 1e-3],
+                                    T_final=[4.0, 9.0, 2.0], max_hits=[3, 1, 1],
+                                    M=[64.0, 256.0, 1024.0])
+    assert [len(t.hits) for t in out] == [1, 1, 0]
+
+
+def test_bo_branch_lanes_through_crossing_bitwise():
+    m = build_model(ModelSpec(family="two_level_cross", d=2))
+    inits = []
+    for X0, p0 in ((1.0, 2.5), (4.0, 3.0), (2.5, 3.2)):
+        v = espec.eigen_at(m, X0)[1][:, 0].astype(complex)
+        inits.append(dynamics.PhaseState.make(X0, p0, phi=v))
+    out = _lanes_alone_and_together(m, inits, "bo", dt=[1e-3, 5e-4, 2e-3],
+                                    T_final=[4.0, 3.0, 5.0], max_hits=[2, 5, 1],
+                                    M=[64.0, 64.0, 64.0])
+    # every lane passes X = 2 pi, where the sorted levels cross
+    for traj in out:
+        assert traj.X[-1, 0] > 2.0 * np.pi
+
+
+def test_stochastic_lanes_keep_their_own_streams():
+    m = build_model(ModelSpec(family="multi_level", d=3, T=0.1,
+                              params={"a0": 0.1, "gaps": [[0.8, 0.12], [1.6, 0.16]],
+                                      "rot": 0.3}))
+    inits = [dynamics.PhaseState.make(x, 0.0) for x in (0.5, 2.0, 4.0)]
+    for scheme in ("langevin", "smoluchowski"):
+        together = dynamics.simulate_ensemble(
+            m, inits, scheme, T_final=[20.0, 30.0, 10.0], dt=0.05, record_every=3,
+            rng=[stream_rng(4, k) for k in range(3)])
+        for k, init in enumerate(inits):
+            alone = dynamics.simulate(m, init, scheme, T_final=[20.0, 30.0, 10.0][k],
+                                      dt=0.05, record_every=3, rng=stream_rng(4, k))
+            _same_trajectory(alone, together[k])
+    with pytest.raises(ValueError, match="random generators"):
+        dynamics.simulate_ensemble(m, inits, "langevin", T_final=1.0, dt=0.05,
+                                   rng=stream_rng(0))
+
+
+# A copy of the per-point scalar integrators the lane kernels replaced, kept
+# as the slow reference path.
+
+def _reference_step_ehrenfest(m, X, p, phi, z, dt, M):
+    def force(x, ph):
+        return -(np.vdot(ph, model.potential_derivative(m, x) @ ph)).real
+
+    p_half = p + 0.5 * dt * force(X, phi)
+    X1 = X + dt * p_half
+    lam, U = np.linalg.eigh(model.evaluate_potential(m, X + 0.5 * dt * p_half))
+    phi1 = U @ (np.exp(-1j * np.sqrt(M) * lam * dt) * (U.T @ phi))
+    p1 = p_half + 0.5 * dt * force(X1, phi1)
+    return X1, p1, phi1, z + dt / 6.0 * (p * p + 4.0 * p_half * p_half + p1 * p1)
+
+
+def _reference_step_bo(m, X, p, b, z, dt):
+    def force(x, b):
+        lam, vecs = np.linalg.eigh(model.evaluate_potential(m, x))
+        if b is None:
+            v = vecs[:, 0]
+        else:
+            ov = vecs.T @ b
+            j = int(np.abs(ov).argmax())
+            v = vecs[:, j] if ov[j] >= 0.0 else -vecs[:, j]
+        return -float(v @ model.potential_derivative(m, x) @ v), v
+
+    p_half = p + 0.5 * dt * force(X, b)[0]
+    X1 = X + dt * p_half
+    F1, v1 = force(X1, b)
+    p1 = p_half + 0.5 * dt * F1
+    return (X1, p1, None if b is None else v1,
+            z + dt / 6.0 * (p * p + 4.0 * p_half * p_half + p1 * p1))
+
+
+def test_kernels_match_the_scalar_reference_steps():
+    gap, cross = gap_model(), build_model(ModelSpec(family="two_level_cross", d=2))
+    n, dt, M = 1500, 1e-3, 1024.0
+    # Ehrenfest on the gapped model
+    X, p, z = 1.0, 1.6, 0.0
+    phi = dynamics.initial_electron_state(gap, X, p, M)
+    traj = dynamics.simulate(gap, dynamics.PhaseState.make(X, p, phi=phi), "ehrenfest",
+                             T_final=n * dt, dt=dt, M=M)
+    assert traj.t.size == n + 1
+    for i in range(1, n + 1):
+        X, p, phi, z = _reference_step_ehrenfest(gap, X, p, phi, z, dt, M)
+        assert abs(X - traj.X[i, 0]) < 1e-12 and abs(p - traj.p[i, 0]) < 1e-12
+        assert abs(z - traj.z[i]) < 1e-12 and np.abs(phi - traj.phi[i]).max() < 1e-12
+    # Born-Oppenheimer on the sorted level, and on a branch through X = 2 pi
+    for m, X0, p0, branch in ((gap, 1.0, 1.6, False), (cross, 5.5, 2.5, True)):
+        X, p, z = X0, p0, 0.0
+        b = espec.eigen_at(m, X)[1][:, 0] if branch else None
+        init = dynamics.PhaseState.make(X, p, phi=None if b is None else b.astype(complex))
+        traj = dynamics.simulate(m, init, "bo", T_final=n * dt, dt=dt)
+        st = init
+        for i in range(1, n + 1):
+            X, p, b, z = _reference_step_bo(m, X, p, b, z, dt)
+            st = dynamics.step_bo(m, st, dt)
+            for new in ((traj.X[i, 0], traj.p[i, 0], traj.z[i]), (st.X[0], st.p[0], st.z)):
+                assert max(abs(X - new[0]), abs(p - new[1]), abs(z - new[2])) < 1e-12
+        assert traj.X[-1, 0] > 2.0 * np.pi or not branch
 
 
 # ------------------------------------------------------------ time_average

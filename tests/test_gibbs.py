@@ -176,6 +176,22 @@ def test_corrected_potential_arithmetic_example():
     assert corr.diagnostics["t_over_gap"] == pytest.approx(0.05 / 0.9, rel=1e-6)
 
 
+def test_corrected_force_and_potential_are_lane_wise():
+    m = multi([[0.8, 0.12], [1.6, 0.16]], a0=0.1, rot=0.3, T=0.08)
+    basis = espec.eigendecompose_field(m, periodic_grid(m.L, 65))
+    corr = gibbs.corrected_potential(basis, 0.08, trace_coefficient=1.0)
+    X = np.array([0.4, 2.9, 5.1])
+    F = corr.force(X)
+    assert F.shape == (3,)
+    for x, f in zip(X, F):
+        assert np.array_equal(corr.force(x), [f])
+        # the force is minus the slope of the corrected potential
+        h = 1e-5
+        assert abs(f + (corr.potential(x + h) - corr.potential(x - h)) / (2 * h)) < 1e-8
+    assert np.array_equal(corr.potential(X), [corr.potential(x) for x in X])
+    assert np.array_equal(corr.potential(basis.grid), corr.values)
+
+
 def test_corrected_potential_needs_excited_levels():
     m = build_model(ModelSpec(family="free"))
     basis = espec.eigendecompose_field(m, periodic_grid(m.L, 16))

@@ -64,13 +64,34 @@ def test_replay_is_bit_identical():
     assert rec.comparable() == rec2.comparable()
 
 
-def test_worker_pool_merge_is_deterministic():
+def test_replay_keeps_every_converge_option():
+    # the criterion-3 options: a microcanonical window through a crossing
+    m = build_model(ModelSpec(family="two_level_cross", d=2))
+    rec = lab.converge(m, "bo", [64.0, 256.0], n_loops=1, energy_window=0.7,
+                       n_grid_cap=512)
+    assert rec.energy_window == 0.7 and rec.n_grid_cap == 512
+    assert all(e["k_spread"] >= 4 for e in rec.per_M)
+    again = lab.RunRecord.from_json(rec.to_json())
+    assert lab.replay(again).comparable() == rec.comparable()
+
+
+def test_replay_refuses_custom_observables():
     m = build_model(ModelSpec(family="two_level_gap", params={"delta": 0.25}, d=2))
-    obs = {"cos2": lambda x: np.cos(2 * x)}
-    seq = lab.converge(m, "bo", [64.0, 256.0, 1024.0], observables=obs, n_loops=2)
-    par = lab.converge(m, "bo", [64.0, 256.0, 1024.0], observables=obs, n_loops=2,
-                       workers=3)
-    assert seq.comparable() == par.comparable()
+    rec = lab.converge(m, "bo", [64.0], observables={"cos2": lambda x: np.cos(2 * x)},
+                       n_loops=1)
+    with pytest.raises(ValueError, match="cannot be replayed"):
+        lab.replay(rec)
+
+
+def test_record_without_options_replays_with_defaults():
+    m = build_model(ModelSpec(family="two_level_gap", params={"delta": 0.25}, d=2))
+    rec = lab.converge(m, "bo", [64.0], n_loops=1)
+    data = rec.comparable()
+    for key in ("count", "k_spread", "energy_window", "doublet_average",
+                "n_grid_cap", "perp_correction"):
+        data.pop(key)
+    old = lab.RunRecord(**data)
+    assert lab.replay(old).comparable() == rec.comparable()
 
 
 def test_symplectic_study_verlet_slope_and_euler_positions():

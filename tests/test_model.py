@@ -110,6 +110,31 @@ def test_multi_level_values_independent_of_call_order():
         assert np.array_equal(V, V2) and np.array_equal(dV, dV2)
 
 
+FAMILIES = [("free", {}, 1), ("scalar_cos", {"a": 0.3}, 1),
+            ("two_level_gap", {"delta": 0.25}, 2), ("two_level_cross", {}, 2),
+            ("multi_level", {"a0": 0.1, "gaps": [[0.8, 0.12], [1.6, 0.16]], "rot": 0.3}, 3)]
+
+
+@pytest.mark.parametrize("family, params, d", FAMILIES)
+def test_array_evaluation_matches_per_point_bitwise(family, params, d):
+    m = build_model(ModelSpec(family=family, params=params, d=d))
+    xs = np.random.default_rng(11).uniform(-3.0, 12.0, 97)
+    V, dV = model.potential_and_derivative(m, xs)
+    d2V = model.potential_second_derivative(m, xs)
+    lam = model.eigenvalues_closed_form(m, xs)
+    assert V.shape == dV.shape == d2V.shape == (xs.size, d, d)
+    grid = model.evaluate_potential(m, xs.reshape(-1, 1))
+    assert grid.shape == (xs.size, 1, d, d) and np.array_equal(grid[:, 0], V)
+    for i, x in enumerate(xs):
+        assert np.array_equal(V[i], model.evaluate_potential(m, x))
+        assert np.array_equal(dV[i], model.potential_derivative(m, x))
+        assert np.array_equal(d2V[i], model.potential_second_derivative(m, x))
+        if lam is not None:
+            assert np.array_equal(lam[i], model.eigenvalues_closed_form(m, x))
+    # a point evaluated inside a different stack gives the same bits
+    assert np.array_equal(model.evaluate_potential(m, xs[5:8])[1], V[6])
+
+
 def test_spec_round_trip_lossless():
     spec = ModelSpec(family="multi_level", params={"a0": 0.25, "gaps": [[1.0, 0.05], [2.5, 0.0625]], "rot": 0.125},
                      L=2 * np.pi, d=3, M=(64.0, 256.0), T=0.05, K=2.0,

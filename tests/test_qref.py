@@ -2,6 +2,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qcmd import ModelSpec, build_model, espec, model, qref, wkb
 from qcmd._util import periodic_grid
@@ -117,6 +118,32 @@ def test_eigensolve_matches_dense_oracle(family, laplacian):
         for p in pairs:
             vec = p.Phi.reshape(-1)
             assert np.linalg.norm(Hd @ vec - p.E * vec) / np.linalg.norm(vec) < 1e-11
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_level_density_window_matches_wide_window(family, monkeypatch):
+    m = build_model(FAMILIES[family])
+    cases = [(512, 1024.0, 1.4, 16), (256, 256.0, 0.9, 5)]
+    sized = []
+    for n, M, E, count in cases:
+        H = qref.assemble_hamiltonian(m, M, n)
+        sized.append((H, E, count, qref.eigensolve_near(H, E, count=count)))
+    # the window the solver used to start from: 0.05 of the operator scale
+    monkeypatch.setattr(qref, "_window_half_width", lambda H, E, count, scale: 0.05 * scale)
+    for H, E, count, pairs in sized:
+        wide = qref.eigensolve_near(H, E, count=count)
+        assert np.abs(np.array([p.E for p in pairs]) - [p.E for p in wide]).max() < 1e-12
+
+
+def test_level_density_window_holds_about_twice_count():
+    # the window the gap sweep solves at M = 4096 (it held 650 levels at 0.05 scale)
+    m = gap_model()
+    H = qref.assemble_hamiltonian(m, 4096.0, 2048)
+    diag = np.diagonal(H.potential, axis1=1, axis2=2) + H.kinetic.mean()
+    width = qref._window_half_width(H, 1.4, 16, max(1.0, np.abs(diag).max()))
+    found = scipy.linalg.eig_banded(H.matrix, eigvals_only=True, select="v",
+                                    select_range=(1.4 - width, 1.4 + width))
+    assert 24 <= found.size <= 48
 
 
 @pytest.mark.parametrize("count", [3, 8])
