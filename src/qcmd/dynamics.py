@@ -154,21 +154,21 @@ def _ehrenfest_step(model, par, X, p, phi, z, F):
 def _bo_force(model, X, b):
     """Force on every lane and the vectors it followed.
 
-    With unit vectors b (B, d) the force follows the smooth branch through
-    the eigenvector of V(X) with the largest overlap, signed to keep the
-    overlap nonnegative; with b None, the sorted ground level, where an
-    exact degeneracy makes the force undefined.
+    With b None the force is minus the closed-form slope of the sorted
+    ground level, where an exact degeneracy makes it undefined.  With unit
+    vectors b (B, d) it follows the smooth branch through the eigenvector of
+    V(X) with the largest overlap, signed to keep the overlap nonnegative.
     """
-    V, dV = model_mod.potential_and_derivative(model, X)
-    if model.d == 1:
-        return -dV[:, 0, 0], None
-    lam, vecs = espec._eigh(V, X)
     if b is None:
-        degenerate = lam[:, 1] - lam[:, 0] < espec._DEGENERACY_TOL
-        if degenerate.any():
-            x = X[np.argmax(degenerate)]
-            raise CrossingError(f"lambda_0 is degenerate at X = {x}; force undefined")
-        return -_form(vecs[:, :, 0], dV), None
+        lam, slopes = model_mod.levels_and_slopes(model, X)
+        if model.d > 1:
+            degenerate = lam[:, 1] - lam[:, 0] < espec._DEGENERACY_TOL
+            if degenerate.any():
+                x = X[np.argmax(degenerate)]
+                raise CrossingError(f"lambda_0 is degenerate at X = {x}; force undefined")
+        return -slopes[:, 0], None
+    V, dV = model_mod.potential_and_derivative(model, X)
+    lam, vecs = espec._eigh(V, X)
     ov = (vecs.transpose(0, 2, 1) @ b[:, :, None])[:, :, 0]
     rows = np.arange(X.size)
     j = np.abs(ov).argmax(axis=1)
@@ -311,12 +311,12 @@ def _energies(model, scheme, X, p, vec):
     """Scheme energy of stacked states: |p|^2/2 plus <phi, V phi> (Ehrenfest),
     the branch level <b, V b> of the normalized vectors, or the sorted ground level."""
     kinetic = 0.5 * (p * p)
+    if vec is None:
+        return kinetic + model_mod.eigenvalues_closed_form(model, X)[:, 0]
     V = model_mod.evaluate_potential(model, X)
     if scheme == "ehrenfest":
         return kinetic + _expectation(vec, V).real
-    if vec is not None:
-        return kinetic + _form(_unit(vec), V)
-    return kinetic + espec._eigh(V, X)[0][:, 0]
+    return kinetic + _form(_unit(vec), V)
 
 
 def hamiltonian(model, state, scheme):
@@ -369,7 +369,7 @@ def step_bo(model, state, dt):
     With a branch vector in ``state.phi`` the force follows the smooth
     (gauge-continuous) eigenvalue branch, so sorted labels may swap across a
     crossing; without one the sorted ground level is used.  An exactly
-    degenerate level rejects the step (the Hellmann-Feynman force raises).
+    degenerate ground level rejects the step (its force raises CrossingError).
     """
     par = _lane_params(model, "bo", 1, dt)
     b = _lane_vectors(model, "bo", [state])[0]

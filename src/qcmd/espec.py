@@ -1,8 +1,9 @@
 """Electron spectral toolkit.
 
 Gauge-continuous eigendecomposition of V(X) along grids and trajectories,
-gap and crossing diagnostics, Hellmann-Feynman forces, and the gap-flatness
-diagnostic kappa used by the equilibrium bounds.
+gap and crossing diagnostics, level slopes and ground-level forces from the
+families' closed forms, Hellmann-Feynman forces of eigenvectors, and the
+gap-flatness diagnostic kappa used by the equilibrium bounds.
 """
 
 from dataclasses import dataclass, field
@@ -71,11 +72,8 @@ def eigen_at(model, X):
 
 
 def eigenvalues_along(model, X_values):
-    """Ascending eigenvalues at many points, using closed forms when available."""
-    closed = model_mod.eigenvalues_closed_form(model, X_values)
-    if closed is not None:
-        return closed
-    return eigen_at(model, np.asarray(X_values, dtype=float))[0]
+    """Ascending eigenvalues at many points, from the family closed form."""
+    return model_mod.eigenvalues_closed_form(model, X_values)
 
 
 def eigendecompose_field(model, grid):
@@ -263,10 +261,12 @@ def hellmann_feynman(field_or_model, X, n):
 
 
 def ground_force(model, X):
-    """-d(lambda_0)/dX; scalar fast path for d = 1."""
-    if model.d == 1:
-        return -float(model_mod.potential_derivative(model, X)[0, 0])
-    return -hellmann_feynman(model, X, 0)
+    """-d(lambda_0)/dX from the closed-form slope; a degenerate ground level
+    makes the force undefined."""
+    lam, slopes = level_slopes(model, float(X))
+    if model.d > 1 and lam[1] - lam[0] < _DEGENERACY_TOL:
+        raise CrossingError(f"lambda_0 is degenerate at X = {X}; force undefined")
+    return -float(slopes[0])
 
 
 def ground_curvature(model, X):
@@ -285,15 +285,13 @@ def ground_curvature(model, X):
 
 
 def level_slopes(model, X):
-    """Ascending eigenvalues of V(X) and their Hellmann-Feynman slopes
-    d(lambda_n)/dX, at one point or stacked points (no degeneracy check)."""
-    V, dV = model_mod.potential_and_derivative(model, X)
-    lam, vec = _eigh(V, X)
-    return lam, np.einsum("...jn,...jk,...kn->...n", vec, dV, vec)
+    """Ascending eigenvalues of V(X) and their slopes d(lambda_n)/dX from the
+    family closed form, at one point or stacked points (no degeneracy check)."""
+    return model_mod.levels_and_slopes(model, X)
 
 
 def gap_derivatives(model, X):
-    """(gaps, d(gaps)/dX) for the excited levels at X, via Hellmann-Feynman."""
+    """(gaps, d(gaps)/dX) for the excited levels at X, from the level slopes."""
     lam, slopes = level_slopes(model, X)
     return lam[..., 1:] - lam[..., :1], slopes[..., 1:] - slopes[..., :1]
 

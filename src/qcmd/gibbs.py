@@ -34,7 +34,6 @@ class GibbsSamples:
     """Metropolis-corrected coefficient samples at one conditioning position."""
 
     gamma: np.ndarray          # (n, d) complex, unit rows
-    weight: np.ndarray         # proposal importance weights (diagnostic)
     X: float
     ess: float
     acceptance: float
@@ -89,9 +88,8 @@ def sample_electron_coefficients(gaps, T, n_samples, rng, X=0.0, log_pairs=False
     pairs = None
     if log_pairs:
         pairs = (logw_cur, logw[1:].copy(), accept)
-    return GibbsSamples(gamma=u[idx], weight=np.ones(n_samples), X=float(X),
-                        ess=ess, acceptance=float(accept.mean()),
-                        proposal_log=pairs)
+    return GibbsSamples(gamma=u[idx], X=float(X), ess=ess,
+                        acceptance=float(accept.mean()), proposal_log=pairs)
 
 
 def _sphere_moments(gaps, T, n_samples, rng):
@@ -242,8 +240,9 @@ def corrected_potential(basis, T, trace_coefficient=0.5):
     The default coefficient 1/2 gives the half-trace form lambda_0 +
     (T/2) sum log gap_n; coefficient 1.0 matches the drift of the sampled
     sphere ensemble.  Returns the grid field, a force callable (analytic
-    log-derivative on Hellmann-Feynman forces), and the weak-gap diagnostics
-    (max T/gap_1, max sum |dgap|/gap, max sum |dgap| gap^-2 log(1/gap)).
+    log-derivative on the closed-form level slopes), and the weak-gap
+    diagnostics (max T/gap_1, max sum |dgap|/gap, max sum |dgap| gap^-2
+    log(1/gap)).
     """
     model = basis.model
     if model.d < 2:

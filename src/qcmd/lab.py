@@ -277,6 +277,8 @@ def converge(model, scheme, M_list, observables=None, e_ref=None, n_loops=8,
                        doublet_average=doublet_average, n_grid_cap=n_grid_cap,
                        perp_correction=perp_correction)
     cache = {} if cache is None else cache
+    # observables by name and function object: the quantum values depend on both
+    observable_key = tuple(sorted(observables.items(), key=lambda item: item[0]))
     clock = time.perf_counter
     t_start = clock()
 
@@ -291,7 +293,7 @@ def converge(model, scheme, M_list, observables=None, e_ref=None, n_loops=8,
             k_spread_M += k_spread_M % 2
             count_M = k_spread_M + 12
         key = (model.spec().to_json(), float(M), float(e_ref), count_M,
-               k_spread_M, doublet_average)
+               k_spread_M, doublet_average, n_grid_cap, observable_key)
         if key not in cache:
             cache[key] = _matched_eigenstates(model, M, e_ref, loop_mu, floor_lam,
                                               observables, count_M, k_spread_M,

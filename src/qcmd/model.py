@@ -3,10 +3,10 @@
 Every other module operates on a :class:`ModelSystem`: a d-level real
 symmetric potential matrix V(X) on a torus of length L, together with the
 nuclear mass, temperature and friction parameters.  Registered families
-carry closed forms for V, its X-derivatives and (where available) its
-eigenvalues, evaluated on whole arrays of X at once: a scalar X gives one
-(d, d) matrix, an array of n points an (n, d, d) stack whose entries equal
-the per-point values bit for bit.
+carry closed forms for V, its X-derivatives, and its ascending eigenvalues
+with their X-derivatives, evaluated on whole arrays of X at once: a scalar
+X gives one (d, d) matrix, an array of n points an (n, d, d) stack whose
+entries equal the per-point values bit for bit.
 """
 
 import json
@@ -23,6 +23,7 @@ __all__ = [
     "potential_derivative",
     "potential_second_derivative",
     "eigenvalues_closed_form",
+    "levels_and_slopes",
     "list_families",
 ]
 
@@ -73,8 +74,11 @@ class ModelSystem:
 
     The family callables take a 1-D array of n points: ``_fields`` returns V
     and dV/dX as (n, d, d) stacks, ``_second_derivative`` the (n, d, d)
-    stack of d2V/dX2 (None: finite differences of dV), ``_eigenvalues`` the
-    (n, d) closed-form eigenvalues, unsorted (None: no closed form).
+    stack of d2V/dX2 (None: finite differences of dV), and ``_levels`` the
+    eigenvalues of V in ascending order and their X-derivatives, (n, d)
+    each, in closed form.  Every family provides ``_levels``, and its order
+    must hold at every X without a run-time sort, so the ground level and
+    its slope are column 0.
     """
 
     family: str
@@ -85,8 +89,8 @@ class ModelSystem:
     T: float
     K: float
     _fields: callable = field(repr=False)
+    _levels: callable = field(repr=False)
     _second_derivative: callable = field(repr=False, default=None)
-    _eigenvalues: callable = field(repr=False, default=None)
 
     def potential(self, X):
         return evaluate_potential(self, X)
@@ -106,6 +110,14 @@ def _sym2(a, b, c):
     return out
 
 
+def _pair(a, b):
+    """Stacked pairs [a, b]; a has the stack shape."""
+    out = np.empty(a.shape + (2,))
+    out[:, 0] = a
+    out[:, 1] = b
+    return out
+
+
 def _free(params, L, d):
     if d != 1:
         raise ValueError("family 'free' has d = 1")
@@ -114,7 +126,7 @@ def _free(params, L, d):
         return np.zeros((X.size,) + tail)
 
     return (lambda X: (zeros(X, 1, 1), zeros(X, 1, 1)),
-            lambda X: zeros(X, 1, 1), lambda X: zeros(X, 1))
+            lambda X: zeros(X, 1, 1), lambda X: (zeros(X, 1), zeros(X, 1)))
 
 
 def _scalar_cos(params, L, d):
@@ -130,7 +142,11 @@ def _scalar_cos(params, L, d):
     def d2pot(X):
         return (-a * w * w * np.cos(w * X))[:, None, None]
 
-    return fields, d2pot, lambda X: (a * np.cos(w * X))[:, None]
+    def levels(X):
+        wX = w * X
+        return (a * np.cos(wX))[:, None], (-a * w * np.sin(wX))[:, None]
+
+    return fields, d2pot, levels
 
 
 def _two_level_gap(params, L, d):
@@ -150,11 +166,13 @@ def _two_level_gap(params, L, d):
         c = np.cos(X)
         return _sym2(-c, 0.0, c)
 
-    def eig(X):
-        r = np.hypot(np.cos(X), delta)
-        return np.stack([-r, r], axis=-1)
+    def levels(X):
+        c = np.cos(X)
+        r = np.hypot(c, delta)
+        slope = c * np.sin(X) / r
+        return _pair(-r, r), _pair(slope, -slope)
 
-    return fields, d2pot, eig
+    return fields, d2pot, levels
 
 
 def _two_level_cross(params, L, d):
@@ -173,11 +191,13 @@ def _two_level_cross(params, L, d):
         s, c = np.sin(X), np.cos(X)
         return _sym2(-s, c, s)
 
-    def eig(X):
-        r = 2.0 * np.abs(np.sin(X / 2.0))
-        return np.stack([-r, r], axis=-1)
+    def levels(X):
+        s = np.sin(X / 2.0)
+        r = 2.0 * np.abs(s)
+        slope = np.sign(s) * np.cos(X / 2.0)
+        return _pair(-r, r), _pair(-slope, slope)
 
-    return fields, d2pot, eig
+    return fields, d2pot, levels
 
 
 def _multi_level(params, L, d):
@@ -202,10 +222,12 @@ def _multi_level(params, L, d):
     # level n is lambda_0 + g_n + eps_n cos(w X), with g_0 = eps_0 = 0
     g = np.array([0.0] + [gap for gap, _ in gaps])
     eps = np.array([0.0] + [amp for _, amp in gaps])
+    rate = -(a0 + eps) * w
 
     def levels(X):
-        c = np.cos(w * X)[:, None]
-        return (a0 * c + g) + eps * c
+        wX = w * X
+        c, s = np.cos(wX)[:, None], np.sin(wX)[:, None]
+        return (a0 * c + g) + eps * c, rate * s
 
     def fields(X):
         # V and dV/dX share the rotation Q(X), so they are built together
@@ -218,10 +240,9 @@ def _multi_level(params, L, d):
         dV = (rot * w * c)[:, :, None] * (A @ V - V @ A) + (Q * dlam[:, None, :]) @ QT
         return 0.5 * (V + V.transpose(0, 2, 1)), 0.5 * (dV + dV.transpose(0, 2, 1))
 
-    # gap profiles must stay positive and ordered for adiabatic labelling
-    lam = levels(np.linspace(0.0, L, 257))
-    bar = lam[:, 1:] - lam[:, :1]
-    if bar.min() <= 0.0 or np.any(np.diff(lam, axis=1) <= 0.0):
+    # the levels must stay ascending for adiabatic labelling; adjacent gaps
+    # are linear in cos(w X), so their extremes are at X = 0 and X = L/2
+    if np.any(np.diff(levels(np.array([0.0, 0.5 * L]))[0], axis=1) <= 0.0):
         raise ValueError("multi_level gap profiles must be positive and ordered")
 
     return fields, None, levels
@@ -256,10 +277,10 @@ def build_model(spec):
         raise ValueError("temperature must be >= 0")
     if spec.K <= 0.0:
         raise ValueError("friction parameter must be > 0")
-    fields_, d2pot, eig = _FAMILIES[spec.family](spec.params, spec.L, spec.d)
+    fields_, d2pot, levels = _FAMILIES[spec.family](spec.params, spec.L, spec.d)
     return ModelSystem(family=spec.family, params=dict(spec.params), L=spec.L,
                        d=spec.d, M=tuple(spec.M), T=spec.T, K=spec.K,
-                       _fields=fields_, _second_derivative=d2pot, _eigenvalues=eig)
+                       _fields=fields_, _levels=levels, _second_derivative=d2pot)
 
 
 def _stacked(fn, X, tail):
@@ -315,8 +336,12 @@ def potential_second_derivative(model, X):
     return (-dv(X + 2 * h) + 8.0 * dv(X + h) - 8.0 * dv(X - h) + dv(X - 2 * h)) / (12.0 * h)
 
 
+def levels_and_slopes(model, X):
+    """Ascending eigenvalues of V(X) and their X-derivatives from the family
+    closed form: (d,) each for a scalar X, X.shape + (d,) for an array."""
+    return _stacked(model._levels, X, (model.d,))
+
+
 def eigenvalues_closed_form(model, X):
-    """Ascending eigenvalues of V(X) from the family closed form, or None."""
-    if model._eigenvalues is None:
-        return None
-    return np.sort(_stacked(model._eigenvalues, X, (model.d,)), axis=-1)
+    """Ascending eigenvalues of V(X) from the family closed form."""
+    return levels_and_slopes(model, X)[0]

@@ -103,6 +103,39 @@ def test_gibbs_json(tmp_path, gap_config):
         assert key in report
 
 
+def test_gibbs_expression_gives_the_numpy_lambda_json(tmp_path, gap_config, monkeypatch):
+    argv = ["gibbs", "--config", gap_config, "--T", "0.1", "--g", "cos(2*pi*X/L)",
+            "--samples", "2000", "--seed", "7", "--out"]
+    out = tmp_path / "parsed.json"
+    assert cli.main(argv + [str(out)]) == 0
+    # the same observable as a plain numpy function, as eval used to build it
+    monkeypatch.setattr(cli, "_parse_g", lambda expr, L: lambda X: np.cos(2 * np.pi * X / L))
+    direct = tmp_path / "direct.json"
+    assert cli.main(argv + [str(direct)]) == 0
+    assert out.read_text() == direct.read_text()
+
+
+@pytest.mark.parametrize("expr", ["np.savetxt('written.txt', X)", "__import__('os')",
+                                  "X.__class__", "cos(X, 1)", "X // 2", "lambda: X",
+                                  "cos(2*pi*X/L"])
+def test_gibbs_rejects_expressions_outside_the_grammar(tmp_path, gap_config, capsys,
+                                                       monkeypatch, expr):
+    monkeypatch.chdir(tmp_path)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert cli.main(["gibbs", "--config", gap_config, "--T", "0.1", "--g", expr,
+                     "--samples", "200", "--out", "gibbs.json"]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+def test_expression_evaluator_matches_numpy():
+    X = np.linspace(-3.0, 9.0, 37)
+    g = cli._parse_g("exp(-X**2/2) + tanh(3*sin(X)) - 0.5*cos(2*X) / L + -pi", 2.5)
+    expected = (np.exp(-X ** 2 / 2) + np.tanh(3 * np.sin(X)) - 0.5 * np.cos(2 * X) / 2.5
+                + -np.pi)
+    assert np.array_equal(g(X), expected)
+
+
 def test_oscint_demo(tmp_path):
     out = str(tmp_path / "osc.csv")
     assert cli.main(["oscint", "--demo", "fresnel", "--M", "100,10000",

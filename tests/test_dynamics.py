@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from qcmd import ModelSpec, build_model, dynamics, espec, model, wkb
-from qcmd.errors import HittingTimeError, ResolutionError
-from qcmd._util import stream_rng
+from qcmd import ModelSpec, build_model, dynamics, espec, gibbs, model, wkb
+from qcmd.errors import CrossingError, HittingTimeError, ResolutionError
+from qcmd._util import periodic_grid, stream_rng
 
 
 def free_model():
@@ -301,6 +301,19 @@ def test_bo_branch_lanes_through_crossing_bitwise():
         assert traj.X[-1, 0] > 2.0 * np.pi
 
 
+def test_sorted_ground_force_raises_at_the_crossing():
+    m = build_model(ModelSpec(family="two_level_cross", d=2))
+    with pytest.raises(CrossingError, match="degenerate"):
+        dynamics._bo_force(m, np.array([1.0, 0.0, 2.0]), None)
+    with pytest.raises(CrossingError):
+        dynamics.step_bo(m, dynamics.PhaseState.make(0.0, 1.0), 1e-3)
+    with pytest.raises(CrossingError):
+        dynamics.step_smoluchowski(m, dynamics.PhaseState.make(0.0, 0.0), 1e-3, 0.1,
+                                   stream_rng(0))
+    F, b = dynamics._bo_force(m, np.array([1.0, -1.0]), None)
+    assert b is None and np.array_equal(F, [np.cos(0.5), -np.cos(0.5)])
+
+
 def test_stochastic_lanes_keep_their_own_streams():
     m = build_model(ModelSpec(family="multi_level", d=3, T=0.1,
                               params={"a0": 0.1, "gaps": [[0.8, 0.12], [1.6, 0.16]],
@@ -353,6 +366,29 @@ def _reference_step_bo(m, X, p, b, z, dt):
             z + dt / 6.0 * (p * p + 4.0 * p_half * p_half + p1 * p1))
 
 
+def _reference_force(m, x, T=0.0, coefficient=0.0):
+    """-d(lambda_0)/dX minus the gap-trace correction, from eigh and Hellmann-Feynman."""
+    lam, vecs = np.linalg.eigh(model.evaluate_potential(m, x))
+    dV = model.potential_derivative(m, x)
+    slopes = np.array([vecs[:, n] @ dV @ vecs[:, n] for n in range(m.d)])
+    gaps = lam[1:] - lam[0]
+    return -slopes[0] - coefficient * T * np.sum((slopes[1:] - slopes[0]) / gaps)
+
+
+def _reference_step_smoluchowski(X, dt, T, xi, force):
+    return X + dt * force(X) + np.sqrt(2.0 * T * dt) * xi
+
+
+def _reference_step_langevin(X, p, z, dt, T, K, xi, force):
+    c1 = np.exp(-K * dt)
+    p1 = p + 0.5 * dt * force(X)
+    X1 = X + 0.5 * dt * p1
+    p1 = c1 * p1 + np.sqrt(T * (1.0 - c1 * c1)) * xi
+    X1 = X1 + 0.5 * dt * p1
+    p1 = p1 + 0.5 * dt * force(X1)
+    return X1, p1, z + 0.5 * dt * (p * p + p1 * p1)
+
+
 def test_kernels_match_the_scalar_reference_steps():
     gap, cross = gap_model(), build_model(ModelSpec(family="two_level_cross", d=2))
     n, dt, M = 1500, 1e-3, 1024.0
@@ -379,6 +415,33 @@ def test_kernels_match_the_scalar_reference_steps():
             for new in ((traj.X[i, 0], traj.p[i, 0], traj.z[i]), (st.X[0], st.p[0], st.z)):
                 assert max(abs(X - new[0]), abs(p - new[1]), abs(z - new[2])) < 1e-12
         assert traj.X[-1, 0] > 2.0 * np.pi or not branch
+    # Langevin and Smoluchowski on the criterion-11 model, plain and with the
+    # corrected force, against the eigh force on the same noise stream
+    eq = build_model(ModelSpec(family="multi_level", d=3, T=0.08, K=1.0,
+                               params={"a0": 0.1, "gaps": [[0.8, 0.12], [1.6, 0.16]],
+                                       "rot": 0.3}))
+    T, K, dt = 0.08, 1.0, 0.1
+    corr = gibbs.corrected_potential(espec.eigendecompose_field(eq, periodic_grid(eq.L, 129)),
+                                     T, trace_coefficient=1.0)
+    for force, coefficient in ((None, 0.0), (corr.force, 1.0)):
+        def ref_force(x):
+            return _reference_force(eq, x, T, coefficient)
+
+        for scheme in ("smoluchowski", "langevin"):
+            traj = dynamics.simulate(eq, dynamics.PhaseState.make(eq.L / 3.0, 0.0), scheme,
+                                     T_final=n * dt, dt=dt, rng=stream_rng(7), T=T, K=K,
+                                     force=force)
+            assert traj.t.size == n + 1
+            noise = stream_rng(7)
+            X, p, z = eq.L / 3.0, 0.0, 0.0
+            for i in range(1, n + 1):
+                xi = noise.standard_normal()
+                if scheme == "smoluchowski":
+                    X = _reference_step_smoluchowski(X, dt, T, xi, ref_force)
+                else:
+                    X, p, z = _reference_step_langevin(X, p, z, dt, T, K, xi, ref_force)
+                assert abs(X - traj.X[i, 0]) < 1e-12
+                assert abs(p - traj.p[i, 0]) < 1e-12 and abs(z - traj.z[i]) < 1e-12
 
 
 # ------------------------------------------------------------ time_average

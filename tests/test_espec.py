@@ -46,12 +46,36 @@ def test_field_invariants():
     assert np.all(f.gaps[:, 0] == 0.0)
 
 
+def _eigh_level_slopes(m, X):
+    """The slow path: eigh of V(X) and the Hellmann-Feynman slopes <v_n, dV v_n>."""
+    from qcmd import model as mm
+    V, dV = mm.potential_and_derivative(m, X)
+    lam, vec = np.linalg.eigh(V)
+    return lam, np.einsum("...jn,...jk,...kn->...n", vec, dV, vec)
+
+
+FAMILIES = [build_model(ModelSpec(family="free")),
+            build_model(ModelSpec(family="scalar_cos", params={"a": 0.3})),
+            gap_model(), cross_model(),
+            multi([[0.8, 0.12], [1.6, 0.16]], a0=0.1, rot=0.3),
+            multi([[1.0, 0.1], [2.0, 0.2], [3.5, -0.3]], a0=-0.4, rot=1.7)]
+
+
 def test_closed_forms_match():
-    for m in (gap_model(), cross_model()):
-        f = espec.eigendecompose_field(m, periodic_grid(m.L, 64))
-        from qcmd import model as mm
-        closed = np.array([mm.eigenvalues_closed_form(m, x) for x in f.grid])
-        assert np.abs(f.lambdas - closed).max() <= 1e-10
+    for m in FAMILIES:
+        # a shifted grid over three periods, negative X included, away from
+        # the exact crossings of two_level_cross at X = 0 mod 2 pi
+        X = np.linspace(-m.L, 2.0 * m.L, 301) + 0.0123
+        lam, slopes = espec.level_slopes(m, X)
+        lam_ref, slopes_ref = _eigh_level_slopes(m, X)
+        assert lam.shape == slopes.shape == (X.size, m.d), m.family
+        assert np.abs(lam - lam_ref).max() <= 1e-12, m.family
+        assert np.abs(slopes - slopes_ref).max() <= 1e-12, m.family
+        assert np.array_equal(espec.eigenvalues_along(m, X), lam)
+        assert (np.diff(lam, axis=1) >= 0.0).all()
+        # scalar X and the force on the ground level
+        assert np.array_equal(espec.level_slopes(m, X[7])[1], slopes[7])
+        assert espec.ground_force(m, X[7]) == -slopes[7, 0]
 
 
 def test_reconstruction_from_eigenpairs():
@@ -137,6 +161,15 @@ def test_hellmann_feynman():
 def test_hellmann_feynman_degenerate_raises():
     with pytest.raises(CrossingError):
         espec.hellmann_feynman(cross_model(), 0.0, 0)
+
+
+def test_ground_force_degenerate_raises():
+    m = cross_model()
+    for X in (0.0, 2.0 * np.pi):
+        with pytest.raises(CrossingError):
+            espec.ground_force(m, X)
+    # and is finite beside the crossing
+    assert abs(espec.ground_force(m, 1e-3) - np.cos(5e-4)) < 1e-15
 
 
 def test_ground_curvature_matches_fd():

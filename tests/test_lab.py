@@ -124,3 +124,18 @@ def test_record_with_crossings_json_roundtrip():
     assert rec.per_M[0]["crossings"]
     again = lab.RunRecord.from_json(rec.to_json())
     assert again.comparable() == rec.comparable()
+
+
+def test_shared_reference_cache_keys_grid_cap_and_observables():
+    m = build_model(ModelSpec(family="two_level_gap", params={"delta": 0.25}, d=2))
+    cache = {}
+    capped = lab.converge(m, "bo", [256.0], n_loops=1, n_grid_cap=256, cache=cache)
+    full = lab.converge(m, "bo", [256.0], n_loops=1, cache=cache)
+    assert capped.per_M[0]["n_grid"] == 256
+    assert full.per_M[0]["n_grid"] == 512
+    # the same observable names bound to other functions get their own values
+    shifted = {name: (lambda g: lambda x: g(x) + 1.0)(g)
+               for name, g in lab.default_observables(m.L).items()}
+    moved = lab.converge(m, "bo", [256.0], n_loops=1, observables=shifted, cache=cache)
+    for name in shifted:
+        assert abs(moved.per_M[0]["quantum"][name] - full.per_M[0]["quantum"][name] - 1.0) < 1e-9

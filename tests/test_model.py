@@ -121,7 +121,9 @@ def test_array_evaluation_matches_per_point_bitwise(family, params, d):
     xs = np.random.default_rng(11).uniform(-3.0, 12.0, 97)
     V, dV = model.potential_and_derivative(m, xs)
     d2V = model.potential_second_derivative(m, xs)
-    lam = model.eigenvalues_closed_form(m, xs)
+    lam, dlam = model.levels_and_slopes(m, xs)
+    assert lam.shape == dlam.shape == (xs.size, d)
+    assert np.array_equal(lam, model.eigenvalues_closed_form(m, xs))
     assert V.shape == dV.shape == d2V.shape == (xs.size, d, d)
     grid = model.evaluate_potential(m, xs.reshape(-1, 1))
     assert grid.shape == (xs.size, 1, d, d) and np.array_equal(grid[:, 0], V)
@@ -129,8 +131,8 @@ def test_array_evaluation_matches_per_point_bitwise(family, params, d):
         assert np.array_equal(V[i], model.evaluate_potential(m, x))
         assert np.array_equal(dV[i], model.potential_derivative(m, x))
         assert np.array_equal(d2V[i], model.potential_second_derivative(m, x))
-        if lam is not None:
-            assert np.array_equal(lam[i], model.eigenvalues_closed_form(m, x))
+        lam_x, dlam_x = model.levels_and_slopes(m, x)
+        assert np.array_equal(lam[i], lam_x) and np.array_equal(dlam[i], dlam_x)
     # a point evaluated inside a different stack gives the same bits
     assert np.array_equal(model.evaluate_potential(m, xs[5:8])[1], V[6])
 
