@@ -44,6 +44,11 @@ __all__ = [
 DEFAULT_C_STEP = 0.1
 # recorded states whose energies are evaluated in one stacked call
 _ENERGY_CHUNK = 4096
+# noise values a lane of known step count draws from its stream at once
+_NOISE_BLOCK = 4096
+# a family gap floor this far above the degeneracy tolerance (and far above
+# the rounding of the computed levels) rules out a degenerate ground level
+_SAFE_GAP_FLOOR = 1e3 * espec._DEGENERACY_TOL
 
 
 @dataclass(frozen=True)
@@ -151,22 +156,31 @@ def _ehrenfest_step(model, par, X, p, phi, z, F):
     return X1, p1, phi1, z1, F1
 
 
+def _ground_force(model, X):
+    """Minus the closed-form slope of the sorted ground level on every lane.
+
+    An exact degeneracy makes the force undefined; the levels are tested for
+    one only when the family's gap floor does not rule it out.
+    """
+    lam, slopes = model_mod.levels_and_slopes(model, X)
+    if model.gap_floor <= _SAFE_GAP_FLOOR:
+        degenerate = lam[:, 1] - lam[:, 0] < espec._DEGENERACY_TOL
+        if degenerate.any():
+            x = X[np.argmax(degenerate)]
+            raise CrossingError(f"lambda_0 is degenerate at X = {x}; force undefined")
+    return -slopes[:, 0]
+
+
 def _bo_force(model, X, b):
     """Force on every lane and the vectors it followed.
 
-    With b None the force is minus the closed-form slope of the sorted
-    ground level, where an exact degeneracy makes it undefined.  With unit
-    vectors b (B, d) it follows the smooth branch through the eigenvector of
-    V(X) with the largest overlap, signed to keep the overlap nonnegative.
+    With b None the force is the sorted ground level's (``_ground_force``).
+    With unit vectors b (B, d) it follows the smooth branch through the
+    eigenvector of V(X) with the largest overlap, signed to keep the overlap
+    nonnegative.
     """
     if b is None:
-        lam, slopes = model_mod.levels_and_slopes(model, X)
-        if model.d > 1:
-            degenerate = lam[:, 1] - lam[:, 0] < espec._DEGENERACY_TOL
-            if degenerate.any():
-                x = X[np.argmax(degenerate)]
-                raise CrossingError(f"lambda_0 is degenerate at X = {x}; force undefined")
-        return -slopes[:, 0], None
+        return _ground_force(model, X), None
     V, dV = model_mod.potential_and_derivative(model, X)
     lam, vecs = espec._eigh(V, X)
     ov = (vecs.transpose(0, 2, 1) @ b[:, :, None])[:, :, 0]
@@ -192,11 +206,46 @@ def _bo_step(model, par, X, p, b, z, F):
     return X1, p1, b1, z1, F1
 
 
-def _noise(rngs):
-    """One standard normal per lane, each from the lane's own stream."""
-    if len(rngs) == 1:
-        return rngs[0].standard_normal(1)
-    return np.array([r.standard_normal() for r in rngs])
+class _LaneNoise:
+    """One standard normal per active lane and step, each from the lane's own
+    stream; called once per step.
+
+    A lane draws min(_NOISE_BLOCK, steps left) values at a time, except a
+    lane with a hit budget, which may retire at any step and so draws one
+    at a time: no lane draws a value it does not use.  A block holds the
+    values, and leaves the generator in the state, of the same draws taken
+    one at a time.  Indexing with a mask of lanes keeps those lanes.
+    """
+
+    def __init__(self, rngs, n_steps, single, step=0, block=None):
+        self.rngs = rngs            # (B,) object array of generators
+        self.n_steps = n_steps      # (B,) steps each lane runs in all
+        self.single = single        # (B,) bool: draws one value a step
+        self.singles = np.flatnonzero(single)
+        self.step = step            # steps taken so far, the same on every lane
+        self.block = block          # (rows, B): this block's values, lane-wise
+
+    def __getitem__(self, keep):
+        block = None if self.block is None else self.block[:, keep]
+        return _LaneNoise(self.rngs[keep], self.n_steps[keep], self.single[keep],
+                          self.step, block)
+
+    def __call__(self):
+        j = self.step % _NOISE_BLOCK
+        if j == 0:
+            # an active lane has more steps left than j, so the widest
+            # lane's rows cover every active lane
+            left = np.minimum(self.n_steps - self.step, _NOISE_BLOCK)
+            self.block = np.empty((int(left.max()), left.size))
+            for k in np.flatnonzero(~self.single):
+                self.block[:left[k], k] = self.rngs[k].standard_normal(left[k])
+        self.step += 1
+        if not self.singles.size:
+            return self.block[j]
+        out = self.block[j].copy()
+        for k in self.singles:
+            out[k] = self.rngs[k].standard_normal()
+        return out
 
 
 def _langevin_start(model, par, X, vec):
@@ -208,7 +257,7 @@ def _langevin_step(model, par, X, p, vec, z, F):
     half = par["half"]
     p1 = p + half * F
     X1 = X + half * p1
-    p1 = par["c1"] * p1 + par["c2"] * _noise(par["rng"])
+    p1 = par["c1"] * p1 + par["c2"] * par["noise"]()
     X1 = X1 + half * p1
     F1 = par["force"](X1)
     p1 = p1 + half * F1
@@ -221,15 +270,16 @@ def _smoluchowski_start(model, par, X, vec):
 
 def _smoluchowski_step(model, par, X, p, vec, z, F):
     """Euler-Maruyama step of the overdamped dynamics."""
-    X1 = X + par["dt"] * par["force"](X) + par["kick"] * _noise(par["rng"])
+    X1 = X + par["dt"] * par["force"](X) + par["kick"] * par["noise"]()
     return X1, p, vec, z, None
 
 
+# (start, step, whether the step changes the momenta)
 _KERNELS = {
-    "ehrenfest": (_ehrenfest_start, _ehrenfest_step),
-    "bo": (_bo_start, _bo_step),
-    "langevin": (_langevin_start, _langevin_step),
-    "smoluchowski": (_smoluchowski_start, _smoluchowski_step),
+    "ehrenfest": (_ehrenfest_start, _ehrenfest_step, True),
+    "bo": (_bo_start, _bo_step, True),
+    "langevin": (_langevin_start, _langevin_step, True),
+    "smoluchowski": (_smoluchowski_start, _smoluchowski_step, False),
 }
 
 
@@ -248,9 +298,12 @@ def _per_lane(value, B):
 
 
 def _lane_params(model, scheme, B, dt, M=None, T=None, K=None, force=None,
-                 rng=None, c_step=DEFAULT_C_STEP):
+                 rng=None, c_step=DEFAULT_C_STEP, n_steps=1, budget=np.inf):
     """Per-lane constants of a kernel: step sizes, rotation rates, OU
-    coefficients, noise streams and the force of the stochastic schemes."""
+    coefficients, noise sources and the force of the stochastic schemes.
+
+    ``n_steps`` (the steps each lane runs) and ``budget`` (its hit budget,
+    inf for none) set how the noise of each lane is drawn."""
     dt = _per_lane(dt, B)
     par = {"dt": dt, "half": 0.5 * dt, "sixth": dt / 6.0}
     if scheme == "ehrenfest":
@@ -270,10 +323,12 @@ def _lane_params(model, scheme, B, dt, M=None, T=None, K=None, force=None,
         rngs = list(rng) if isinstance(rng, (list, tuple)) else [rng]
         if len(rngs) != B:
             raise ValueError(f"{B} lanes need {B} random generators, got {len(rngs)}")
-        par["rng"] = np.empty(B, dtype=object)
-        par["rng"][:] = rngs
+        streams = np.empty(B, dtype=object)
+        streams[:] = rngs
+        par["noise"] = _LaneNoise(streams, _per_lane(n_steps, B).astype(int),
+                                  np.isfinite(_per_lane(budget, B)))
         par["force"] = (force if force is not None
-                        else lambda x: _bo_force(model, x, None)[0])
+                        else lambda x: _ground_force(model, x))
         if scheme == "langevin":
             c1 = np.exp(-K * dt)
             par["c1"] = c1
@@ -434,14 +489,19 @@ def simulate_ensemble(model, inits, scheme, T_final, dt, surface=None, rng=None,
         K = model.K if K is None else K
         if rng is None:
             raise ValueError("stochastic schemes need an rng")
-    par = _lane_params(model, scheme, B, dt, M=M, T=T, K=K, force=force, rng=rng,
-                       c_step=c_step)
-    dt_lane = par["dt"]         # par shrinks as lanes retire
+    dt_lane = _per_lane(dt, B)  # par["dt"] shrinks as lanes retire
     n_steps = np.floor(_per_lane(T_final, B) / dt_lane + 1e-9).astype(int)
     per_lane_hits = max_hits if isinstance(max_hits, (list, tuple)) else [max_hits] * B
     budget = np.array([np.inf if h is None else h for h in per_lane_hits], dtype=float)
+    par = _lane_params(model, scheme, B, dt_lane, M=M, T=T, K=K, force=force, rng=rng,
+                       c_step=c_step, n_steps=n_steps, budget=budget)
     X = np.array([s.X[0] for s in inits], dtype=float)
     p = np.array([s.p[0] for s in inits], dtype=float)
+    finite = np.isfinite(X) & np.isfinite(p)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise RuntimeError(f"non-finite initial state in lane {k} "
+                           f"(X = {X[k:k + 1]}, p = {p[k:k + 1]})")
     z = np.array([s.z for s in inits], dtype=float)
     t = np.array([s.t for s in inits], dtype=float)
     t0 = t.copy()
@@ -472,21 +532,23 @@ def simulate_ensemble(model, inits, scheme, T_final, dt, surface=None, rng=None,
         n_steps, budget, n_hit = n_steps[keep], budget[keep], n_hit[keep]
         vec = None if vec is None else vec[keep]
         F = None if F is None else F[keep]
-        par = {k: v[keep] if isinstance(v, np.ndarray) else v for k, v in par.items()}
+        par = {k: v[keep] if isinstance(v, (np.ndarray, _LaneNoise)) else v
+               for k, v in par.items()}
 
     L = model.L
     bounds = None if surface is None else _next_surface(surface, L, X)
     i = 0
     if not (n_steps > 0).all():
         retire(n_steps > 0)
-    start, step = _KERNELS[scheme]
+    start, step, moves_p = _KERNELS[scheme]
     if lanes.size:
         F = start(model, par, X, vec)
     next_end = n_steps.min(initial=np.iinfo(int).max)
     while lanes.size:
         X1, p1, vec1, z1, F1 = step(model, par, X, p, vec, z, F)
         t1 = t + par["dt"]
-        if not (np.isfinite(X1).all() and np.isfinite(p1).all()):
+        # the initial momenta are finite, so a step that keeps them does too
+        if not (np.isfinite(X1).all() and (not moves_p or np.isfinite(p1).all())):
             k = int(np.argmin(np.isfinite(X1) & np.isfinite(p1)))
             raise RuntimeError(f"non-finite state at t = {t1[k]:.6g} "
                                f"(X = {X1[k:k + 1]}, p = {p1[k:k + 1]}); aborting")

@@ -48,6 +48,11 @@ def gaps_at(model, X):
     return gaps
 
 
+def _check_samples(n_samples):
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+
+
 def _draw_sphere(gaps, T, n, rng):
     d = gaps.size + 1
     var = np.concatenate([[1.0], T / gaps])          # complex variances E|gamma_j|^2
@@ -69,6 +74,7 @@ def sample_electron_coefficients(gaps, T, n_samples, rng, X=0.0, log_pairs=False
     gaps = np.asarray(gaps, dtype=float)
     if T <= 0.0:
         raise ValueError("sampling needs T > 0")
+    _check_samples(n_samples)
     if gaps.size and gaps.min() <= 0.0:
         raise CrossingError("all excited gaps must be positive")
     u, logw = _draw_sphere(gaps, T, n_samples + 1, rng)
@@ -93,14 +99,28 @@ def sample_electron_coefficients(gaps, T, n_samples, rng, X=0.0, log_pairs=False
 
 
 def _sphere_moments(gaps, T, n_samples, rng):
-    """Self-normalized importance estimate of E[|u_j|^2] for the excited levels."""
-    u, logw = _draw_sphere(gaps, T, n_samples, rng)
+    """Self-normalized importance estimate of E[|u_j|^2] for the excited levels.
+
+    The proposal of ``_draw_sphere`` from the same normals (a, b), held as
+    real squares with one contiguous row per level: |g_j|^2 = (a_j^2 +
+    b_j^2) var_j / 2 and |u_j|^2 = |g_j|^2 / sum_k |g_k|^2.
+    """
+    d = gaps.size + 1
+    a = rng.standard_normal((n_samples, d))
+    b = rng.standard_normal((n_samples, d))
+    a *= a
+    a += b * b
+    v = a.T.copy()
+    v *= np.concatenate([[0.5], 0.5 * T / gaps])[:, None]
+    v /= v.sum(axis=0)
+    S = (gaps / T) @ v[1:]
+    logw = d * np.log(v[0] + S) - S
     w = np.exp(logw - logw.max())
     wsum = w.sum()
-    v = np.abs(u[:, 1:]) ** 2
-    mean = (w[:, None] * v).sum(axis=0) / wsum
+    mean = v[1:] @ w / wsum
     # delta-method variance of the ratio estimator
-    var = np.sum((w[:, None] * (v - mean[None, :])) ** 2, axis=0) / wsum ** 2
+    resid = w * (v[1:] - mean[:, None])
+    var = np.einsum("ij,ij->i", resid, resid) / wsum ** 2
     return mean, np.sqrt(var)
 
 
@@ -112,6 +132,7 @@ def marginal_ratio(model, X, X_c, T, n_samples=20000, rng=None, n_s=9,
     on Gauss-Legendre nodes of the segment.  When ``check`` is on, the value
     is asserted against the kappa bound (plus 3 sigma MC slack).
     """
+    _check_samples(n_samples)
     if rng is None:
         rng = stream_rng(seed)
     X, X_c = float(X), float(X_c)
@@ -153,6 +174,20 @@ class GibbsReport:
     log_r: np.ndarray = field(repr=False, default=None)
 
 
+def _drift_sensitivity(resid, h):
+    """d value / d drift_k = sum_i resid_i d log_r_i / d drift_k for every node k.
+
+    The cumulative trapezoid gives d log_r_i / d drift_k = h/2 at i = k > 0
+    and h at i > k (h/2 at every i > 0 for k = 0), so the sum is a reverse
+    cumulative sum of ``resid``.
+    """
+    after = np.zeros(resid.size)        # sum of resid over i > k
+    after[:-1] = np.cumsum(resid[:0:-1])[::-1]
+    coeff = h * (after + 0.5 * resid)
+    coeff[0] = 0.5 * h * after[0]
+    return coeff
+
+
 def gibbs_observable(model, g, T, n_grid=65, n_samples=20000, rng=None, seed=0):
     """Equilibrium position observable with and without the marginal mass r(X).
 
@@ -162,6 +197,7 @@ def gibbs_observable(model, g, T, n_grid=65, n_samples=20000, rng=None, seed=0):
     """
     if T <= 0.0:
         raise ValueError("gibbs_observable needs T > 0")
+    _check_samples(n_samples)
     if rng is None:
         rng = stream_rng(seed)
     grid = periodic_grid(model.L, n_grid)
@@ -192,16 +228,7 @@ def gibbs_observable(model, g, T, n_grid=65, n_samples=20000, rng=None, seed=0):
     # propagate independent node errors through the cumulative integral
     w_full = np.exp(-lam0 / T + log_r - (-lam0 / T + log_r).max())
     w_norm = w_full / w_full.sum()
-    resid = w_norm * (gx - value)
-    coeff = np.zeros(n_grid)
-    for k in range(n_grid):
-        dlog = np.zeros(n_grid)     # dlog_r_i / ddrift_k, trapezoid weights
-        if k == 0:
-            dlog[1:] = 0.5 * h
-        else:
-            dlog[k] = 0.5 * h
-            dlog[k + 1:] = h
-        coeff[k] = float(resid @ dlog)
+    coeff = _drift_sensitivity(w_norm * (gx - value), h)
     sigma = float(np.sqrt(np.sum(coeff ** 2 * node_sigma ** 2)))
     return GibbsReport(value=value, value_plain=value_plain,
                        difference=value - value_plain, sigma=sigma,

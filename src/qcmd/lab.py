@@ -249,6 +249,9 @@ def converge(model, scheme, M_list, observables=None, e_ref=None, n_loops=8,
     of every mass (the first failing mass raises CausticError), then every
     (mass, state) trajectory as one lockstep ensemble, then the per-mass
     errors, crossings and record entries.
+
+    The sweep draws no random numbers: ``seed`` only labels the record, as
+    its ``master_seed``, and does not change any result.
     """
     if scheme not in ("bo", "ehrenfest"):
         raise ValueError("convergence harness drives deterministic schemes only")

@@ -78,7 +78,8 @@ class ModelSystem:
     eigenvalues of V in ascending order and their X-derivatives, (n, d)
     each, in closed form.  Every family provides ``_levels``, and its order
     must hold at every X without a run-time sort, so the ground level and
-    its slope are column 0.
+    its slope are column 0.  ``gap_floor`` is a closed-form lower bound on
+    lambda_1 - lambda_0 over all X (inf for d = 1).
     """
 
     family: str
@@ -90,6 +91,7 @@ class ModelSystem:
     K: float
     _fields: callable = field(repr=False)
     _levels: callable = field(repr=False)
+    gap_floor: float
     _second_derivative: callable = field(repr=False, default=None)
 
     def potential(self, X):
@@ -126,7 +128,7 @@ def _free(params, L, d):
         return np.zeros((X.size,) + tail)
 
     return (lambda X: (zeros(X, 1, 1), zeros(X, 1, 1)),
-            lambda X: zeros(X, 1, 1), lambda X: (zeros(X, 1), zeros(X, 1)))
+            lambda X: zeros(X, 1, 1), lambda X: (zeros(X, 1), zeros(X, 1)), np.inf)
 
 
 def _scalar_cos(params, L, d):
@@ -146,7 +148,7 @@ def _scalar_cos(params, L, d):
         wX = w * X
         return (a * np.cos(wX))[:, None], (-a * w * np.sin(wX))[:, None]
 
-    return fields, d2pot, levels
+    return fields, d2pot, levels, np.inf
 
 
 def _two_level_gap(params, L, d):
@@ -172,7 +174,8 @@ def _two_level_gap(params, L, d):
         slope = c * np.sin(X) / r
         return _pair(-r, r), _pair(slope, -slope)
 
-    return fields, d2pot, levels
+    # lambda_1 - lambda_0 = 2 hypot(cos X, delta)
+    return fields, d2pot, levels, 2.0 * delta
 
 
 def _two_level_cross(params, L, d):
@@ -197,7 +200,7 @@ def _two_level_cross(params, L, d):
         slope = np.sign(s) * np.cos(X / 2.0)
         return _pair(-r, r), _pair(-slope, slope)
 
-    return fields, d2pot, levels
+    return fields, d2pot, levels, 0.0
 
 
 def _multi_level(params, L, d):
@@ -245,7 +248,8 @@ def _multi_level(params, L, d):
     if np.any(np.diff(levels(np.array([0.0, 0.5 * L]))[0], axis=1) <= 0.0):
         raise ValueError("multi_level gap profiles must be positive and ordered")
 
-    return fields, None, levels
+    # lambda_1 - lambda_0 = g_1 + eps_1 cos(w X)
+    return fields, None, levels, g[1] - abs(eps[1])
 
 
 _FAMILIES = {
@@ -277,10 +281,11 @@ def build_model(spec):
         raise ValueError("temperature must be >= 0")
     if spec.K <= 0.0:
         raise ValueError("friction parameter must be > 0")
-    fields_, d2pot, levels = _FAMILIES[spec.family](spec.params, spec.L, spec.d)
+    fields_, d2pot, levels, gap_floor = _FAMILIES[spec.family](spec.params, spec.L, spec.d)
     return ModelSystem(family=spec.family, params=dict(spec.params), L=spec.L,
                        d=spec.d, M=tuple(spec.M), T=spec.T, K=spec.K,
-                       _fields=fields_, _levels=levels, _second_derivative=d2pot)
+                       _fields=fields_, _levels=levels, gap_floor=float(gap_floor),
+                       _second_derivative=d2pot)
 
 
 def _stacked(fn, X, tail):

@@ -72,6 +72,16 @@ def test_run_stochastic(tmp_path, cos_config):
     assert header == ["t", "X", "p", "H", "z"]
 
 
+@pytest.mark.parametrize("option", [["--p0", "nan"], ["--p0=-inf"],
+                                    ["--x0", "nan"], ["--x0", "inf"]])
+def test_run_smoluchowski_rejects_nonfinite_start(tmp_path, gap_config, capsys, option):
+    out = tmp_path / "smol.csv"
+    assert cli.main(["run", "--config", gap_config, "--scheme", "smoluchowski",
+                     "--dt", "0.05", "--tfinal", "1.0", "--out", str(out)] + option) == 1
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_wkb_csv(tmp_path, cos_config):
     out = str(tmp_path / "wkb.csv")
     assert cli.main(["wkb", "--config", cos_config, "--M", "256", "--k", "12",
@@ -126,6 +136,14 @@ def test_gibbs_rejects_expressions_outside_the_grammar(tmp_path, gap_config, cap
                      "--samples", "200", "--out", "gibbs.json"]) == 1
     assert "error:" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+def test_gibbs_without_samples_exits_one(tmp_path, gap_config, capsys):
+    out = tmp_path / "gibbs.json"
+    assert cli.main(["gibbs", "--config", gap_config, "--T", "0.1", "--g", "cos(X)",
+                     "--samples", "0", "--out", str(out)]) == 1
+    assert "n_samples must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_expression_evaluator_matches_numpy():

@@ -236,6 +236,20 @@ def test_simulate_rejects_nonfinite():
     bad = dynamics.PhaseState.make(np.nan, 1.0)
     with pytest.raises(RuntimeError, match="non-finite"):
         dynamics.simulate(m, bad, "bo", T_final=0.1, dt=0.01)
+    # Smoluchowski never changes p, so a non-finite p is caught at entry
+    for X0, p0 in ((0.0, np.nan), (np.inf, 0.0), (0.0, -np.inf)):
+        with pytest.raises(RuntimeError, match="non-finite"):
+            dynamics.simulate(m, dynamics.PhaseState.make(X0, p0), "smoluchowski",
+                              T_final=0.1, dt=0.01, rng=stream_rng(0), T=0.1)
+    # a state that turns non-finite during the run: X in Smoluchowski, and p
+    # alone (the end kick of a finite X) in Langevin
+    start = dynamics.PhaseState.make(0.0, 0.0)
+    with pytest.raises(RuntimeError, match="non-finite"):
+        dynamics.simulate(m, start, "smoluchowski", T_final=10.0, dt=0.01, rng=stream_rng(0),
+                          T=0.0, force=lambda x: np.where(x > 0.5, np.nan, 1.0))
+    with pytest.raises(RuntimeError, match=r"non-finite state .*p = \[inf\]"):
+        dynamics.simulate(m, start, "langevin", T_final=10.0, dt=0.01, rng=stream_rng(0),
+                          T=0.0, K=1.0, force=lambda x: np.where(x > 0.5, np.inf, 1.0))
 
 
 # ------------------------------------------------------- lane ensembles
@@ -310,8 +324,21 @@ def test_sorted_ground_force_raises_at_the_crossing():
     with pytest.raises(CrossingError):
         dynamics.step_smoluchowski(m, dynamics.PhaseState.make(0.0, 0.0), 1e-3, 0.1,
                                    stream_rng(0))
+    # the family's gap floor is 0, so every step still tests the levels
+    with pytest.raises(CrossingError):
+        dynamics.simulate(m, dynamics.PhaseState.make(0.0, 0.0), "smoluchowski",
+                          T_final=0.1, dt=1e-3, rng=stream_rng(0), T=0.1)
+    with pytest.raises(CrossingError):
+        dynamics.simulate(m, dynamics.PhaseState.make(0.0, 1.0), "bo", T_final=0.1, dt=1e-3)
     F, b = dynamics._bo_force(m, np.array([1.0, -1.0]), None)
     assert b is None and np.array_equal(F, [np.cos(0.5), -np.cos(0.5)])
+    # a multi_level first gap that closes to below the tolerance at X = L/2
+    tight = build_model(ModelSpec(family="multi_level", d=2, T=0.1,
+                                  params={"gaps": [[0.5, 0.5 - 5e-11]]}))
+    assert 0.0 < tight.gap_floor < espec._DEGENERACY_TOL
+    with pytest.raises(CrossingError, match="degenerate"):
+        dynamics.simulate(tight, dynamics.PhaseState.make(tight.L / 2.0, 0.0),
+                          "smoluchowski", T_final=0.1, dt=1e-3, rng=stream_rng(0), T=0.0)
 
 
 def test_stochastic_lanes_keep_their_own_streams():
@@ -330,6 +357,86 @@ def test_stochastic_lanes_keep_their_own_streams():
     with pytest.raises(ValueError, match="random generators"):
         dynamics.simulate_ensemble(m, inits, "langevin", T_final=1.0, dt=0.05,
                                    rng=stream_rng(0))
+
+
+def _same_stream_state(a, b):
+    assert repr(a.bit_generator.state) == repr(b.bit_generator.state)
+
+
+# A copy of the per-step noise draw that the block draws replaced, kept as the
+# slow reference path: one value per lane and step.
+
+def _reference_noise(rngs):
+    if len(rngs) == 1:
+        return rngs[0].standard_normal(1)
+    return np.array([r.standard_normal() for r in rngs])
+
+
+class _StepNoise(dynamics._LaneNoise):
+    def __getitem__(self, keep):
+        return _StepNoise(self.rngs[keep], self.n_steps[keep], self.single[keep])
+
+    def __call__(self):
+        return _reference_noise(self.rngs)
+
+
+def _criterion_11_model():
+    return build_model(ModelSpec(family="multi_level", d=3, T=0.08, K=1.0,
+                                 params={"a0": 0.1, "gaps": [[0.8, 0.12], [1.6, 0.16]],
+                                         "rot": 0.3}))
+
+
+def test_block_noise_matches_step_by_step_draws(monkeypatch):
+    eq = _criterion_11_model()
+    corr = gibbs.corrected_potential(espec.eigendecompose_field(eq, periodic_grid(eq.L, 129)),
+                                     0.08, trace_coefficient=1.0)
+
+    def runs():
+        out = []
+        # one lane, ending before, at and across block boundaries
+        for scheme, force in (("smoluchowski", None), ("smoluchowski", corr.force),
+                              ("langevin", None)):
+            for n in (1, 4096, 9000):
+                rng = stream_rng(3, n)
+                out.append(([dynamics.simulate(
+                    eq, dynamics.PhaseState.make(eq.L / 3.0, 0.0), scheme, T_final=n * 0.1,
+                    dt=0.1, rng=rng, T=0.08, K=1.0, force=force, record_every=4)], [rng]))
+        # three lanes on a surface, with mixed lengths and hit budgets
+        for scheme in ("smoluchowski", "langevin"):
+            rngs = [stream_rng(9, k) for k in range(3)]
+            inits = [dynamics.PhaseState.make(x, 0.1) for x in (0.5, 2.0, 4.0)]
+            out.append((dynamics.simulate_ensemble(
+                eq, inits, scheme, T_final=[900.0, 500.0, 1200.0], dt=0.1, rng=rngs,
+                T=0.5, K=1.0, surface=1.0, max_hits=[None, 1, 2], record_every=3), rngs))
+        return out
+
+    blocks = runs()
+    monkeypatch.setattr(dynamics, "_LaneNoise", _StepNoise)
+    steps = runs()
+    for (trajs, rngs), (ref_trajs, ref_rngs) in zip(blocks, steps):
+        for traj, ref, rng, ref_rng in zip(trajs, ref_trajs, rngs, ref_rngs):
+            _same_trajectory(traj, ref)
+            _same_stream_state(rng, ref_rng)
+    # the budgets retire two lanes early, the first lane runs to its end
+    assert [len(t.hits) for t in blocks[-1][0]][1:] == [1, 2]
+    assert blocks[-1][0][0].t.size == 3001
+
+
+def test_repeated_stochastic_steps_match_simulate():
+    eq = _criterion_11_model()
+    init, n, dt = dynamics.PhaseState.make(1.0, 0.2), 300, 0.1
+    for scheme in ("smoluchowski", "langevin"):
+        run_rng, step_rng = stream_rng(2), stream_rng(2)
+        traj = dynamics.simulate(eq, init, scheme, T_final=n * dt, dt=dt, rng=run_rng,
+                                 T=0.08, K=1.0)
+        st = init
+        for i in range(1, n + 1):
+            if scheme == "smoluchowski":
+                st = dynamics.step_smoluchowski(eq, st, dt, 0.08, step_rng)
+            else:
+                st = dynamics.step_langevin(eq, st, dt, 0.08, 1.0, step_rng)
+            assert (st.X[0], st.p[0], st.z) == (traj.X[i, 0], traj.p[i, 0], traj.z[i])
+        _same_stream_state(run_rng, step_rng)
 
 
 # A copy of the per-point scalar integrators the lane kernels replaced, kept

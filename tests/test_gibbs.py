@@ -84,6 +84,89 @@ def test_sampler_rejects_bad_input():
         gibbs.sample_electron_coefficients(np.array([0.0]), 0.1, 100, rng)
 
 
+def test_sampling_rejects_no_samples():
+    m = multi([[1.0, 0.05]])
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n_samples"):
+            gibbs.sample_electron_coefficients(np.array([0.5]), 0.1, n, stream_rng(0))
+        with pytest.raises(ValueError, match="n_samples"):
+            gibbs.marginal_ratio(m, 1.0, 0.5, 0.1, n_samples=n)
+        with pytest.raises(ValueError, match="n_samples"):
+            gibbs.gibbs_observable(m, np.cos, 0.1, n_samples=n)
+
+
+# A copy of the complex-valued moment estimator and of the node-by-node error
+# propagation that the real-square moments and the reverse cumulative sum
+# replaced, kept as the slow reference paths.
+
+def _reference_sphere_moments(gaps, T, n_samples, rng):
+    u, logw = gibbs._draw_sphere(gaps, T, n_samples, rng)
+    w = np.exp(logw - logw.max())
+    wsum = w.sum()
+    v = np.abs(u[:, 1:]) ** 2
+    mean = (w[:, None] * v).sum(axis=0) / wsum
+    var = np.sum((w[:, None] * (v - mean[None, :])) ** 2, axis=0) / wsum ** 2
+    return mean, np.sqrt(var)
+
+
+def _reference_drift_sensitivity(resid, h):
+    n_grid = resid.size
+    coeff = np.zeros(n_grid)
+    for k in range(n_grid):
+        dlog = np.zeros(n_grid)
+        if k == 0:
+            dlog[1:] = 0.5 * h
+        else:
+            dlog[k] = 0.5 * h
+            dlog[k + 1:] = h
+        coeff[k] = float(resid @ dlog)
+    return coeff
+
+
+@pytest.mark.parametrize("gaps, T", [([0.5], 0.1), ([0.75, 1.5], 0.08),
+                                     ([0.2, 0.9, 3.0], 0.5), ([2.0, 2.5], 0.02)])
+def test_real_square_moments_match_the_complex_estimator(gaps, T):
+    gaps = np.array(gaps)
+    for n in (1, 7, 20000):
+        new_rng, ref_rng = stream_rng(3, n), stream_rng(3, n)
+        mean, sig = gibbs._sphere_moments(gaps, T, n, new_rng)
+        ref_mean, ref_sig = _reference_sphere_moments(gaps, T, n, ref_rng)
+        assert np.all(np.abs(mean - ref_mean) <= 1e-13 * np.abs(ref_mean))
+        assert np.all(np.abs(sig - ref_sig) <= 1e-13 * np.abs(ref_sig))
+        # the same normals are drawn: both generators end in the same state
+        assert repr(new_rng.bit_generator.state) == repr(ref_rng.bit_generator.state)
+
+
+def test_drift_sensitivity_matches_the_node_loop():
+    rng = stream_rng(8)
+    for n_grid in (1, 2, 3, 65, 129):
+        resid = rng.standard_normal(n_grid) * np.exp(rng.uniform(-5.0, 0.0, n_grid))
+        resid -= resid.mean()       # residuals of a weighted mean sum to zero
+        h = 2.0 * np.pi / n_grid
+        ref = _reference_drift_sensitivity(resid, h)
+        new = gibbs._drift_sensitivity(resid, h)
+        assert np.abs(new - ref).max() <= 1e-15 * max(np.abs(ref).max(), 1e-300)
+
+
+def test_gibbs_observable_matches_the_reference_paths(monkeypatch):
+    m = build_model(ModelSpec(family="multi_level", d=3, T=0.08,
+                              params={"a0": 0.1, "gaps": [[0.8, 0.12], [1.6, 0.16]],
+                                      "rot": 0.3}))
+    new = gibbs.gibbs_observable(m, np.cos, 0.08, rng=stream_rng(0, 1))
+    monkeypatch.setattr(gibbs, "_sphere_moments", _reference_sphere_moments)
+    monkeypatch.setattr(gibbs, "_drift_sensitivity", _reference_drift_sensitivity)
+    ref = gibbs.gibbs_observable(m, np.cos, 0.08, rng=stream_rng(0, 1))
+    for key in ("value", "value_plain", "sigma"):
+        a, b = getattr(new, key), getattr(ref, key)
+        assert abs(a - b) <= 1e-13 * abs(b), key
+    assert np.abs(new.log_r - ref.log_r).max() <= 1e-13 * np.abs(ref.log_r).max()
+    val, sig = gibbs.marginal_ratio(m, 2.0, 0.5, 0.08, n_samples=5000, rng=stream_rng(4))
+    monkeypatch.undo()
+    new_val, new_sig = gibbs.marginal_ratio(m, 2.0, 0.5, 0.08, n_samples=5000,
+                                            rng=stream_rng(4))
+    assert abs(new_val - val) <= 1e-13 * abs(val) and abs(new_sig - sig) <= 1e-13 * sig
+
+
 # ------------------------------------------------------------ marginal ratio
 
 def test_marginal_ratio_same_point_zero():

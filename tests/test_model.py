@@ -137,6 +137,24 @@ def test_array_evaluation_matches_per_point_bitwise(family, params, d):
     assert np.array_equal(model.evaluate_potential(m, xs[5:8])[1], V[6])
 
 
+@pytest.mark.parametrize("family, params, d", [
+    ("free", {}, 1),
+    ("scalar_cos", {"a": 0.3}, 1),
+    ("two_level_gap", {"delta": 0.25}, 2),
+    ("two_level_gap", {"delta": 0.01}, 2),
+    ("two_level_cross", {}, 2),
+    ("multi_level", {"a0": 0.1, "gaps": [[0.8, 0.12], [1.6, 0.16]], "rot": 0.3}, 3),
+    ("multi_level", {"a0": -0.4, "gaps": [[0.5, -0.3], [1.2, 0.1]], "rot": 1.0}, 3),
+])
+def test_gap_floor_is_a_lower_bound(family, params, d):
+    m = make(family, params, d=d)
+    if d == 1:
+        assert m.gap_floor == np.inf
+        return
+    lam = model.eigenvalues_closed_form(m, np.linspace(0.0, m.L, 4097))
+    assert m.gap_floor <= (lam[:, 1] - lam[:, 0]).min()
+
+
 def test_spec_round_trip_lossless():
     spec = ModelSpec(family="multi_level", params={"a0": 0.25, "gaps": [[1.0, 0.05], [2.5, 0.0625]], "rot": 0.125},
                      L=2 * np.pi, d=3, M=(64.0, 256.0), T=0.05, K=2.0,
