@@ -104,11 +104,14 @@ def _cmd_spectrum(args):
 def _cmd_run(args):
     model = _load_model(args.config)
     M = args.M if args.M is not None else model.M[0]
-    lam0 = espec.eigen_at(model, args.x0)[0][0]
-    if args.p0 is not None:
-        p0 = args.p0
-    else:
-        p0 = np.sqrt(max(2.0 * (args.energy - lam0), 0.0)) if args.energy else 1.0
+    p0 = args.p0 if args.p0 is not None else 1.0
+    if not (np.isfinite(args.x0) and np.isfinite(p0)):
+        # simulate's message, given before anything evaluates V at x0
+        raise RuntimeError(f"non-finite initial state in lane 0 "
+                           f"(X = {np.array([args.x0])}, p = {np.array([p0])})")
+    if args.p0 is None and args.energy:
+        lam0 = espec.eigen_at(model, args.x0)[0][0]
+        p0 = np.sqrt(max(2.0 * (args.energy - lam0), 0.0))
     phi = None
     if args.scheme == "ehrenfest":
         phi = dynamics.initial_electron_state(model, args.x0, p0, M,

@@ -3,7 +3,9 @@
 Deterministic: Ehrenfest (Strang splitting with exact electron rotation) and
 Born-Oppenheimer (Stoermer-Verlet on the ground surface).  Stochastic:
 Langevin (BAOAB) and Smoluchowski (Euler-Maruyama), both with unit mass in
-the slow variables and the ground eigenvalue as potential.
+the slow variables and the ground eigenvalue as potential.  Ehrenfest rotates
+by the family's closed-form propagator exp(-i sqrt(M) dt V) and makes no
+eigensolve; only branch-following Born-Oppenheimer solves V(X) every step.
 
 Each scheme has one step kernel over B stacked lanes: positions X (B,),
 momenta p (B,), electron or branch vectors (B, d), with per-lane step sizes
@@ -15,6 +17,7 @@ new one.
 """
 
 from dataclasses import dataclass, field
+from math import isfinite
 
 import numpy as np
 
@@ -46,6 +49,8 @@ DEFAULT_C_STEP = 0.1
 _ENERGY_CHUNK = 4096
 # noise values a lane of known step count draws from its stream at once
 _NOISE_BLOCK = 4096
+# the squared amplitude norm an Ehrenfest step accepts
+_NORM_LOW, _NORM_HIGH = 1.0 - 1e-8, 1.0 + 1e-8
 # a family gap floor this far above the degeneracy tolerance (and far above
 # the rounding of the computed levels) rules out a degenerate ground level
 _SAFE_GAP_FLOOR = 1e3 * espec._DEGENERACY_TOL
@@ -108,7 +113,8 @@ class Trajectory:
 #
 # A kernel step maps (X, p, vec, z, F) of the active lanes to the same tuple
 # one step later; F is the force at the step's start, which the step returns
-# for its end so that the next step need not evaluate it again.  ``par``
+# for its end so that the next step need not evaluate it again (Ehrenfest
+# carries the squared amplitude norm beside it, lane by lane).  ``par``
 # holds the per-lane constants built by ``_lane_params``.
 
 
@@ -127,8 +133,17 @@ def _form(v, A):
 
 
 def _ehrenfest_force(dV, phi):
-    """-<phi, dV/dX phi> per lane."""
-    return -_expectation(phi, dV).real
+    """-<phi, dV/dX phi> and |phi|^2 per lane, as the columns of a (B, 2) array.
+
+    For phi = u + i v and a real dV, <phi, dV phi> = u dV u + v dV v.  The
+    float view w of phi holds the pairs (u_k, v_k), so dV acts on the (d, 2)
+    reshape of w, and the force and the norm are sums of w * (dV w) and w * w.
+    """
+    w = phi.view(float)
+    out = np.empty((phi.shape[0], 2))
+    out[:, 0] = -(w * (dV @ w.reshape(phi.shape + (2,))).reshape(w.shape)).sum(axis=1)
+    out[:, 1] = (w * w).sum(axis=1)
+    return out
 
 
 def _ehrenfest_start(model, par, X, phi):
@@ -136,22 +151,22 @@ def _ehrenfest_start(model, par, X, phi):
 
 
 def _ehrenfest_step(model, par, X, p, phi, z, F):
-    """Strang step: half-kick, drift, exact electron rotation at the midpoint, half-kick."""
-    norm = (phi.conj()[:, None, :] @ phi[:, :, None]).real
-    if norm.max() > 1.0 + 1e-8 or norm.min() < 1.0 - 1e-8:
-        raise ValueError("electron amplitude must be normalized to 1e-8")
+    """Strang step: half-kick, drift, exact electron rotation at the midpoint, half-kick.
+
+    F carries the squared norm of phi beside the force (``_ehrenfest_force``),
+    and the step first checks it; the rotation exp(-i sqrt(M) dt V(X_mid)) is
+    the family's closed-form propagator.
+    """
+    for norm in F[:, 1].tolist():
+        if not _NORM_LOW <= norm <= _NORM_HIGH:
+            raise ValueError("electron amplitude must be normalized to 1e-8")
     dt, half = par["dt"], par["half"]
-    p_half = p + half * F
+    p_half = p + half * F[:, 0]
     X1 = X + dt * p_half
-    X_mid = X + half * p_half
-    # the midpoint potential and the end force in one evaluation
-    V, dV = model_mod.potential_and_derivative(model, np.concatenate([X_mid, X1]))
-    B = X.size
-    lam, U = espec._eigh(V[:B], X_mid)
-    phase = np.exp(par["spin"] * lam * par["dt_col"])
-    phi1 = (U @ (phase[:, :, None] * (U.transpose(0, 2, 1) @ phi[:, :, None])))[:, :, 0]
-    F1 = _ehrenfest_force(dV[B:], phi1)
-    p1 = p_half + half * F1
+    P = model_mod.electron_propagator(model, X + half * p_half, par["rate"])
+    phi1 = (P @ phi[:, :, None])[:, :, 0]
+    F1 = _ehrenfest_force(model_mod.potential_derivative(model, X1), phi1)
+    p1 = p_half + half * F1[:, 0]
     z1 = z + par["sixth"] * (p * p + 4.0 * (p_half * p_half) + p1 * p1)
     return X1, p1, phi1, z1, F1
 
@@ -315,8 +330,7 @@ def _lane_params(model, scheme, B, dt, M=None, T=None, K=None, force=None,
             raise ResolutionError(
                 f"dt = {dt[i]} exceeds the Ehrenfest stiffness guard {dt_max[i]}",
                 required=float(dt_max[i]))
-        par["spin"] = -1j * np.sqrt(M)[:, None]
-        par["dt_col"] = dt[:, None]
+        par["rate"] = np.sqrt(M) * dt
     elif scheme in ("langevin", "smoluchowski"):
         if scheme == "langevin" and (T < 0.0 or K <= 0.0):
             raise ValueError("Langevin needs T >= 0 and K > 0")
@@ -524,11 +538,13 @@ def simulate_ensemble(model, inits, scheme, T_final, dt, surface=None, rng=None,
     F = None
 
     def retire(keep):
-        nonlocal lanes, cols, X, p, vec, z, F, t, par, n_steps, budget, n_hit, bounds
+        nonlocal lanes, cols, X, p, vec, z, F, t, par, n_steps, budget, n_hit, bounds, band
         steps_done[lanes[~keep]] = i
         lanes, X, p, z, t = lanes[keep], X[keep], p[keep], z[keep], t[keep]
         cols = lanes
-        bounds = None if bounds is None else tuple(a[keep] for a in bounds)
+        if bounds is not None:
+            bounds = tuple(a[keep] for a in bounds)
+            band = bounds[1].tolist(), bounds[2].tolist()
         n_steps, budget, n_hit = n_steps[keep], budget[keep], n_hit[keep]
         vec = None if vec is None else vec[keep]
         F = None if F is None else F[keep]
@@ -536,7 +552,10 @@ def simulate_ensemble(model, inits, scheme, T_final, dt, surface=None, rng=None,
                for k, v in par.items()}
 
     L = model.L
-    bounds = None if surface is None else _next_surface(surface, L, X)
+    bounds = band = None
+    if surface is not None:
+        bounds = _next_surface(surface, L, X)
+        band = bounds[1].tolist(), bounds[2].tolist()
     i = 0
     if not (n_steps > 0).all():
         retire(n_steps > 0)
@@ -547,17 +566,22 @@ def simulate_ensemble(model, inits, scheme, T_final, dt, surface=None, rng=None,
     while lanes.size:
         X1, p1, vec1, z1, F1 = step(model, par, X, p, vec, z, F)
         t1 = t + par["dt"]
-        # the initial momenta are finite, so a step that keeps them does too
-        if not (np.isfinite(X1).all() and (not moves_p or np.isfinite(p1).all())):
+        # the guards reduce Python lists: at a few lanes a numpy reduction
+        # costs more than the loop.  The initial momenta are finite, so a
+        # step that keeps them does too.
+        xs = X1.tolist()
+        if not all(map(isfinite, xs + p1.tolist() if moves_p else xs)):
             k = int(np.argmin(np.isfinite(X1) & np.isfinite(p1)))
             raise RuntimeError(f"non-finite state at t = {t1[k]:.6g} "
                                f"(X = {X1[k:k + 1]}, p = {p1[k:k + 1]}); aborting")
         i += 1
         spent = False
-        if bounds is not None and ((X1 < bounds[1]) | (X1 > bounds[2])).any():
+        if bounds is not None and any(
+                x < lo or x > hi for x, lo, hi in zip(xs, *band)):
             # the drift left its band: look for a crossing, and move the band
             target = bounds[0]
             bounds = _next_surface(surface, L, X1)
+            band = bounds[1].tolist(), bounds[2].tolist()
             crossed = (X < target) & (target <= X1)
             if crossed.any():
                 dt_a = par["dt"]

@@ -3,10 +3,11 @@
 Every other module operates on a :class:`ModelSystem`: a d-level real
 symmetric potential matrix V(X) on a torus of length L, together with the
 nuclear mass, temperature and friction parameters.  Registered families
-carry closed forms for V, its X-derivatives, and its ascending eigenvalues
-with their X-derivatives, evaluated on whole arrays of X at once: a scalar
-X gives one (d, d) matrix, an array of n points an (n, d, d) stack whose
-entries equal the per-point values bit for bit.
+carry closed forms for V, its X-derivatives, its ascending eigenvalues
+with their X-derivatives, and the electron propagator exp(-i a V), evaluated
+on whole arrays of X at once: a scalar X gives one (d, d) matrix, an array
+of n points an (n, d, d) stack whose entries equal the per-point values bit
+for bit.
 """
 
 import json
@@ -24,6 +25,7 @@ __all__ = [
     "potential_second_derivative",
     "eigenvalues_closed_form",
     "levels_and_slopes",
+    "electron_propagator",
     "list_families",
 ]
 
@@ -73,13 +75,15 @@ class ModelSystem:
     """A validated finite-level model; immutable and safe to share.
 
     The family callables take a 1-D array of n points: ``_fields`` returns V
-    and dV/dX as (n, d, d) stacks, ``_second_derivative`` the (n, d, d)
-    stack of d2V/dX2 (None: finite differences of dV), and ``_levels`` the
-    eigenvalues of V in ascending order and their X-derivatives, (n, d)
-    each, in closed form.  Every family provides ``_levels``, and its order
-    must hold at every X without a run-time sort, so the ground level and
-    its slope are column 0.  ``gap_floor`` is a closed-form lower bound on
-    lambda_1 - lambda_0 over all X (inf for d = 1).
+    and dV/dX as (n, d, d) stacks, ``_derivative`` the same dV/dX bit for
+    bit without V (None: from ``_fields``), ``_second_derivative`` the
+    (n, d, d) stack of d2V/dX2 (None: finite differences of dV), ``_levels``
+    the eigenvalues of V in ascending order and their X-derivatives, (n, d)
+    each, and ``_propagator`` (with a second array of n rates a) the complex
+    (n, d, d) stack exp(-i a V), all in closed form.  Every family provides
+    ``_levels``, and its order must hold at every X without a run-time sort,
+    so the ground level and its slope are column 0.  ``gap_floor`` is a
+    closed-form lower bound on lambda_1 - lambda_0 over all X (inf for d = 1).
     """
 
     family: str
@@ -91,7 +95,9 @@ class ModelSystem:
     K: float
     _fields: callable = field(repr=False)
     _levels: callable = field(repr=False)
+    _propagator: callable = field(repr=False)
     gap_floor: float
+    _derivative: callable = field(repr=False, default=None)
     _second_derivative: callable = field(repr=False, default=None)
 
     def potential(self, X):
@@ -120,6 +126,21 @@ def _pair(a, b):
     return out
 
 
+def _reflection_propagator(c, a, b):
+    """Stacked c I - i [[a, b], [b, -a]].
+
+    For a 2 x 2 V = rho R with R^2 = I, exp(-i t V) = cos(t rho) I
+    - i sin(t rho) R; c = cos(t rho) and [[a, b], [b, -a]] = sin(t rho) R.
+    """
+    out = np.zeros(c.shape + (2, 2, 2))     # real and imaginary parts last
+    out[:, 0, 0, 0] = c
+    out[:, 1, 1, 0] = c
+    out[:, 0, 0, 1] = -a
+    out[:, 1, 1, 1] = a
+    out[:, 0, 1, 1] = out[:, 1, 0, 1] = -b
+    return out.view(complex)[..., 0]
+
+
 def _free(params, L, d):
     if d != 1:
         raise ValueError("family 'free' has d = 1")
@@ -127,8 +148,11 @@ def _free(params, L, d):
     def zeros(X, *tail):
         return np.zeros((X.size,) + tail)
 
-    return (lambda X: (zeros(X, 1, 1), zeros(X, 1, 1)),
-            lambda X: zeros(X, 1, 1), lambda X: (zeros(X, 1), zeros(X, 1)), np.inf)
+    return dict(_fields=lambda X: (zeros(X, 1, 1), zeros(X, 1, 1)),
+                _second_derivative=lambda X: zeros(X, 1, 1),
+                _levels=lambda X: (zeros(X, 1), zeros(X, 1)),
+                _propagator=lambda X, a: np.ones((X.size, 1, 1), dtype=complex),
+                gap_floor=np.inf)
 
 
 def _scalar_cos(params, L, d):
@@ -137,9 +161,11 @@ def _scalar_cos(params, L, d):
     a = float(params.get("a", 0.1))
     w = TWO_PI / L
 
+    def derivative(X):
+        return (-a * w * np.sin(w * X))[:, None, None]
+
     def fields(X):
-        wX = w * X
-        return (a * np.cos(wX))[:, None, None], (-a * w * np.sin(wX))[:, None, None]
+        return (a * np.cos(w * X))[:, None, None], derivative(X)
 
     def d2pot(X):
         return (-a * w * w * np.cos(w * X))[:, None, None]
@@ -148,7 +174,11 @@ def _scalar_cos(params, L, d):
         wX = w * X
         return (a * np.cos(wX))[:, None], (-a * w * np.sin(wX))[:, None]
 
-    return fields, d2pot, levels, np.inf
+    def propagator(X, rate):
+        return np.exp(-1j * (rate * (a * np.cos(w * X))))[:, None, None]
+
+    return dict(_fields=fields, _derivative=derivative, _second_derivative=d2pot,
+                _levels=levels, _propagator=propagator, gap_floor=np.inf)
 
 
 def _two_level_gap(params, L, d):
@@ -160,9 +190,13 @@ def _two_level_gap(params, L, d):
     if delta <= 0.0:
         raise ValueError("two_level_gap requires delta > 0")
 
+    def derivative(X):
+        s = np.sin(X)
+        return _sym2(-s, 0.0, s)
+
     def fields(X):
-        c, s = np.cos(X), np.sin(X)
-        return _sym2(c, delta, -c), _sym2(-s, 0.0, s)
+        c = np.cos(X)
+        return _sym2(c, delta, -c), derivative(X)
 
     def d2pot(X):
         c = np.cos(X)
@@ -174,8 +208,17 @@ def _two_level_gap(params, L, d):
         slope = c * np.sin(X) / r
         return _pair(-r, r), _pair(slope, -slope)
 
+    def propagator(X, rate):
+        # V = rho R with rho = hypot(cos X, delta) >= delta > 0 and R = V / rho
+        c = np.cos(X)
+        rho = np.hypot(c, delta)
+        arg = rate * rho
+        f = np.sin(arg) / rho
+        return _reflection_propagator(np.cos(arg), f * c, f * delta)
+
     # lambda_1 - lambda_0 = 2 hypot(cos X, delta)
-    return fields, d2pot, levels, 2.0 * delta
+    return dict(_fields=fields, _derivative=derivative, _second_derivative=d2pot,
+                _levels=levels, _propagator=propagator, gap_floor=2.0 * delta)
 
 
 def _two_level_cross(params, L, d):
@@ -190,6 +233,10 @@ def _two_level_cross(params, L, d):
         s, c = np.sin(X), np.cos(X)
         return _sym2(s, 1.0 - c, -s), _sym2(c, s, -c)
 
+    def derivative(X):
+        s, c = np.sin(X), np.cos(X)
+        return _sym2(c, s, -c)
+
     def d2pot(X):
         s, c = np.sin(X), np.cos(X)
         return _sym2(-s, c, s)
@@ -200,7 +247,16 @@ def _two_level_cross(params, L, d):
         slope = np.sign(s) * np.cos(X / 2.0)
         return _pair(-r, r), _pair(-slope, slope)
 
-    return fields, d2pot, levels, 0.0
+    def propagator(X, rate):
+        # rho = 2 sin(X/2), signed, and R = R(X/2): no division, so the form
+        # is exact through the crossing
+        s, c = np.sin(X / 2.0), np.cos(X / 2.0)
+        arg = rate * (2.0 * s)
+        sa = np.sin(arg)
+        return _reflection_propagator(np.cos(arg), sa * c, sa * s)
+
+    return dict(_fields=fields, _derivative=derivative, _second_derivative=d2pot,
+                _levels=levels, _propagator=propagator, gap_floor=0.0)
 
 
 def _multi_level(params, L, d):
@@ -232,16 +288,26 @@ def _multi_level(params, L, d):
         c, s = np.cos(wX)[:, None], np.sin(wX)[:, None]
         return (a0 * c + g) + eps * c, rate * s
 
+    def rotation(s):
+        """Q = exp(rot sin(w X) A) for the column s of sin(w X)."""
+        return ((U * np.exp(rot * s * omega)[:, None, :]) @ U_inv).real
+
     def fields(X):
         # V and dV/dX share the rotation Q(X), so they are built together
         wX = w * X
         c, s = np.cos(wX)[:, None], np.sin(wX)[:, None]
-        Q = ((U * np.exp(rot * s * omega)[:, None, :]) @ U_inv).real
+        Q = rotation(s)
         QT = Q.transpose(0, 2, 1)
         V = (Q * ((a0 * c + g) + eps * c)[:, None, :]) @ QT
         dlam = -a0 * w * s - (eps * w) * s
         dV = (rot * w * c)[:, :, None] * (A @ V - V @ A) + (Q * dlam[:, None, :]) @ QT
         return 0.5 * (V + V.transpose(0, 2, 1)), 0.5 * (dV + dV.transpose(0, 2, 1))
+
+    def propagator(X, a):
+        # Q diag(exp(-i a lambda)) Q^T with the rotation Q of ``fields``
+        Q = rotation(np.sin(w * X)[:, None])
+        phase = np.exp(-1j * (a[:, None] * levels(X)[0]))
+        return (Q * phase[:, None, :]) @ Q.transpose(0, 2, 1)
 
     # the levels must stay ascending for adiabatic labelling; adjacent gaps
     # are linear in cos(w X), so their extremes are at X = 0 and X = L/2
@@ -249,7 +315,8 @@ def _multi_level(params, L, d):
         raise ValueError("multi_level gap profiles must be positive and ordered")
 
     # lambda_1 - lambda_0 = g_1 + eps_1 cos(w X)
-    return fields, None, levels, g[1] - abs(eps[1])
+    return dict(_fields=fields, _levels=levels, _propagator=propagator,
+                gap_floor=g[1] - abs(eps[1]))
 
 
 _FAMILIES = {
@@ -281,11 +348,10 @@ def build_model(spec):
         raise ValueError("temperature must be >= 0")
     if spec.K <= 0.0:
         raise ValueError("friction parameter must be > 0")
-    fields_, d2pot, levels, gap_floor = _FAMILIES[spec.family](spec.params, spec.L, spec.d)
+    parts = _FAMILIES[spec.family](spec.params, spec.L, spec.d)
+    parts["gap_floor"] = float(parts["gap_floor"])
     return ModelSystem(family=spec.family, params=dict(spec.params), L=spec.L,
-                       d=spec.d, M=tuple(spec.M), T=spec.T, K=spec.K,
-                       _fields=fields_, _levels=levels, gap_floor=float(gap_floor),
-                       _second_derivative=d2pot)
+                       d=spec.d, M=tuple(spec.M), T=spec.T, K=spec.K, **parts)
 
 
 def _stacked(fn, X, tail):
@@ -316,6 +382,8 @@ def potential_derivative(model, X, method="analytic"):
     available as an independent code path for cross-checks.
     """
     if method == "analytic":
+        if model._derivative is not None:
+            return _stacked(model._derivative, X, (model.d, model.d))
         return potential_and_derivative(model, X)[1]
     if method == "fd":
         X = np.asarray(X, dtype=float)
@@ -350,3 +418,19 @@ def levels_and_slopes(model, X):
 def eigenvalues_closed_form(model, X):
     """Ascending eigenvalues of V(X) from the family closed form."""
     return levels_and_slopes(model, X)[0]
+
+
+def electron_propagator(model, X, a):
+    """exp(-i a V(X)) from the family closed form, with no eigensolve.
+
+    A scalar X gives one complex (d, d) matrix, an array of points an
+    X.shape + (d, d) stack; ``a`` is one rate or one per point.
+    """
+    X = np.asarray(X, dtype=float)
+    a = np.asarray(a, dtype=float)
+    if a.shape != X.shape:
+        a = np.broadcast_to(a, X.shape)
+    if X.ndim == 1:
+        return model._propagator(X, a)
+    P = model._propagator(X.reshape(-1), a.reshape(-1))
+    return P.reshape(X.shape + (model.d, model.d))

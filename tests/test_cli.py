@@ -72,6 +72,7 @@ def test_run_stochastic(tmp_path, cos_config):
     assert header == ["t", "X", "p", "H", "z"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("option", [["--p0", "nan"], ["--p0=-inf"],
                                     ["--x0", "nan"], ["--x0", "inf"]])
 def test_run_smoluchowski_rejects_nonfinite_start(tmp_path, gap_config, capsys, option):

@@ -551,6 +551,81 @@ def test_kernels_match_the_scalar_reference_steps():
                 assert abs(p - traj.p[i, 0]) < 1e-12 and abs(z - traj.z[i]) < 1e-12
 
 
+@pytest.mark.parametrize("spec, X0, p0", [
+    # through the crossing at X = 0
+    (ModelSpec(family="two_level_cross", d=2), -1.5, 2.0),
+    (ModelSpec(family="multi_level", d=3,
+               params={"a0": 0.1, "gaps": [[0.8, 0.12], [1.6, 0.16]], "rot": 0.3}), 1.0, 1.6),
+    (ModelSpec(family="scalar_cos", params={"a": 0.2}), 0.3, 1.4),
+])
+def test_ehrenfest_matches_the_eigh_reference_steps(spec, X0, p0):
+    m = build_model(spec)
+    n, dt, M = 1500, 1e-3, 1024.0
+    X, p, z = X0, p0, 0.0
+    phi = dynamics.initial_electron_state(m, X, p, M)
+    traj = dynamics.simulate(m, dynamics.PhaseState.make(X, p, phi=phi), "ehrenfest",
+                             T_final=n * dt, dt=dt, M=M)
+    assert traj.t.size == n + 1
+    for i in range(1, n + 1):
+        X, p, phi, z = _reference_step_ehrenfest(m, X, p, phi, z, dt, M)
+        assert abs(X - traj.X[i, 0]) < 1e-12 and abs(p - traj.p[i, 0]) < 1e-12
+        assert abs(z - traj.z[i]) < 1e-12 and np.abs(phi - traj.phi[i]).max() < 1e-12
+    if spec.family == "two_level_cross":
+        assert traj.X[0, 0] < 0.0 < traj.X[-1, 0]
+
+
+def _no_eigensolve(*args, **kwargs):
+    raise AssertionError("eigensolve called")
+
+
+@pytest.mark.parametrize("spec", [
+    ModelSpec(family="free"), ModelSpec(family="scalar_cos", params={"a": 0.2}),
+    ModelSpec(family="two_level_gap", params={"delta": 0.25}, d=2),
+    ModelSpec(family="two_level_cross", d=2),
+    ModelSpec(family="multi_level", d=3,
+              params={"a0": 0.1, "gaps": [[0.8, 0.12], [1.6, 0.16]], "rot": 0.3}),
+])
+def test_ehrenfest_makes_no_eigensolve(monkeypatch, spec):
+    m = build_model(spec)
+    M = 1024.0
+    inits = [dynamics.PhaseState.make(X0, p0, phi=dynamics.initial_electron_state(m, X0, p0, M))
+             for X0, p0 in ((-0.5, 1.5), (2.0, 1.2), (4.0, 0.9))]
+    monkeypatch.setattr(np.linalg, "eigh", _no_eigensolve)
+    monkeypatch.setattr(espec, "_eigh", _no_eigensolve)
+    traj = dynamics.simulate(m, inits[0], "ehrenfest", T_final=1.0, dt=1e-3, M=M,
+                             surface=0.0)
+    assert traj.t.size == 1001 and np.isfinite(traj.H).all()
+    dynamics.simulate_ensemble(m, inits, "ehrenfest", T_final=[1.0, 0.5, 0.8], dt=1e-3,
+                               M=M, surface=1.0, max_hits=[None, 1, None])
+    dynamics.step_ehrenfest(m, inits[1], 1e-3, M)
+
+
+def test_ehrenfest_ensemble_guards():
+    m = gap_model()
+    M = 1024.0
+    phi = dynamics.initial_electron_state(m, 1.0, 1.2, M)
+
+    def run(states):
+        return dynamics.simulate_ensemble(m, states, "ehrenfest", T_final=0.1, dt=1e-3, M=M)
+
+    good = [dynamics.PhaseState.make(X0, 1.2, phi=phi) for X0 in (0.5, 1.0, 1.5)]
+    assert len(run(good)) == 3
+    for field, value in (("X", np.nan), ("X", np.inf), ("p", np.nan), ("p", -np.inf)):
+        states = list(good)
+        states[1] = dynamics.PhaseState.make(**{"X": 1.0, "p": 1.2, field: value}, phi=phi)
+        with pytest.raises(RuntimeError, match="non-finite initial state in lane 1"):
+            run(states)
+    # an amplitude off the unit norm, or a NaN one, in one lane; also through
+    # the one-lane step
+    for bad in (1.001 * phi, np.array([np.nan, 0.0], dtype=complex)):
+        states = list(good)
+        states[2] = dynamics.PhaseState.make(1.5, 1.2, phi=bad)
+        with pytest.raises(ValueError, match="normalized to 1e-8"):
+            run(states)
+        with pytest.raises(ValueError, match="normalized to 1e-8"):
+            dynamics.step_ehrenfest(m, states[2], 1e-3, M)
+
+
 # ------------------------------------------------------------ time_average
 
 def test_time_average_constant_is_exact():

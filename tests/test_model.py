@@ -3,6 +3,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from qcmd import ModelSpec, build_model, model
 
@@ -135,6 +136,27 @@ def test_array_evaluation_matches_per_point_bitwise(family, params, d):
         assert np.array_equal(lam[i], lam_x) and np.array_equal(dlam[i], dlam_x)
     # a point evaluated inside a different stack gives the same bits
     assert np.array_equal(model.evaluate_potential(m, xs[5:8])[1], V[6])
+    # the propagator, with one rate for all points and one rate per point
+    rates = np.linspace(0.01, 3.0, xs.size)
+    P, P_lanes = model.electron_propagator(m, xs, 0.7), model.electron_propagator(m, xs, rates)
+    assert P.shape == (xs.size, d, d) and P.dtype == complex
+    for i, x in enumerate(xs):
+        assert np.array_equal(P[i], model.electron_propagator(m, x, 0.7))
+        assert np.array_equal(P_lanes[i], model.electron_propagator(m, x, rates[i]))
+
+
+@pytest.mark.parametrize("family, params, d", FAMILIES)
+def test_electron_propagator_matches_expm(family, params, d):
+    m = build_model(ModelSpec(family=family, params=params, d=d))
+    # X = 0 and X = L (the crossing of two_level_cross at 0 and 2 pi) are grid points
+    xs = np.linspace(0.0, m.L, 4097)
+    assert xs[0] == 0.0 and xs[-1] == m.L
+    V = model.evaluate_potential(m, xs)
+    for a in (1e-3, 0.032, 0.1, 1.0, 7.5):
+        P = model.electron_propagator(m, xs, a)
+        assert np.abs(P - expm(-1j * a * V)).max() < 1e-13
+        unitarity = P @ P.conj().transpose(0, 2, 1) - np.eye(d)
+        assert np.abs(unitarity).max() < 1e-14
 
 
 @pytest.mark.parametrize("family, params, d", [
