@@ -14,10 +14,20 @@ numbers do not depend on the other lanes.  ``simulate_ensemble`` drives the
 kernels in lockstep, ``simulate`` is its one-lane case, and the public step
 functions are pure one-lane wrappers: they take a PhaseState and return a
 new one.
+
+Ehrenfest has a second path.  At a few lanes each numpy call of the
+lockstep kernel costs mostly its fixed overhead, so an ensemble of at most
+``_FLOAT_LANES`` lanes on one of the two traceless two-level families runs
+its lanes one after another as a loop over Python floats
+(``_float_lane``), from the family's per-point float closed forms of the
+propagator and of dV/dX; it keeps the kernel's guards, hit detection and
+records, and agrees with it to rounding.  ``step_ehrenfest`` is a one-step
+``simulate`` and so takes the same path.  Wider ensembles, ``multi_level``
+and the d = 1 families stay on the lockstep kernel.
 """
 
 from dataclasses import dataclass, field
-from math import isfinite
+from math import inf, isfinite
 
 import numpy as np
 
@@ -49,6 +59,13 @@ DEFAULT_C_STEP = 0.1
 _ENERGY_CHUNK = 4096
 # noise values a lane of known step count draws from its stream at once
 _NOISE_BLOCK = 4096
+# Ehrenfest ensembles of at most this many lanes on a two-level family run
+# lane after lane over Python floats (``_float_lane``), wider ones in
+# lockstep.  Measured on both families (M = 1024, 4000 steps a lane, 2-core
+# host): a float lane-step costs 3-4 us, a lockstep iteration 70-90 us at
+# 12-24 lanes, so the float lanes take 0.6, 0.8, 1.0 and 1.1-1.3 times the
+# lockstep's time at 12, 16, 20 and 24 lanes.
+_FLOAT_LANES = 16
 # the squared amplitude norm an Ehrenfest step accepts
 _NORM_LOW, _NORM_HIGH = 1.0 - 1e-8, 1.0 + 1e-8
 # a family gap floor this far above the degeneracy tolerance (and far above
@@ -175,14 +192,16 @@ def _ground_force(model, X):
     """Minus the closed-form slope of the sorted ground level on every lane.
 
     An exact degeneracy makes the force undefined; the levels are tested for
-    one only when the family's gap floor does not rule it out.
+    one only when the family's gap floor does not rule it out, and otherwise
+    only the ground slope is evaluated.
     """
+    if model.gap_floor > _SAFE_GAP_FLOOR:
+        return -model_mod.ground_slope(model, X)
     lam, slopes = model_mod.levels_and_slopes(model, X)
-    if model.gap_floor <= _SAFE_GAP_FLOOR:
-        degenerate = lam[:, 1] - lam[:, 0] < espec._DEGENERACY_TOL
-        if degenerate.any():
-            x = X[np.argmax(degenerate)]
-            raise CrossingError(f"lambda_0 is degenerate at X = {x}; force undefined")
+    degenerate = lam[:, 1] - lam[:, 0] < espec._DEGENERACY_TOL
+    if degenerate.any():
+        x = X[np.argmax(degenerate)]
+        raise CrossingError(f"lambda_0 is degenerate at X = {x}; force undefined")
     return -slopes[:, 0]
 
 
@@ -404,6 +423,8 @@ def initial_electron_state(model, X, p, M, perp_correction=False):
     The dressed state adds i M^{-1/2} (V - lambda_0)^{-1} (p . d/dX) of the
     ground eigenvector, projected off the ground level, then renormalizes.
     """
+    if not (isfinite(M) and M >= 1.0):
+        raise ValueError(f"Ehrenfest needs finite masses M >= 1, got {M}")
     lam, vec = espec.eigen_at(model, float(X))
     phi = vec[:, 0].astype(complex)
     if perp_correction and model.d > 1:
@@ -423,13 +444,10 @@ def initial_electron_state(model, X, p, M, perp_correction=False):
 
 
 def step_ehrenfest(model, state, dt, M, c_step=DEFAULT_C_STEP):
-    """One Strang step: half-kick, drift, exact electron rotation at the midpoint, half-kick."""
-    par = _lane_params(model, "ehrenfest", 1, dt, M=M, c_step=c_step)
-    phi = np.array([state.phi], dtype=complex)
-    F = _ehrenfest_start(model, par, state.X, phi)
-    X1, p1, phi1, z1, _ = _ehrenfest_step(model, par, state.X, state.p, phi,
-                                          np.array([state.z]), F)
-    return PhaseState(X=X1, p=p1, phi=phi1[0], z=float(z1[0]), t=state.t + dt)
+    """One Strang step: half-kick, drift, exact electron rotation at the midpoint,
+    half-kick; a one-step :func:`simulate`, so it takes the same path."""
+    traj = simulate(model, state, "ehrenfest", T_final=dt, dt=dt, M=M, c_step=c_step)
+    return traj.state(1)
 
 
 def step_bo(model, state, dt):
@@ -476,63 +494,92 @@ def step_smoluchowski(model, state, dt, T, rng, force=None):
 # ---------------------------------------------------------------- drivers
 
 
-def simulate_ensemble(model, inits, scheme, T_final, dt, surface=None, rng=None,
-                      M=None, T=None, K=None, force=None, record_every=1,
-                      c_step=DEFAULT_C_STEP, max_hits=None):
-    """Integrate one trajectory per initial state, all lanes in lockstep.
+def _check_steps(scheme, dt, T_final, M):
+    """Reject per-lane step sizes, run lengths and Ehrenfest masses that no
+    run can use."""
+    if not (np.isfinite(dt) & (dt > 0.0)).all():
+        raise ValueError(f"dt must be finite and positive, got {dt}")
+    if not (np.isfinite(T_final) & (T_final >= 0.0)).all():
+        raise ValueError(f"T_final must be finite and nonnegative, got {T_final}")
+    if scheme == "ehrenfest" and not (np.isfinite(M) & (M >= 1.0)).all():
+        raise ValueError(f"Ehrenfest needs finite masses M >= 1, got {M}")
 
-    ``T_final``, ``dt``, ``M`` and ``max_hits`` take one value for all lanes
-    or one per lane; a stochastic scheme takes one generator per lane in
-    ``rng`` (a single generator for a single lane), and ``force`` maps the
-    positions of the lanes (B,) to their forces (B,).  Hitting records are
-    appended each time a lane crosses {X = surface mod L} in the positive
-    direction; the crossing is located inside the drift substep, where the
-    position is linear in time.  A lane retires when its steps or its hit
-    budget run out.  Every recorded state's energy is evaluated after the
-    loop.  Each returned Trajectory equals bit for bit the one its lane
-    gives alone.
+
+def _float_lane(model, X, p, phi, z, t, dt, rate, n_steps, budget, surface,
+                record_every, rows):
+    """One Ehrenfest lane of a traceless two-level family over Python floats.
+
+    The step of ``_ehrenfest_step`` written out for V and dV/dX of the form
+    [[alpha, beta], [beta, -alpha]] (``ModelSystem._float_forms``): the
+    amplitude is the four floats phi = (u0 + i v0, u1 + i v1), the
+    propagator at the drift midpoint cos(a rho) I - i sin(a rho) R acts on
+    them in closed form, and the force -<phi, dV phi> is
+    -(alpha' (|phi0|^2 - |phi1|^2) + 2 beta' Re(conj(phi0) phi1)).  Guards,
+    hit detection, records and retirement are those of ``_lockstep``.
+
+    ``rows`` holds the lane's record columns X, p, z, u0, v0, u1, v1, each
+    written in place from row 1 on.  Returns the steps taken and the hits.
     """
-    if scheme not in _KERNELS:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    inits = list(inits)
-    B = len(inits)
-    if scheme == "ehrenfest" and any(s.phi is None for s in inits):
-        raise ValueError("Ehrenfest needs an electron amplitude in the initial state")
-    if scheme in ("langevin", "smoluchowski"):
-        T = model.T if T is None else T
-        K = model.K if K is None else K
-        if rng is None:
-            raise ValueError("stochastic schemes need an rng")
-    dt_lane = _per_lane(dt, B)  # par["dt"] shrinks as lanes retire
-    n_steps = np.floor(_per_lane(T_final, B) / dt_lane + 1e-9).astype(int)
-    per_lane_hits = max_hits if isinstance(max_hits, (list, tuple)) else [max_hits] * B
-    budget = np.array([np.inf if h is None else h for h in per_lane_hits], dtype=float)
-    par = _lane_params(model, scheme, B, dt_lane, M=M, T=T, K=K, force=force, rng=rng,
-                       c_step=c_step, n_steps=n_steps, budget=budget)
-    X = np.array([s.X[0] for s in inits], dtype=float)
-    p = np.array([s.p[0] for s in inits], dtype=float)
-    finite = np.isfinite(X) & np.isfinite(p)
-    if not finite.all():
-        k = int(np.argmin(finite))
-        raise RuntimeError(f"non-finite initial state in lane {k} "
-                           f"(X = {X[k:k + 1]}, p = {p[k:k + 1]})")
-    z = np.array([s.z for s in inits], dtype=float)
-    t = np.array([s.t for s in inits], dtype=float)
-    t0 = t.copy()
-    vec, vec_rec = _lane_vectors(model, scheme, inits)
+    propagator, slope = model._float_forms
+    L = model.L
+    X, p, z, t, dt, rate = map(float, (X, p, z, t, dt, rate))
+    half, sixth = 0.5 * dt, dt / 6.0
+    u0, v0, u1, v1 = np.asarray(phi, dtype=complex).view(float).tolist()
+    a, b = slope(X)
+    n0, n1 = u0 * u0 + v0 * v0, u1 * u1 + v1 * v1
+    F = -(a * (n0 - n1) + 2.0 * b * (u0 * u1 + v0 * v1))
+    norm = n0 + n1
+    rec_X, rec_p, rec_z, rec_u0, rec_v0, rec_u1, rec_v1 = rows
+    hits = []
+    n_hit = 0
+    target, lo, hi = -inf, -inf, inf
+    if surface is not None:
+        target, lo, hi = map(float, _next_surface(surface, L, X))
+    i = 0
+    for i in range(1, int(n_steps) + 1):
+        if not _NORM_LOW <= norm <= _NORM_HIGH:
+            raise ValueError("electron amplitude must be normalized to 1e-8")
+        p_half = p + half * F
+        X1 = X + dt * p_half
+        c, a, b = propagator(X + half * p_half, rate)
+        u0, v0, u1, v1 = (c * u0 + (a * v0 + b * v1), c * v0 - (a * u0 + b * u1),
+                          c * u1 + (b * v0 - a * v1), c * v1 - (b * u0 - a * u1))
+        a, b = slope(X1)
+        n0, n1 = u0 * u0 + v0 * v0, u1 * u1 + v1 * v1
+        F = -(a * (n0 - n1) + 2.0 * b * (u0 * u1 + v0 * v1))
+        norm = n0 + n1
+        p1 = p_half + half * F
+        z1 = z + sixth * (p * p + 4.0 * (p_half * p_half) + p1 * p1)
+        t1 = t + dt
+        if not (isfinite(X1) and isfinite(p1)):
+            raise RuntimeError(f"non-finite state at t = {t1:.6g} "
+                               f"(X = {np.array([X1])}, p = {np.array([p1])}); aborting")
+        spent = False
+        if not lo <= X1 <= hi:
+            # the drift left its band: look for a crossing, and move the band
+            if X < target <= X1:
+                frac = (target - X) / (X1 - X)
+                hits.append(HittingRecord(tau=t + frac * dt, X=target, p=(X1 - X) / dt,
+                                          theta=z + frac * (z1 - z)))
+                n_hit += 1
+                spent = n_hit >= budget
+            target, lo, hi = map(float, _next_surface(surface, L, X1))
+        X, p, z, t = X1, p1, z1, t1
+        if i % record_every == 0:
+            j = i // record_every
+            rec_X[j], rec_p[j], rec_z[j] = X, p, z
+            rec_u0[j], rec_v0[j], rec_u1[j], rec_v1[j] = u0, v0, u1, v1
+        if spent:
+            break
+    return i, hits
 
-    # records row by row, so that the pages in use grow with the rows written
-    # (the rows for T_final are allocated, a hit budget may stop far earlier);
-    # the times are rebuilt after the loop
-    R = int((n_steps // record_every).max(initial=0)) + 1
-    rec = {"X": np.empty((R, B)), "p": np.empty((R, B)), "z": np.empty((R, B))}
-    rec["X"][0], rec["p"][0], rec["z"][0] = X, p, z
-    if vec is not None:
-        rec["vec"] = np.empty((R, B, model.d), dtype=vec.dtype)
-        rec["vec"][0] = vec_rec
-    hits = [[] for _ in range(B)]
+
+def _lockstep(model, scheme, par, X, p, vec, z, t, n_steps, budget, surface,
+              record_every, rec, hits, steps_done):
+    """Drive the lanes' kernel steps in lockstep, retiring each lane when its
+    steps or its hit budget run out; fills ``rec``, ``hits`` and ``steps_done``."""
+    B = X.size
     n_hit = np.zeros(B)
-    steps_done = np.zeros(B, dtype=int)
     lanes = np.arange(B)
     cols = slice(None)          # the record columns of the active lanes
     F = None
@@ -602,9 +649,85 @@ def simulate_ensemble(model, inits, scheme, T_final, dt, surface=None, rng=None,
             retire((n_steps != i) & (n_hit < budget))
             next_end = n_steps.min(initial=np.iinfo(int).max)
 
-    spec = model.spec().to_json()
-    M_meta = (_per_lane(model.M[0] if M is None else M, B)
+
+def simulate_ensemble(model, inits, scheme, T_final, dt, surface=None, rng=None,
+                      M=None, T=None, K=None, force=None, record_every=1,
+                      c_step=DEFAULT_C_STEP, max_hits=None):
+    """Integrate one trajectory per initial state.
+
+    ``T_final``, ``dt``, ``M`` and ``max_hits`` take one value for all lanes
+    or one per lane; a stochastic scheme takes one generator per lane in
+    ``rng`` (a single generator for a single lane), and ``force`` maps the
+    positions of the lanes (B,) to their forces (B,).  Hitting records are
+    appended each time a lane crosses {X = surface mod L} in the positive
+    direction; the crossing is located inside the drift substep, where the
+    position is linear in time.  A lane retires when its steps or its hit
+    budget run out.  Every recorded state's energy is evaluated after the
+    loop.
+
+    The lanes run in lockstep through the scheme's kernel, except Ehrenfest
+    on a two-level family with at most ``_FLOAT_LANES`` lanes, whose lanes
+    run one after another over Python floats (``_float_lane``); the two
+    paths agree to rounding.  Each returned Trajectory equals bit for bit
+    the one its lane gives alone whenever the ensemble and the lane alone
+    take the same path.
+    """
+    if scheme not in _KERNELS:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    inits = list(inits)
+    B = len(inits)
+    if scheme == "ehrenfest" and any(s.phi is None for s in inits):
+        raise ValueError("Ehrenfest needs an electron amplitude in the initial state")
+    if scheme in ("langevin", "smoluchowski"):
+        T = model.T if T is None else T
+        K = model.K if K is None else K
+        if rng is None:
+            raise ValueError("stochastic schemes need an rng")
+    dt_lane = _per_lane(dt, B)
+    T_lane = _per_lane(T_final, B)
+    M_lane = (_per_lane(model.M[0] if M is None else M, B)
               if scheme == "ehrenfest" or M is not None else None)
+    _check_steps(scheme, dt_lane, T_lane, M_lane)
+    n_steps = np.floor(T_lane / dt_lane + 1e-9).astype(int)
+    per_lane_hits = max_hits if isinstance(max_hits, (list, tuple)) else [max_hits] * B
+    budget = np.array([np.inf if h is None else h for h in per_lane_hits], dtype=float)
+    par = _lane_params(model, scheme, B, dt_lane, M=M, T=T, K=K, force=force, rng=rng,
+                       c_step=c_step, n_steps=n_steps, budget=budget)
+    X = np.array([s.X[0] for s in inits], dtype=float)
+    p = np.array([s.p[0] for s in inits], dtype=float)
+    finite = np.isfinite(X) & np.isfinite(p)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise RuntimeError(f"non-finite initial state in lane {k} "
+                           f"(X = {X[k:k + 1]}, p = {p[k:k + 1]})")
+    z = np.array([s.z for s in inits], dtype=float)
+    t0 = np.array([s.t for s in inits], dtype=float)
+    vec, vec_rec = _lane_vectors(model, scheme, inits)
+
+    # records row by row, so that the pages in use grow with the rows written
+    # (the rows for T_final are allocated, a hit budget may stop far earlier);
+    # the times are rebuilt after the loop
+    R = int((n_steps // record_every).max(initial=0)) + 1
+    rec = {"X": np.empty((R, B)), "p": np.empty((R, B)), "z": np.empty((R, B))}
+    rec["X"][0], rec["p"][0], rec["z"][0] = X, p, z
+    if vec is not None:
+        rec["vec"] = np.empty((R, B, model.d), dtype=vec.dtype)
+        rec["vec"][0] = vec_rec
+    hits = [[] for _ in range(B)]
+    steps_done = np.zeros(B, dtype=int)
+    if scheme == "ehrenfest" and model._float_forms is not None and B <= _FLOAT_LANES:
+        amplitudes = rec["vec"].view(float)     # (R, B, 4): u0, v0, u1, v1
+        for b in range(B):
+            rows = [rec[key][:, b] for key in ("X", "p", "z")]
+            rows += [amplitudes[:, b, k] for k in range(4)]
+            steps_done[b], hits[b] = _float_lane(
+                model, X[b], p[b], vec[b], z[b], t0[b], dt_lane[b], par["rate"][b],
+                n_steps[b], budget[b], surface, record_every, rows)
+    else:
+        _lockstep(model, scheme, par, X, p, vec, z, t0, n_steps, budget, surface,
+                  record_every, rec, hits, steps_done)
+
+    spec = model.spec().to_json()
     out = []
     for b in range(B):
         n = steps_done[b] // record_every + 1
@@ -623,7 +746,7 @@ def simulate_ensemble(model, inits, scheme, T_final, dt, surface=None, rng=None,
             H=H, z=rec["z"][:n, b], phi=vb if scheme == "ehrenfest" else None,
             hits=hits[b],
             meta={"model": spec, "L": model.L,
-                  "M": None if M_meta is None else float(M_meta[b]), "T": T, "K": K,
+                  "M": None if M_lane is None else float(M_lane[b]), "T": T, "K": K,
                   "surface": surface, "mass_convention": "unit mass in slow variables"}))
     return out
 

@@ -2,8 +2,8 @@
 
 Gauge-continuous eigendecomposition of V(X) along grids and trajectories,
 gap and crossing diagnostics, level slopes and ground-level forces from the
-families' closed forms, Hellmann-Feynman forces of eigenvectors, and the
-gap-flatness diagnostic kappa used by the equilibrium bounds.
+families' closed forms, and the gap-flatness diagnostic kappa used by the
+equilibrium bounds.
 """
 
 from dataclasses import dataclass, field
@@ -23,7 +23,6 @@ __all__ = [
     "smooth_branches",
     "detect_gap",
     "detect_crossings",
-    "hellmann_feynman",
     "ground_force",
     "ground_curvature",
     "level_slopes",
@@ -246,18 +245,6 @@ def smooth_branches(model, grid):
     permutation = _greedy_match(vec_all[start].T @ prev)
     return BranchField(grid=grid, mu=mu, sorted_index=sorted_index,
                        permutation=permutation, start=start)
-
-
-def hellmann_feynman(field_or_model, X, n):
-    """d(lambda_n)/dX = <v_n, dV/dX v_n> for a simple eigenvalue."""
-    model = getattr(field_or_model, "model", field_or_model)
-    V, dV = model_mod.potential_and_derivative(model, X)
-    lam, vec = _eigh(V, X)
-    dist = np.abs(lam - lam[n])
-    dist[n] = np.inf
-    if dist.min() < _DEGENERACY_TOL:
-        raise CrossingError(f"lambda_{n} is degenerate at X = {X}; force undefined")
-    return float(vec[:, n] @ dV @ vec[:, n])
 
 
 def ground_force(model, X):

@@ -11,6 +11,7 @@ for bit.
 """
 
 import json
+import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -25,6 +26,7 @@ __all__ = [
     "potential_second_derivative",
     "eigenvalues_closed_form",
     "levels_and_slopes",
+    "ground_slope",
     "electron_propagator",
     "list_families",
 ]
@@ -84,6 +86,15 @@ class ModelSystem:
     ``_levels``, and its order must hold at every X without a run-time sort,
     so the ground level and its slope are column 0.  ``gap_floor`` is a
     closed-form lower bound on lambda_1 - lambda_0 over all X (inf for d = 1).
+    ``_ground_slope`` gives the ground level's slope alone, (n,), the same
+    bits as column 0 of ``_levels`` (None: from ``_levels``).
+
+    ``_float_forms`` is set by the two traceless two-level families, whose V
+    and dV/dX are both [[alpha, beta], [beta, -alpha]]: a pair of per-point
+    closed forms over Python floats, (x, a) -> (cos(a rho), s alpha_R,
+    s beta_R) for exp(-i a V(x)) = cos(a rho) I - i sin(a rho) R with
+    s = sin(a rho) and R = [[alpha_R, beta_R], [beta_R, -alpha_R]], and
+    x -> (alpha', beta') of dV/dX (None for every other family).
     """
 
     family: str
@@ -99,6 +110,8 @@ class ModelSystem:
     gap_floor: float
     _derivative: callable = field(repr=False, default=None)
     _second_derivative: callable = field(repr=False, default=None)
+    _ground_slope: callable = field(repr=False, default=None)
+    _float_forms: tuple = field(repr=False, default=None)
 
     def potential(self, X):
         return evaluate_potential(self, X)
@@ -216,9 +229,20 @@ def _two_level_gap(params, L, d):
         f = np.sin(arg) / rho
         return _reflection_propagator(np.cos(arg), f * c, f * delta)
 
+    def propagator_floats(x, rate):
+        c = math.cos(x)
+        rho = math.hypot(c, delta)
+        arg = rate * rho
+        f = math.sin(arg) / rho
+        return math.cos(arg), f * c, f * delta
+
+    def derivative_floats(x):
+        return -math.sin(x), 0.0
+
     # lambda_1 - lambda_0 = 2 hypot(cos X, delta)
     return dict(_fields=fields, _derivative=derivative, _second_derivative=d2pot,
-                _levels=levels, _propagator=propagator, gap_floor=2.0 * delta)
+                _levels=levels, _propagator=propagator, gap_floor=2.0 * delta,
+                _float_forms=(propagator_floats, derivative_floats))
 
 
 def _two_level_cross(params, L, d):
@@ -255,8 +279,18 @@ def _two_level_cross(params, L, d):
         sa = np.sin(arg)
         return _reflection_propagator(np.cos(arg), sa * c, sa * s)
 
+    def propagator_floats(x, rate):
+        s, c = math.sin(x / 2.0), math.cos(x / 2.0)
+        arg = rate * (2.0 * s)
+        sa = math.sin(arg)
+        return math.cos(arg), sa * c, sa * s
+
+    def derivative_floats(x):
+        return math.cos(x), math.sin(x)
+
     return dict(_fields=fields, _derivative=derivative, _second_derivative=d2pot,
-                _levels=levels, _propagator=propagator, gap_floor=0.0)
+                _levels=levels, _propagator=propagator, gap_floor=0.0,
+                _float_forms=(propagator_floats, derivative_floats))
 
 
 def _multi_level(params, L, d):
@@ -288,6 +322,10 @@ def _multi_level(params, L, d):
         c, s = np.cos(wX)[:, None], np.sin(wX)[:, None]
         return (a0 * c + g) + eps * c, rate * s
 
+    def ground_slope(X):
+        # column 0 of the slopes of ``levels``, without the other levels
+        return rate[0] * np.sin(w * X)
+
     def rotation(s):
         """Q = exp(rot sin(w X) A) for the column s of sin(w X)."""
         return ((U * np.exp(rot * s * omega)[:, None, :]) @ U_inv).real
@@ -315,8 +353,8 @@ def _multi_level(params, L, d):
         raise ValueError("multi_level gap profiles must be positive and ordered")
 
     # lambda_1 - lambda_0 = g_1 + eps_1 cos(w X)
-    return dict(_fields=fields, _levels=levels, _propagator=propagator,
-                gap_floor=g[1] - abs(eps[1]))
+    return dict(_fields=fields, _levels=levels, _ground_slope=ground_slope,
+                _propagator=propagator, gap_floor=g[1] - abs(eps[1]))
 
 
 _FAMILIES = {
@@ -413,6 +451,14 @@ def levels_and_slopes(model, X):
     """Ascending eigenvalues of V(X) and their X-derivatives from the family
     closed form: (d,) each for a scalar X, X.shape + (d,) for an array."""
     return _stacked(model._levels, X, (model.d,))
+
+
+def ground_slope(model, X):
+    """The X-derivative of the ground level, the same bits as column 0 of
+    :func:`levels_and_slopes`, with the shape of X."""
+    if model._ground_slope is None:
+        return levels_and_slopes(model, X)[1][..., 0]
+    return _stacked(model._ground_slope, X, ())
 
 
 def eigenvalues_closed_form(model, X):

@@ -83,6 +83,22 @@ def test_run_smoluchowski_rejects_nonfinite_start(tmp_path, gap_config, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("option, name", [
+    (["--dt", "0"], "dt"), (["--dt=-1e-3"], "dt"), (["--dt", "nan"], "dt"),
+    (["--tfinal=-1"], "T_final"), (["--tfinal", "inf"], "T_final"),
+    (["--M", "0"], "M >= 1"), (["--M", "0.5"], "M >= 1"),
+    (["--M", "0", "--perp-correction"], "M >= 1")])
+def test_run_ehrenfest_rejects_bad_step_inputs(tmp_path, gap_config, capsys, option, name):
+    out = tmp_path / "traj.csv"
+    # the option given last replaces the valid value before it
+    assert cli.main(["run", "--config", gap_config, "--scheme", "ehrenfest",
+                     "--M", "256", "--dt", "0.005", "--tfinal", "1.0",
+                     "--energy", "0.5", "--out", str(out)] + option) == 1
+    assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_wkb_csv(tmp_path, cos_config):
     out = str(tmp_path / "wkb.csv")
     assert cli.main(["wkb", "--config", cos_config, "--M", "256", "--k", "12",

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -600,30 +602,163 @@ def test_ehrenfest_makes_no_eigensolve(monkeypatch, spec):
     dynamics.step_ehrenfest(m, inits[1], 1e-3, M)
 
 
-def test_ehrenfest_ensemble_guards():
+def test_ehrenfest_ensemble_guards(monkeypatch):
     m = gap_model()
     M = 1024.0
     phi = dynamics.initial_electron_state(m, 1.0, 1.2, M)
+    # NaN forces beyond X = 1.1, on the lockstep kernel and on the float lanes
+    slope = m._float_forms[1]
+    poisoned = dataclasses.replace(
+        m, _derivative=lambda X: np.where((X > 1.1)[:, None, None], np.nan, m._derivative(X)),
+        _float_forms=(m._float_forms[0], lambda x: (np.nan, np.nan) if x > 1.1 else slope(x)))
 
-    def run(states):
-        return dynamics.simulate_ensemble(m, states, "ehrenfest", T_final=0.1, dt=1e-3, M=M)
+    def run(states, model=m):
+        return dynamics.simulate_ensemble(model, states, "ehrenfest", T_final=0.1, dt=1e-3,
+                                          M=M)
 
-    good = [dynamics.PhaseState.make(X0, 1.2, phi=phi) for X0 in (0.5, 1.0, 1.5)]
-    assert len(run(good)) == 3
-    for field, value in (("X", np.nan), ("X", np.inf), ("p", np.nan), ("p", -np.inf)):
-        states = list(good)
-        states[1] = dynamics.PhaseState.make(**{"X": 1.0, "p": 1.2, field: value}, phi=phi)
-        with pytest.raises(RuntimeError, match="non-finite initial state in lane 1"):
-            run(states)
-    # an amplitude off the unit norm, or a NaN one, in one lane; also through
-    # the one-lane step
-    for bad in (1.001 * phi, np.array([np.nan, 0.0], dtype=complex)):
-        states = list(good)
-        states[2] = dynamics.PhaseState.make(1.5, 1.2, phi=bad)
-        with pytest.raises(ValueError, match="normalized to 1e-8"):
-            run(states)
-        with pytest.raises(ValueError, match="normalized to 1e-8"):
-            dynamics.step_ehrenfest(m, states[2], 1e-3, M)
+    good = [dynamics.PhaseState.make(X0, 1.2, phi=phi) for X0 in (0.5, 1.0, 0.2)]
+    messages = []
+    for float_lanes in (dynamics._FLOAT_LANES, 0):
+        monkeypatch.setattr(dynamics, "_FLOAT_LANES", float_lanes)
+        assert len(run(good)) == 3
+        for field, value in (("X", np.nan), ("X", np.inf), ("p", np.nan), ("p", -np.inf)):
+            states = list(good)
+            states[1] = dynamics.PhaseState.make(**{"X": 1.0, "p": 1.2, field: value}, phi=phi)
+            with pytest.raises(RuntimeError, match="non-finite initial state in lane 1"):
+                run(states)
+        # an amplitude off the unit norm, or a NaN one, in one lane; also
+        # through the one-lane step
+        for bad in (1.001 * phi, np.array([np.nan, 0.0], dtype=complex)):
+            states = list(good)
+            states[2] = dynamics.PhaseState.make(1.5, 1.2, phi=bad)
+            with pytest.raises(ValueError, match="normalized to 1e-8"):
+                run(states)
+            with pytest.raises(ValueError, match="normalized to 1e-8"):
+                dynamics.step_ehrenfest(m, states[2], 1e-3, M)
+        # lane 1 drifts past X = 1.1 and its momentum turns NaN
+        with pytest.raises(RuntimeError, match=r"non-finite state .*p = \[nan\]") as err:
+            run(good, poisoned)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
+# ------------------------------------------------- Ehrenfest float lanes
+
+TWO_LEVEL = [ModelSpec(family="two_level_gap", params={"delta": 0.25}, d=2),
+             ModelSpec(family="two_level_cross", d=2)]
+
+
+def _dressed_lanes(m, starts, masses):
+    return [dynamics.PhaseState.make(X0, p0, phi=dynamics.initial_electron_state(
+        m, X0, p0, M, perp_correction=True)) for (X0, p0), M in zip(starts, masses)]
+
+
+def _count_propagator_calls(monkeypatch):
+    """Count the lockstep kernel's propagator calls; the float lanes make none."""
+    calls = []
+    propagator = model.electron_propagator
+    monkeypatch.setattr(model, "electron_propagator",
+                        lambda *args: calls.append(1) or propagator(*args))
+    return calls
+
+
+def _close_trajectories(a, b, tol=1e-12):
+    assert np.array_equal(a.t, b.t) and a.meta == b.meta
+    for key in ("X", "p", "z", "phi", "H"):
+        assert np.abs(getattr(a, key) - getattr(b, key)).max() < tol, key
+    assert len(a.hits) == len(b.hits)
+    for h, g in zip(a.hits, b.hits):
+        assert h.X == g.X
+        assert max(abs(h.tau - g.tau), abs(h.p - g.p), abs(h.theta - g.theta)) < tol
+
+
+@pytest.mark.parametrize("spec", TWO_LEVEL)
+def test_float_lanes_match_the_lockstep_kernel(monkeypatch, spec):
+    m = build_model(spec)
+    masses = [1024.0, 4096.0, 256.0]
+    # lane 0 passes X = 0, the crossing of two_level_cross, and the surface
+    inits = _dressed_lanes(m, [(-1.5, 2.0), (1.0, 1.6), (2.5, 3.0)], masses)
+    kw = dict(dt=[1e-3, 1.5e-3, 2e-3], M=masses, T_final=[1.5, 4.5, 8.0],
+              max_hits=[None, 1, 2], surface=0.0, record_every=3)
+    calls = _count_propagator_calls(monkeypatch)
+    floats = dynamics.simulate_ensemble(m, inits, "ehrenfest", **kw)
+    assert not calls
+    monkeypatch.setattr(dynamics, "_FLOAT_LANES", 0)
+    lockstep = dynamics.simulate_ensemble(m, inits, "ehrenfest", **kw)
+    assert calls
+    for a, b in zip(floats, lockstep):
+        _close_trajectories(a, b)
+    # 1500 steps on lane 0; the hit budgets retire lanes 1 and 2 early
+    assert [len(t.hits) for t in floats] == [1, 1, 2]
+    assert [t.t.size for t in floats][0] == 501
+    assert floats[0].X[0, 0] < 0.0 < floats[0].X[-1, 0]
+    assert floats[1].t[-1] < 4.4 and floats[2].t[-1] < 7.9
+
+
+def test_lanes_on_each_side_of_the_float_cut_off(monkeypatch):
+    m = build_model(ModelSpec(family="two_level_cross", d=2))
+    B, M = dynamics._FLOAT_LANES + 1, 1024.0
+    inits = _dressed_lanes(m, [(-1.0 + 0.4 * k, 1.5 + 0.05 * k) for k in range(B)], [M] * B)
+    kw = dict(dt=1e-3, M=M, T_final=0.3, surface=0.0, max_hits=1)
+    calls = _count_propagator_calls(monkeypatch)
+    below = dynamics.simulate_ensemble(m, inits[:-1], "ehrenfest", **kw)
+    assert not calls
+    above = dynamics.simulate_ensemble(m, inits, "ehrenfest", **kw)
+    assert calls
+    assert any(t.hits for t in above)
+    # a lane alone runs on floats: bitwise below the cut-off, to rounding above
+    for b, init in enumerate(inits):
+        alone = dynamics.simulate(m, init, "ehrenfest", **kw)
+        if b < B - 1:
+            _same_trajectory(alone, below[b])
+        _close_trajectories(alone, above[b])
+    # and the lockstep kernel gives each lane alone the bits it gives together
+    monkeypatch.setattr(dynamics, "_FLOAT_LANES", 0)
+    for b, init in enumerate(inits):
+        _same_trajectory(dynamics.simulate(m, init, "ehrenfest", **kw), above[b])
+
+
+@pytest.mark.parametrize("spec", TWO_LEVEL + [
+    ModelSpec(family="multi_level", d=3,
+              params={"a0": 0.1, "gaps": [[0.8, 0.12], [1.6, 0.16]], "rot": 0.3})])
+def test_repeated_ehrenfest_steps_match_simulate(spec):
+    m = build_model(spec)
+    n, dt, M = 200, 1e-3, 1024.0
+    init = _dressed_lanes(m, [(-0.1, 1.3)], [M])[0]
+    traj = dynamics.simulate(m, init, "ehrenfest", T_final=n * dt, dt=dt, M=M)
+    st = init
+    for i in range(1, n + 1):
+        st = dynamics.step_ehrenfest(m, st, dt, M)
+        assert st.X[0] == traj.X[i, 0] and st.p[0] == traj.p[i, 0]
+        assert st.z == traj.z[i] and st.t == traj.t[i]
+        assert np.array_equal(st.phi, traj.phi[i])
+
+
+def test_simulate_rejects_bad_step_inputs():
+    m = gap_model()
+    M = 1024.0
+    init = dynamics.PhaseState.make(0.0, 1.0, phi=dynamics.initial_electron_state(m, 0.0, 1.0, M))
+    bad = [{"dt": 0.0}, {"dt": -1e-3}, {"dt": np.nan}, {"dt": np.inf},
+           {"T_final": -1.0}, {"T_final": np.inf}, {"T_final": np.nan}]
+    good = {"T_final": 0.1, "dt": 1e-3, "M": M}
+    for kw in bad + [{"M": 0.0}, {"M": 0.5}, {"M": np.nan}, {"M": np.inf}]:
+        args = {**good, **kw}
+        with pytest.raises(ValueError, match="dt|T_final|M"):
+            dynamics.simulate(m, init, "ehrenfest", **args)
+        # one bad lane rejects the ensemble
+        with pytest.raises(ValueError, match="dt|T_final|M"):
+            dynamics.simulate_ensemble(m, [init, init], "ehrenfest",
+                                       **{key: [good[key], args[key]] for key in good})
+    for kw in bad:
+        with pytest.raises(ValueError, match="dt|T_final"):
+            dynamics.simulate(m, dynamics.PhaseState.make(0.0, 1.0), "smoluchowski",
+                              rng=stream_rng(0), T=0.1, **{**good, "M": None, **kw})
+    # a model mass below 1 fails too; outside Ehrenfest M only labels the run
+    with pytest.raises(ValueError, match="M"):
+        dynamics.simulate(dataclasses.replace(m, M=(0.5,)), init, "ehrenfest", T_final=0.1,
+                          dt=1e-3)
+    assert dynamics.simulate(m, init, "bo", T_final=0.1, dt=1e-3, M=0.5).meta["M"] == 0.5
+    assert dynamics.simulate(m, init, "ehrenfest", T_final=0.0, dt=1e-3, M=M).t.size == 1
 
 
 # ------------------------------------------------------------ time_average

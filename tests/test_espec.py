@@ -140,29 +140,6 @@ def test_detect_crossings_single_and_double_pass():
     assert len(events2) == touches == 2
 
 
-def test_hellmann_feynman():
-    m = build_model(ModelSpec(family="free"))
-    f = espec.eigendecompose_field(m, periodic_grid(m.L, 8))
-    assert espec.hellmann_feynman(f, 1.0, 0) == 0.0
-
-    mg = gap_model()
-    assert abs(espec.hellmann_feynman(mg, np.pi / 2, 1)) < 1e-12
-
-    rng = np.random.default_rng(5)
-    h = 1e-6
-    for X in rng.uniform(0, 2 * np.pi, 100):
-        for n in (0, 1):
-            hf = espec.hellmann_feynman(mg, X, n)
-            lam_p = espec.eigen_at(mg, X + h)[0][n]
-            lam_m = espec.eigen_at(mg, X - h)[0][n]
-            assert abs(hf - (lam_p - lam_m) / (2 * h)) < 1e-6
-
-
-def test_hellmann_feynman_degenerate_raises():
-    with pytest.raises(CrossingError):
-        espec.hellmann_feynman(cross_model(), 0.0, 0)
-
-
 def test_ground_force_degenerate_raises():
     m = cross_model()
     for X in (0.0, 2.0 * np.pi):

@@ -143,6 +143,9 @@ def test_array_evaluation_matches_per_point_bitwise(family, params, d):
     for i, x in enumerate(xs):
         assert np.array_equal(P[i], model.electron_propagator(m, x, 0.7))
         assert np.array_equal(P_lanes[i], model.electron_propagator(m, x, rates[i]))
+    # the ground slope alone, with and without a family closed form for it
+    assert np.array_equal(model.ground_slope(m, xs), dlam[:, 0])
+    assert np.array_equal(model.ground_slope(m, xs[3]), dlam[3, 0])
 
 
 @pytest.mark.parametrize("family, params, d", FAMILIES)
@@ -157,6 +160,30 @@ def test_electron_propagator_matches_expm(family, params, d):
         assert np.abs(P - expm(-1j * a * V)).max() < 1e-13
         unitarity = P @ P.conj().transpose(0, 2, 1) - np.eye(d)
         assert np.abs(unitarity).max() < 1e-14
+
+
+@pytest.mark.parametrize("family, params", [("two_level_gap", {"delta": 0.3}),
+                                            ("two_level_cross", {})])
+def test_float_forms_match_the_array_forms(family, params):
+    m = build_model(ModelSpec(family=family, params=params, d=2))
+    propagator, slope = m._float_forms
+    # through X = 0 and X = 2 pi, the crossing of two_level_cross
+    xs = np.r_[np.linspace(-m.L, 2.0 * m.L, 4097), 0.0, m.L]
+    dV = model.potential_derivative(m, xs)
+    for a in (1e-3, 0.1, 7.5):
+        P = model.electron_propagator(m, xs, a)
+        for i, x in enumerate(xs.tolist()):
+            # P = c I - i [[alpha, beta], [beta, -alpha]]; a rounding of rho
+            # moves the phase a rho by a times as much
+            c, alpha, beta = propagator(x, a)
+            assert max(abs(c - P[i, 0, 0].real), abs(alpha + P[i, 0, 0].imag),
+                       abs(beta + P[i, 0, 1].imag)) < 1e-15 * max(1.0, a)
+    for i, x in enumerate(xs.tolist()):
+        alpha, beta = slope(x)
+        assert max(abs(alpha - dV[i, 0, 0]), abs(beta - dV[i, 0, 1])) < 1e-15
+    # the other families keep to the arrays
+    assert build_model(ModelSpec(family="multi_level", d=2, params={"gaps": [[1.0, 0.2]]})
+                       )._float_forms is None
 
 
 @pytest.mark.parametrize("family, params, d", [
