@@ -374,18 +374,19 @@ def build_model(spec):
     """Validate a :class:`ModelSpec` and return the runnable :class:`ModelSystem`."""
     if spec.family not in _FAMILIES:
         raise ValueError(f"unknown family {spec.family!r}; known: {list_families()}")
-    if spec.L <= 0.0:
-        raise ValueError("torus length L must be positive")
+    # each check is written so that NaN fails it
+    if not (np.isfinite(spec.L) and spec.L > 0.0):
+        raise ValueError("torus length L must be finite and positive")
     if spec.d < 1:
         raise ValueError("level count d must be >= 1")
     if any(not np.isfinite(v) for v in spec.params.values() if np.isscalar(v)):
         raise ValueError("family parameters must be finite")
-    if any(m < 1.0 for m in spec.M):
-        raise ValueError("nuclear masses must be >= 1")
-    if spec.T < 0.0:
-        raise ValueError("temperature must be >= 0")
-    if spec.K <= 0.0:
-        raise ValueError("friction parameter must be > 0")
+    if not all(np.isfinite(m) and m >= 1.0 for m in spec.M):
+        raise ValueError("nuclear masses must be finite and >= 1")
+    if not (np.isfinite(spec.T) and spec.T >= 0.0):
+        raise ValueError("temperature must be finite and >= 0")
+    if not (np.isfinite(spec.K) and spec.K > 0.0):
+        raise ValueError("friction parameter must be finite and > 0")
     parts = _FAMILIES[spec.family](spec.params, spec.L, spec.d)
     parts["gap_floor"] = float(parts["gap_floor"])
     return ModelSystem(family=spec.family, params=dict(spec.params), L=spec.L,

@@ -7,17 +7,23 @@ circulant, so they are diagonal in the real plane-wave basis
 
     1, cos(m x), sin(m x) (0 < m < n/2), cos(n x / 2) (n even),
 
-sampled at the nodes and normalized (an orthogonal n x n matrix Q).  In the
-order 0, cos 1, sin 1, cos 2, sin 2, ..., Nyquist, with the d levels
-innermost, Q^T H Q is banded: its entries are sums of Fourier coefficients of
-the sampled V_ab(x_j), and a mode m couples only to modes m' with |m - m'| up
-to the highest harmonic of V, aliasing wrap-around included.  This is an
-exact orthogonal similarity transform of the collocation operator, not a
-Galerkin truncation; only Fourier coefficients at the rounding level of the
-FFT are dropped.  Eigenvalues come from a windowed banded solve (LAPACK
-``dsbevx``), eigenvectors from block inverse iteration on each
-near-degenerate cluster, and every returned pair is certified by its
-residual against the full collocation operator, applied by FFT.
+sampled at the nodes and normalized (an orthogonal n x n matrix Q).  With
+the d levels innermost, Q^T H Q is banded: its entries are sums of Fourier
+coefficients of the sampled V_ab(x_j), and a mode m couples only to modes m'
+with |m - m'| up to the highest harmonic of V, aliasing wrap-around
+included.  A cosine and a sine mode couple only through the sine
+coefficients of V, so when V is even in X (every sine coefficient is zero)
+the modes are ordered as all cosines 0, cos 1, ..., Nyquist, then all
+sines, and Q^T H Q is two independent diagonal blocks, each with about half
+the bandwidth of the interleaved order; otherwise the order is
+0, cos 1, sin 1, cos 2, sin 2, ..., Nyquist and there is one block.  This
+is an exact orthogonal similarity transform of the collocation operator,
+not a Galerkin truncation; only Fourier coefficients at the rounding level
+of the FFT are dropped.  Eigenvalues come from a windowed banded solve
+(LAPACK ``dsbevx``) of each block, eigenvectors from block inverse
+iteration on each near-degenerate cluster within a block, and every
+returned pair is certified by its residual against the full collocation
+operator, applied by FFT.
 """
 
 from dataclasses import dataclass
@@ -55,12 +61,18 @@ class DiscreteHamiltonian:
     """Collocation operator in banded real plane-wave form.
 
     ``matrix`` is the upper band of Q^T H Q in LAPACK symmetric band storage,
-    shape (bandwidth + 1, n_grid * d); ``potential`` holds V(x_j) and
-    ``kinetic`` the kinetic symbol at the FFT frequencies, from which the full
-    collocation operator is applied for residuals.
+    shape (bandwidth + 1, n_grid * d), with the real modes in the order
+    ``modes`` (indices into 0, cos 1, sin 1, cos 2, sin 2, ..., Nyquist) and
+    the d levels innermost.  ``blocks`` holds the column ranges (lo, hi) of
+    the diagonal blocks that no entry couples: the cosine and the sine modes
+    when V is even in X, else the whole operator.  ``potential`` holds
+    V(x_j) and ``kinetic`` the kinetic symbol at the FFT frequencies, from
+    which the full collocation operator is applied for residuals.
     """
 
     matrix: np.ndarray
+    modes: np.ndarray        # (n_grid,), real-mode order of the band
+    blocks: tuple            # ((lo, hi), ...), independent column ranges
     grid: np.ndarray
     M: float
     n_grid: int
@@ -112,7 +124,12 @@ def _real_modes(n):
 
 
 def _band(V, kinetic):
-    """Upper band of Q^T H Q from the samples V(x_j) and the kinetic symbol."""
+    """Upper band of Q^T H Q, its real-mode order and its independent blocks.
+
+    From the samples V(x_j) and the kinetic symbol.  When every sine
+    coefficient of V is zero the cosines come first, then the sines, and the
+    two sets are the blocks; otherwise the modes stay interleaved in one block.
+    """
     n, d, _ = V.shape
     coef = np.fft.fft(V, axis=0) / n          # V_ab(x_j) = sum_q coef_q e^{i q x_j}
     tol = _COEF_TOL * np.abs(coef).max()
@@ -121,14 +138,25 @@ def _band(V, kinetic):
     harmonics = np.flatnonzero((A != 0.0).any(axis=(1, 2)) | (B != 0.0).any(axis=(1, 2)))
     K = int(np.minimum(harmonics, n - harmonics).max()) if harmonics.size else 0
     N = n * d
-    b_max = min((2 * K + 2) * d - 1, N - 1)
     m, sine, weight = _real_modes(n)
+    if B.any():
+        modes = np.arange(n)
+        blocks = ((0, N),)
+        b_max = min((2 * K + 2) * d - 1, N - 1)
+    else:
+        # cos m sits at mode position m and sin m at n // 2 + m, so a
+        # harmonic K of V (aliased sums m + m' near n included) spans K
+        # positions, not 2 K + 1
+        modes = np.concatenate([np.flatnonzero(~sine), np.flatnonzero(sine)])
+        cut = int(np.count_nonzero(~sine)) * d
+        blocks = tuple((lo, hi) for lo, hi in ((0, cut), (cut, N)) if hi > lo)
+        b_max = min((K + 1) * d - 1, N - 1)
     offset = np.arange(b_max + 1)[:, None]
     j = np.arange(N)[None, :]
     i = j - offset                             # entry (i, j) sits at band[b - offset, j]
     inside = i >= 0
     i = np.where(inside, i, j)                 # any valid index; masked out below
-    ri, ai, rj, aj = i // d, i % d, j // d, j % d
+    ri, ai, rj, aj = modes[i // d], i % d, modes[j // d], j % d
     mi, mj = m[ri], m[rj]
     si, sj = sine[ri], sine[rj]
     diff, total = (mi - mj) % n, (mi + mj) % n
@@ -137,11 +165,11 @@ def _band(V, kinetic):
         A[diff, ai, aj] + np.where(si, -1.0, 1.0) * A[total, ai, aj],
         B[total, ai, aj] + (si.astype(float) - sj) * B[diff, ai, aj])
     val *= weight[ri] * weight[rj]
-    val[0] += kinetic[m[j[0] // d]]            # Q^T K Q is diagonal
+    val[0] += kinetic[m[rj[0]]]                # Q^T K Q is diagonal
     val = np.where(inside, val, 0.0)
     nonzero = np.flatnonzero(np.abs(val).max(axis=1) > 0.0)
     b = int(nonzero.max()) if nonzero.size else 0
-    return np.ascontiguousarray(val[b::-1])
+    return np.ascontiguousarray(val[b::-1]), modes, blocks
 
 
 def assemble_hamiltonian(model, M, n_grid, e_max=None, laplacian="spectral"):
@@ -151,7 +179,13 @@ def assemble_hamiltonian(model, M, n_grid, e_max=None, laplacian="spectral"):
     when given, the resolution rule is enforced and violation refuses
     assembly with the required grid size attached.
     """
+    if n_grid < 1:
+        raise ValueError(f"n_grid must be >= 1, got {n_grid}")
+    if not (np.isfinite(M) and M >= 1.0):
+        raise ValueError(f"mass M must be finite and >= 1, got {M}")
     if e_max is not None:
+        if not (np.isfinite(e_max) and e_max >= 0.0):
+            raise ValueError(f"e_max must be finite and >= 0, got {e_max}")
         need = required_grid(model.L, e_max, M)
         if n_grid < need:
             raise ResolutionError(
@@ -161,8 +195,9 @@ def assemble_hamiltonian(model, M, n_grid, e_max=None, laplacian="spectral"):
     grid = periodic_grid(model.L, n_grid)
     V = model_mod.evaluate_potential(model, grid)
     V = 0.5 * (V + V.transpose(0, 2, 1))
-    return DiscreteHamiltonian(matrix=_band(V, kinetic), grid=grid, M=float(M),
-                               n_grid=n_grid, d=model.d, L=model.L,
+    matrix, modes, blocks = _band(V, kinetic)
+    return DiscreteHamiltonian(matrix=matrix, modes=modes, blocks=blocks, grid=grid,
+                               M=float(M), n_grid=n_grid, d=model.d, L=model.L,
                                potential=V, kinetic=kinetic)
 
 
@@ -186,9 +221,10 @@ def _band_matvec(band, X):
 
 
 def _to_grid(H, vec):
-    """Grid values (n_grid, d) of a vector of real-mode coefficients."""
+    """Grid values (n_grid, d) of a vector of real-mode coefficients in H's order."""
     n = H.n_grid
-    U = vec.reshape(n, H.d)
+    U = np.empty((n, H.d))
+    U[H.modes] = vec.reshape(n, H.d)
     Z = np.zeros((n // 2 + 1, H.d), dtype=complex)
     Z[0] = U[0]
     top = (n - 1) // 2
@@ -258,36 +294,61 @@ def _window_half_width(H, E_target, count, scale):
     return count / density
 
 
+def _block_band(matrix, lo, hi):
+    """Upper band of the diagonal block on columns lo:hi, at most its own size wide."""
+    b = matrix.shape[0] - 1
+    return matrix[max(0, b - (hi - lo - 1)):, lo:hi]
+
+
 def eigensolve_near(H, E_target, count=1):
     """The ``count`` eigenpairs nearest E_target, sorted by |E - E_target|.
 
-    Uses a window solve, sized from the semiclassical level density, that
-    widens until enough levels are captured, so near-degenerate traveling-wave
-    doublets are both returned (the chosen levels do not depend on the
-    window); eigenvalues closer than 1e-6 of the operator scale share one
+    Uses a window solve of each block of H, sized from the semiclassical
+    level density, that widens until the blocks together hold enough levels,
+    so near-degenerate traveling-wave doublets are both returned (the chosen
+    levels depend neither on the window nor on the blocks); eigenvalues of
+    one block closer than 1e-6 of the operator scale share one
     inverse-iteration block, so exactly degenerate partners come out
-    orthogonal.
+    orthogonal (partners in different blocks have disjoint supports).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    N = H.n_grid * H.d
+    if count > N:
+        raise ValueError(f"count = {count} exceeds the {N} levels of the operator")
+    if not np.isfinite(E_target):
+        raise ValueError(f"target energy must be finite, got {E_target}")
     diag = np.diagonal(H.potential, axis1=1, axis2=2) + H.kinetic.mean()
     scale = max(1.0, np.abs(diag).max())
     width = _window_half_width(H, E_target, count, scale)
+    bands = [_block_band(H.matrix, lo, hi) for lo, hi in H.blocks]
     for _ in range(40):
-        vals = scipy.linalg.eig_banded(H.matrix, eigvals_only=True, select="v",
-                                       select_range=(E_target - width, E_target + width))
-        if vals.size >= count:
+        found = [scipy.linalg.eig_banded(band, eigvals_only=True, select="v",
+                                         select_range=(E_target - width, E_target + width))
+                 for band in bands]
+        if sum(v.size for v in found) >= count:
             break
         width *= 2.0
     else:
         raise RuntimeError("window solve failed to capture the requested levels")
+    # one ascending spectrum, so that ties go to the lower level as in a
+    # single block, whichever block holds it
+    vals = np.concatenate(found)
+    owner = np.repeat(np.arange(len(found)), [v.size for v in found])
+    ascending = np.argsort(vals, kind="stable")
+    vals, owner = vals[ascending], owner[ascending]
     order = np.argsort(np.abs(vals - E_target), kind="stable")[:count]
     chosen = np.sort(order)
     vectors = {}
-    split = np.flatnonzero(np.diff(vals[chosen]) > 1e-6 * scale) + 1
-    for group in np.split(chosen, split):
-        vecs = _cluster_vectors(H.matrix, vals[group], scale)
-        vectors.update(zip(group.tolist(), vecs.T))
+    for k, ((lo, hi), band) in enumerate(zip(H.blocks, bands)):
+        mine = chosen[owner[chosen] == k]
+        if not mine.size:
+            continue
+        split = np.flatnonzero(np.diff(vals[mine]) > 1e-6 * scale) + 1
+        for group in np.split(mine, split):
+            vecs = np.zeros((N, group.size))
+            vecs[lo:hi] = _cluster_vectors(band, vals[group], scale)
+            vectors.update(zip(group.tolist(), vecs.T))
     pairs = [_make_pair(H, vals[i], vectors[i]) for i in order]
     for pair in pairs:
         if pair.residual > _RESIDUAL_TOL:

@@ -119,6 +119,26 @@ def test_qref_csv(tmp_path, cos_config):
     assert float(rows[0][1]) < 1e-8
 
 
+@pytest.mark.parametrize("option, message", [
+    (["--ngrid", "0"], "n_grid must be >= 1"), (["--ngrid=-3"], "n_grid must be >= 1"),
+    (["--M", "0"], "M must be finite and >= 1"), (["--M=-5"], "M must be finite and >= 1"),
+    (["--M", "inf"], "M must be finite and >= 1"), (["--M", "nan"], "M must be finite and >= 1"),
+    (["--etarget", "nan"], "target energy must be finite"),
+    (["--etarget", "inf"], "target energy must be finite"),
+    (["--count", "129"], "exceeds the 128 levels"), (["--count", "0"], "count must be >= 1"),
+    (["--emax", "inf"], "e_max must be finite and >= 0"),
+    (["--emax", "nan"], "e_max must be finite and >= 0"),
+    (["--emax=-1"], "e_max must be finite and >= 0")])
+def test_qref_rejects_bad_inputs(tmp_path, cos_config, capsys, option, message):
+    out = tmp_path / "eig.csv"
+    # the option given last replaces the valid value before it
+    assert cli.main(["qref", "--config", cos_config, "--M", "64", "--ngrid", "128",
+                     "--etarget", "0.8", "--out", str(out)] + option) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_gibbs_json(tmp_path, gap_config):
     out = str(tmp_path / "gibbs.json")
     assert cli.main(["gibbs", "--config", gap_config, "--T", "0.1",
@@ -205,3 +225,18 @@ def test_unknown_config_key_exits_one(tmp_path, capsys):
                                 "d": 1, "temperature": 0.2}))
     assert cli.main(["model", "show", "--config", str(path)]) == 1
     assert "unknown config key(s) ['temperature']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("M", "[NaN]", "masses"), ("T", "NaN", "temperature"), ("K", "Infinity", "friction"),
+    ("L", "NaN", "torus length")])
+def test_nonfinite_config_value_exits_one(tmp_path, capsys, key, value, message):
+    path = tmp_path / "nan.json"
+    # json.dumps writes no NaN, so the value is spliced into the text as Python's
+    # json module reads it
+    text = json.dumps({"family": "two_level_gap", "params": {"delta": 0.25}, "d": 2,
+                       key: "VALUE"})
+    path.write_text(text.replace('"VALUE"', value))
+    assert cli.main(["model", "show", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err

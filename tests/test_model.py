@@ -227,6 +227,23 @@ def test_build_model_errors():
         build_model(ModelSpec(family="multi_level", d=2, params={"gaps": [[1.0, 2.0]]}))
 
 
+@pytest.mark.parametrize("family, d, field, value, name", [
+    ("scalar_cos", 1, "M", (float("nan"),), "masses"),
+    ("scalar_cos", 1, "M", (1024.0, float("inf")), "masses"),
+    ("scalar_cos", 1, "T", float("nan"), "temperature"),
+    ("scalar_cos", 1, "T", float("inf"), "temperature"),
+    ("scalar_cos", 1, "K", float("inf"), "friction"),
+    ("scalar_cos", 1, "K", float("nan"), "friction"),
+    ("scalar_cos", 1, "L", float("nan"), "torus length"),
+    ("scalar_cos", 1, "L", float("inf"), "torus length"),
+    # the two families defined on L = 2 pi only: abs(nan - 2 pi) > 1e-12 is false
+    ("two_level_gap", 2, "L", float("nan"), "torus length"),
+    ("two_level_cross", 2, "L", float("nan"), "torus length")])
+def test_build_model_rejects_nonfinite_scalars(family, d, field, value, name):
+    with pytest.raises(ValueError, match=name):
+        build_model(ModelSpec(family=family, d=d, **{field: value}))
+
+
 def test_families_listed():
     fams = model.list_families()
     for name in ("free", "scalar_cos", "two_level_gap", "two_level_cross", "multi_level"):

@@ -1,3 +1,4 @@
+import dataclasses
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -85,21 +86,129 @@ def test_hamiltonian_exactly_symmetric():
     assert np.abs(H.kinetic - H.kinetic[mirror]).max() == 0.0
 
 
+def multi_level_spec(rot):
+    return ModelSpec(family="multi_level", d=3,
+                     params={**FAMILIES["multi_level"].params, "rot": rot})
+
+
+# V even in X: every sine coefficient of V is zero
+EVEN = {name: FAMILIES[name] for name in ("free", "scalar_cos", "two_level_gap")}
+EVEN["multi_level rot=0"] = multi_level_spec(0.0)
+# a rotation rot sin(X) A gives V(-X) = P V(X) P with P = diag(+-1), not V(X),
+# so even rot = 1e-9 leaves sine coefficients well above the rounding cut
+ALL = {**FAMILIES, **EVEN, "multi_level rot=1e-9": multi_level_spec(1e-9)}
+
+
+def expand_band(band):
+    """The symmetric matrix whose upper band is stored in LAPACK form."""
+    b = band.shape[0] - 1
+    full = np.diag(band[b])
+    for k in range(1, b + 1):
+        full = full + np.diag(band[b - k, k:], k) + np.diag(band[b - k, k:], -k)
+    return full
+
+
 def test_band_is_orthogonal_transform_of_collocation():
-    # the stored band, mirrored, is Q^T H Q exactly (so H stays symmetric),
-    # and nothing above rounding lies outside it; odd n has no Nyquist mode
-    for family in ("two_level_cross", "multi_level"):
-        m = build_model(FAMILIES[family])
+    # the stored band, mirrored, is Q^T H Q exactly with the modes in the
+    # order H.modes (so H stays symmetric), nothing above rounding lies
+    # outside it, and no entry couples two blocks; odd n has no Nyquist mode
+    for family in sorted(ALL):
+        m = build_model(ALL[family])
         for n in (32, 33):
             H = qref.assemble_hamiltonian(m, 64.0, n)
-            Q = np.kron(real_fourier_basis(n), np.eye(m.d))
+            Q = np.kron(real_fourier_basis(n)[:, H.modes], np.eye(m.d))
             expect = Q.T @ dense_collocation(m, 64.0, n) @ Q
             b = H.matrix.shape[0] - 1
-            full = np.diag(H.matrix[b])
-            for k in range(1, b + 1):
-                full = full + np.diag(H.matrix[b - k, k:], k) + np.diag(H.matrix[b - k, k:], -k)
+            full = expand_band(H.matrix)
             assert np.abs(full - expect).max() < 1e-12
             assert np.abs(np.triu(expect, b + 1)).max(initial=0.0) < 1e-13
+            for lo, hi in H.blocks:
+                assert np.all(full[lo:hi, hi:] == 0.0)
+
+
+@pytest.mark.parametrize("n", [32, 33])
+@pytest.mark.parametrize("family", sorted(ALL))
+def test_only_even_potentials_split_into_parity_blocks(family, n):
+    m = build_model(ALL[family])
+    H = qref.assemble_hamiltonian(m, 64.0, n)
+    if family not in EVEN:
+        assert H.blocks == ((0, n * m.d),)
+        assert H.modes.tolist() == list(range(n))
+        return
+    # cosines 0, cos 1, ..., Nyquist first, then the sines, each in ascending m
+    n_cos = n // 2 + 1
+    cosines = [0] + [2 * k - 1 for k in range(1, n_cos)]
+    sines = [2 * k for k in range(1, (n - 1) // 2 + 1)]
+    assert H.modes.tolist() == cosines + sines
+    assert H.blocks == ((0, n_cos * m.d), (n_cos * m.d, n * m.d))
+    # V has harmonics up to K = 1, which span one mode of either parity:
+    # b <= (K + 1) d - 1, against (2 K + 2) d - 1 in the interleaved order
+    assert H.matrix.shape[0] - 1 <= 2 * m.d - 1
+
+
+@pytest.mark.parametrize("family", sorted(EVEN))
+def test_split_eigendensities_match_dense_oracle(family):
+    m = build_model(EVEN[family])
+    n, M, E, count = 64, 64.0, 0.0, 8
+    H = qref.assemble_hamiltonian(m, M, n)
+    assert len(H.blocks) == 2
+    vals, vecs = np.linalg.eigh(dense_collocation(m, M, n))
+    h = m.L / n
+    checked = 0
+    for p in qref.eigensolve_near(H, E, count=count):
+        j = int(np.argmin(np.abs(vals - p.E)))
+        assert abs(vals[j] - p.E) < 1e-12
+        if np.delete(np.abs(vals - vals[j]), j).min() < 1e-4:
+            continue                          # a (near-)degenerate level
+        rho = np.sum(vecs[:, j].reshape(n, m.d) ** 2, axis=1)
+        assert np.abs(p.density - rho / (rho.sum() * h)).max() < 1e-9
+        checked += 1
+    assert checked >= 1
+
+
+@pytest.mark.parametrize("family", sorted(EVEN))
+def test_count_above_the_smaller_block(family):
+    # every level of tiny grids, and one more than the smaller block holds
+    m = build_model(EVEN[family])
+    for n in range(1, 7):
+        H = qref.assemble_hamiltonian(m, 4.0, n)
+        sizes = [hi - lo for lo, hi in H.blocks]
+        N = n * m.d
+        expect = np.linalg.eigvalsh(dense_collocation(m, 4.0, n))
+        for count in sorted({min(sizes) + 1, N} - {N + 1}):
+            pairs = qref.eigensolve_near(H, 0.2, count=count)
+            got = np.array([p.E for p in pairs])
+            assert np.abs(np.abs(got - 0.2) - np.sort(np.abs(expect - 0.2))[:count]).max() < 1e-12
+            Phi = np.column_stack([p.Phi.reshape(-1) for p in pairs])
+            assert np.abs(m.L / n * Phi.T @ Phi - np.eye(count)).max() < 1e-12
+        with pytest.raises(ValueError, match="exceeds"):
+            qref.eigensolve_near(H, 0.2, count=N + 1)
+
+
+def test_block_narrower_than_the_band():
+    # V = cos 3X on 6 nodes: cos 0 and cos 3 couple, so the band is 3 wide,
+    # and the sine block (sin 1, sin 2) has two modes
+    base = build_model(FAMILIES["scalar_cos"])
+    m = dataclasses.replace(base, _fields=lambda X: (np.cos(3.0 * X)[:, None, None],
+                                                     (-3.0 * np.sin(3.0 * X))[:, None, None]))
+    H = qref.assemble_hamiltonian(m, 4.0, 6)
+    assert H.matrix.shape[0] - 1 == 3 and H.blocks == ((0, 4), (4, 6))
+    expect = np.linalg.eigvalsh(dense_collocation(m, 4.0, 6))
+    pairs = qref.eigensolve_near(H, 0.0, count=6)
+    assert np.abs(np.sort([p.E for p in pairs]) - expect).max() < 1e-12
+
+
+@pytest.mark.parametrize("count", [2, 3])
+def test_ties_across_blocks_pick_the_lower_level(count):
+    # free levels j^2 / 128 at M = 64, exact in binary; the target 2.5 / 128 is
+    # exactly as far from the doublet cos 1, sin 1 as from cos 2, sin 2, and the
+    # cosines of both doublets sit in the first block.  Ties go to the lower
+    # level, as in one ascending spectrum, not to the first block
+    m = free_model()
+    H = qref.assemble_hamiltonian(m, 64.0, 64)
+    got = [p.E for p in qref.eigensolve_near(H, 2.5 / 128.0, count=count)]
+    assert got == [1 / 128.0, 1 / 128.0, 4 / 128.0][:count]
+
 
 
 @pytest.mark.parametrize("laplacian", ["spectral", "fd4"])
