@@ -13,6 +13,7 @@ from scipy.optimize import brentq, minimize_scalar
 
 from . import model as model_mod
 from .errors import CrossingError
+from ._util import periodic_grid
 
 __all__ = [
     "ElectronBasisField",
@@ -21,6 +22,7 @@ __all__ = [
     "eigendecompose_field",
     "eigen_at",
     "smooth_branches",
+    "loop_branches",
     "detect_gap",
     "detect_crossings",
     "ground_force",
@@ -184,6 +186,11 @@ class BranchField:
     permutation: np.ndarray
     start: int = 0
 
+    @property
+    def launch(self):
+        """Where loops are launched: the starting point, of widest first gap."""
+        return float(self.grid[self.start])
+
     def cycle_of(self, j=0):
         """The branch indices traversed by the loop through branch j."""
         cycle = [j]
@@ -245,6 +252,11 @@ def smooth_branches(model, grid):
     permutation = _greedy_match(vec_all[start].T @ prev)
     return BranchField(grid=grid, mu=mu, sorted_index=sorted_index,
                        permutation=permutation, start=start)
+
+
+def loop_branches(model):
+    """Smooth branches on the 512-point torus grid that every loop launches from."""
+    return smooth_branches(model, periodic_grid(model.L, 512))
 
 
 def ground_force(model, X):

@@ -15,7 +15,6 @@ import numpy as np
 from . import dynamics, espec, qref, wkb
 from . import model as model_mod
 from .errors import CausticError
-from ._util import periodic_grid
 
 __all__ = [
     "RunRecord",
@@ -108,32 +107,18 @@ class RunRecord:
         return data
 
 
-_BO_DT = 1e-3
-
-
-def _ehrenfest_dt(M, c_step=0.1):
-    return min(c_step / np.sqrt(M), 1e-3)
-
-
-def _launch_point(model):
-    """Start trajectories where the first gap is widest (away from crossings)."""
-    if model.d == 1:
-        return 0.0
-    grid = np.linspace(0.0, model.L * (1.0 - 1e-12), 257)
-    lam = espec.eigenvalues_along(model, grid)
-    return float(grid[np.argmax(lam[:, 1] - lam[:, 0])])
-
-
 def _launch(model, scheme, E, M, X0, perp_correction=False):
-    """Initial state at energy E on the launch surface X0, and the step size."""
+    """Initial state at energy E on the launch surface X0, and the step size
+    of the record's ``dt_rule``."""
     lam, vec = espec.eigen_at(model, X0)
     p0 = np.sqrt(2.0 * (E - lam[0]))
     if scheme == "ehrenfest":
         phi0 = dynamics.initial_electron_state(model, X0, p0, M,
                                                perp_correction=perp_correction)
-        return dynamics.PhaseState.make(X0, p0, phi=phi0), _ehrenfest_dt(M)
+        return (dynamics.PhaseState.make(X0, p0, phi=phi0),
+                min(dynamics.DEFAULT_C_STEP / np.sqrt(M), 1e-3))
     phi0 = None if model.d == 1 else vec[:, 0].astype(complex)
-    return dynamics.PhaseState.make(X0, p0, phi=phi0), _BO_DT
+    return dynamics.PhaseState.make(X0, p0, phi=phi0), 1e-3
 
 
 def _loop_observables(traj, observables, n_hits, cycle_len=1):
@@ -182,8 +167,7 @@ def _matched_eigenstates(model, M, e_ref, loop_mu, floor_lam, observables,
     thereby excluded.  Near-degenerate partners of the winner are averaged.
     """
     L = model.L
-    k0 = max(1, round(wkb.profile_action(loop_mu, L, e_ref)
-                      * np.sqrt(M) / (2.0 * np.pi) - index_offset))
+    k0 = wkb.quantization_index(loop_mu, L, e_ref, M, index_offset=index_offset)
     k_list = [k0 + j for j in range(k_spread)]
     E_list = [wkb.quantized_energy_from_profiles(loop_mu, L, k, M,
                                                  index_offset=index_offset)
@@ -201,10 +185,7 @@ def _matched_eigenstates(model, M, e_ref, loop_mu, floor_lam, observables,
     cycle_fine = branch_fine.cycle_of(0)
     states = []
     for k, E_bs in zip(k_list, E_list):
-        # loop-level spacing from the action derivative dA/dE = sum int dX/p
-        dAdE = wkb.profile_action(loop_mu, L, E_bs + 5e-7) / 1.0
-        dAdE = (dAdE - wkb.profile_action(loop_mu, L, E_bs - 5e-7)) / 1e-6
-        spacing = 2.0 * np.pi / (np.sqrt(M) * dAdE)
+        spacing = wkb.level_spacing(loop_mu, L, E_bs, M)
         with np.errstate(invalid="ignore"):
             rho_cl = np.sum(1.0 / np.sqrt(np.maximum(
                 2.0 * (E_bs - branch_fine.mu[:, cycle_fine]), 1e-12)), axis=1)
@@ -259,9 +240,9 @@ def converge(model, scheme, M_list, observables=None, e_ref=None, n_loops=8,
         observables = default_observables(model.L)
     # smooth continuation of the adiabatic levels: the ground branch may close
     # only after visiting several sorted levels (label swaps at crossings)
-    branch = espec.smooth_branches(model, periodic_grid(model.L, 512))
+    branch = espec.loop_branches(model)
     cycle = branch.cycle_of(0)
-    X0 = float(branch.grid[branch.start])
+    X0 = branch.launch
     loop_mu = branch.mu[:, cycle].T
     index_offset = 0.25 * branch.crossing_passes(cycle)
     floor_lam = float(branch.mu.min())
@@ -289,9 +270,7 @@ def converge(model, scheme, M_list, observables=None, e_ref=None, n_loops=8,
         k_spread_M = k_spread
         count_M = count
         if energy_window is not None:
-            dAdE = (wkb.profile_action(loop_mu, model.L, e_ref + 5e-7)
-                    - wkb.profile_action(loop_mu, model.L, e_ref - 5e-7)) / 1e-6
-            spacing = 2.0 * np.pi / (np.sqrt(M) * dAdE)
+            spacing = wkb.level_spacing(loop_mu, model.L, e_ref, M)
             k_spread_M = int(np.clip(round(energy_window / spacing), 4, 40))
             k_spread_M += k_spread_M % 2
             count_M = k_spread_M + 12
@@ -436,7 +415,7 @@ def symplectic_perturbation_study(model, scheme, dt_list, M=4096.0, e_ref=None,
                    n_loops=n_loops, seed=seed, cache=cache)
     E_q = rec.per_M[0]["E_q"]
     quantum = rec.per_M[0]["quantum"]
-    X0 = _launch_point(model)
+    X0 = espec.loop_branches(model).launch
     lam0 = espec.eigen_at(model, X0)[0][0]
     p0 = np.sqrt(2.0 * (E_q - lam0))
     t_loop = model.L / p0

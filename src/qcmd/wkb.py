@@ -1,11 +1,13 @@
 """WKB field assembly on the torus.
 
-Quantized energy selection, phase and weight fields, the classical density,
-caustic detection, and assembly of the approximate eigenfunction
-rho^(1/2) psi exp(i sqrt(M) theta) on a reference grid.
+One quantization routine on level profiles (a one-row profile is the ground
+surface) gives the quantized energy, the nearest index and the level
+spacing; one assembler builds the phase, weight and density fields with
+their caustic check; and the approximate eigenfunction
+rho^(1/2) psi exp(i sqrt(M) theta) is assembled on a reference grid.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -18,18 +20,21 @@ from ._util import periodic_antiderivative, periodic_grid, periodic_integral
 __all__ = [
     "WkbField",
     "WeightVariation",
-    "action_integral",
+    "profile_action",
+    "quantized_energy_from_profiles",
+    "quantization_index",
+    "level_spacing",
     "quantized_energy",
     "bohr_sommerfeld_index",
     "build_field",
     "field_from_energy",
     "weight_along",
-    "density",
     "detect_caustics",
     "assemble_wkb_eigenfunction",
 ]
 
 EPS_CAUSTIC = 1e-6
+_N_QUAD = 4096
 
 
 @dataclass(frozen=True)
@@ -46,7 +51,6 @@ class WkbField:
     M: float
     scheme: str = "bo"
     k: int = None
-    first_variation: np.ndarray = None
 
 
 @dataclass(frozen=True)
@@ -58,81 +62,8 @@ class WeightVariation:
     J: np.ndarray
 
 
-def _ground_level_grid(model, n):
-    grid = periodic_grid(model.L, n)
-    return grid, espec.eigenvalues_along(model, grid)[:, 0]
-
-
-def action_integral(model, E, n_quad=4096, potential=None):
-    """One-loop action: integral over the torus of sqrt(2(E - V_0(X)))."""
-    if potential is None:
-        _, lam0 = _ground_level_grid(model, n_quad)
-    else:
-        lam0 = potential(periodic_grid(model.L, n_quad))
-    gap = 2.0 * (E - lam0)
-    if gap.min() <= 0.0:
-        raise CausticError(f"E = {E} is not above the potential barrier")
-    return float(periodic_integral(np.sqrt(gap), model.L))
-
-
-def quantized_energy(model, k, M, margin=1e-9, n_quad=4096, potential=None):
-    """Energy whose one-loop action equals 2 pi k / sqrt(M).
-
-    Bracketed root finding to relative 1e-12; fails when the requested index
-    puts the energy at or below the barrier top.
-    """
-    if k < 1:
-        raise ValueError("quantization index k must be >= 1")
-    if potential is None:
-        _, lam0 = _ground_level_grid(model, n_quad)
-    else:
-        lam0 = potential(periodic_grid(model.L, n_quad))
-    barrier = float(lam0.max())
-    target = 2.0 * np.pi * k / np.sqrt(M)
-
-    def residual(E):
-        return float(periodic_integral(np.sqrt(2.0 * (E - lam0)), model.L)) - target
-
-    E_lo = barrier + max(margin, 1e-12 * max(1.0, abs(barrier)))
-    if residual(E_lo) >= 0.0:
-        raise ValueError(
-            f"no quantized energy above the barrier for k = {k} at M = {M}")
-    E_hi = barrier + 1.0
-    while residual(E_hi) < 0.0:
-        E_hi = barrier + 2.0 * (E_hi - barrier)
-    E = brentq(residual, E_lo, E_hi, xtol=1e-14, rtol=1e-15, maxiter=200)
-    return float(E)
-
-
-def quantized_energy_from_profiles(profiles, L, k, M, margin=1e-9,
-                                   index_offset=0.0):
-    """Energy whose summed loop action over the given level curves matches index k.
-
-    ``profiles`` holds potential samples of each branch in the loop on a
-    uniform torus grid; the action is the sum of the branch actions.
-    ``index_offset`` carries connection phases (a quarter per crossing pass).
-    """
-    profiles = np.atleast_2d(np.asarray(profiles, dtype=float))
-    barrier = float(profiles.max())
-    target = 2.0 * np.pi * (k + index_offset) / np.sqrt(M)
-
-    def action(E):
-        gap = 2.0 * (E - profiles)
-        return float(sum(periodic_integral(np.sqrt(g), L) for g in gap))
-
-    def residual(E):
-        return action(E) - target
-
-    E_lo = barrier + max(margin, 1e-12 * max(1.0, abs(barrier)))
-    if residual(E_lo) >= 0.0:
-        raise ValueError(f"no quantized energy above the barrier for k = {k}")
-    E_hi = barrier + 1.0
-    while residual(E_hi) < 0.0:
-        E_hi = barrier + 2.0 * (E_hi - barrier)
-    return float(brentq(residual, E_lo, E_hi, xtol=1e-14, rtol=1e-15, maxiter=200))
-
-
 def profile_action(profiles, L, E):
+    """Loop action at E: the sum over the profile rows of the integral of sqrt(2 (E - V))."""
     profiles = np.atleast_2d(np.asarray(profiles, dtype=float))
     gap = 2.0 * (E - profiles)
     if gap.min() <= 0.0:
@@ -140,21 +71,71 @@ def profile_action(profiles, L, E):
     return float(sum(periodic_integral(np.sqrt(g), L) for g in gap))
 
 
-def bohr_sommerfeld_index(model, E_ref, M, potential=None):
-    """Quantization index whose energy is nearest E_ref."""
-    return max(1, round(action_integral(model, E_ref, potential=potential)
-                        * np.sqrt(M) / (2.0 * np.pi)))
+def quantized_energy_from_profiles(profiles, L, k, M, index_offset=0.0):
+    """Energy whose summed loop action over the given level curves matches index k.
+
+    ``profiles`` holds potential samples of each branch in the loop on a
+    uniform torus grid; the action is the sum of the branch actions.
+    ``index_offset`` carries connection phases (a quarter per crossing pass).
+    Bracketed root finding to relative 1e-12; fails when the requested index
+    puts the energy at or below the barrier top.
+    """
+    if not (np.isfinite(M) and M >= 1.0):
+        raise ValueError(f"mass M must be finite and >= 1, got {M}")
+    profiles = np.atleast_2d(np.asarray(profiles, dtype=float))
+    barrier = float(profiles.max())
+    target = 2.0 * np.pi * (k + index_offset) / np.sqrt(M)
+
+    def residual(E):
+        return profile_action(profiles, L, E) - target
+
+    E_lo = barrier + max(1e-9, 1e-12 * max(1.0, abs(barrier)))
+    if residual(E_lo) >= 0.0:
+        raise ValueError(
+            f"no quantized energy above the barrier for k = {k} at M = {M}")
+    E_hi = barrier + 1.0
+    while residual(E_hi) < 0.0:
+        E_hi = barrier + 2.0 * (E_hi - barrier)
+    return float(brentq(residual, E_lo, E_hi, xtol=1e-14, rtol=1e-15, maxiter=200))
 
 
-def field_from_energy(model, E, M, n_grid=1024, scheme="bo", basis=None, k=None):
-    """Assemble the grid fields for a given energy on the ground surface."""
+def quantization_index(profiles, L, E, M, index_offset=0.0):
+    """Quantization index (at least 1) whose loop energy is nearest E."""
+    return max(1, round(profile_action(profiles, L, E) * np.sqrt(M) / (2.0 * np.pi)
+                        - index_offset))
+
+
+def level_spacing(profiles, L, E, M):
+    """Loop-level spacing 2 pi / (sqrt(M) dA/dE) near E, dA/dE = sum int dX/p."""
+    dAdE = (profile_action(profiles, L, E + 5e-7)
+            - profile_action(profiles, L, E - 5e-7)) / 1e-6
+    return 2.0 * np.pi / (np.sqrt(M) * dAdE)
+
+
+def _ground_profile(model):
+    return espec.eigenvalues_along(model, periodic_grid(model.L, _N_QUAD))[:, 0]
+
+
+def quantized_energy(model, k, M):
+    """Energy whose one-loop action on the ground surface equals 2 pi k / sqrt(M)."""
+    if k < 1:
+        raise ValueError("quantization index k must be >= 1")
+    return quantized_energy_from_profiles(_ground_profile(model), model.L, k, M)
+
+
+def bohr_sommerfeld_index(model, E_ref, M):
+    """Quantization index on the ground surface whose energy is nearest E_ref."""
+    return quantization_index(_ground_profile(model), model.L, E_ref, M)
+
+
+def _assemble_field(model, E, M, n_grid, surface, scheme, k):
+    """Fields at energy E on an n_grid torus grid; ``surface(grid)`` gives the
+    potential profile and the unit electron vectors psi there."""
+    if n_grid < 1:
+        raise ValueError(f"n_grid must be >= 1, got {n_grid}")
     grid = periodic_grid(model.L, n_grid)
-    if basis is None:
-        basis = espec.eigendecompose_field(model, grid)
-    elif basis.grid.shape != grid.shape or not np.allclose(basis.grid, grid):
-        raise ValueError("basis grid does not match the requested field grid")
-    lam0 = basis.lambdas[:, 0]
-    p_sq = 2.0 * (E - lam0)
+    profile, psi = surface(grid)
+    p_sq = 2.0 * (E - profile)
     if p_sq.min() <= EPS_CAUSTIC ** 2:
         raise CausticError(
             f"momentum field vanishes (min p^2 = {p_sq.min():.3e}); caustic present")
@@ -163,33 +144,45 @@ def field_from_energy(model, E, M, n_grid=1024, scheme="bo", basis=None, k=None)
     G = np.sqrt(pfield / pfield[0])
     inv_p = 1.0 / pfield
     rho = inv_p / periodic_integral(inv_p, model.L)
-    psi = basis.vectors[:, :, 0].astype(complex)
     return WkbField(grid=grid, E=float(E), theta=theta, pfield=pfield, G=G,
                     rho=rho, psi=psi, M=float(M), scheme=scheme, k=k)
 
 
-def _ehrenfest_effective_potential(model, E0, M, dt=None, c_step=0.1):
-    """One Ehrenfest loop; returns periodic splines of V_hat_0(X) and psi_hat(X)."""
-    lam0_start = espec.eigen_at(model, 0.0)[0][0]
+def field_from_energy(model, E, M, n_grid=1024, k=None):
+    """Assemble the grid fields for a given energy on the ground surface."""
+    def ground(grid):
+        basis = espec.eigendecompose_field(model, grid)
+        return basis.lambdas[:, 0], basis.vectors[:, :, 0].astype(complex)
+
+    return _assemble_field(model, E, M, n_grid, ground, "bo", k)
+
+
+def _ehrenfest_effective_potential(model, E0, M):
+    """One Ehrenfest loop from the launch point; returns periodic splines of
+    V_hat_0(X) and psi_hat(X)."""
+    X0 = espec.loop_branches(model).launch
+    lam0_start = espec.eigen_at(model, X0)[0][0]
     p0 = np.sqrt(2.0 * (E0 - lam0_start))
-    phi0 = dynamics.initial_electron_state(model, 0.0, p0, M)
-    init = dynamics.PhaseState.make(0.0, p0, phi=phi0)
-    if dt is None:
-        dt = min(c_step / np.sqrt(M), 2e-3)
+    phi0 = dynamics.initial_electron_state(model, X0, p0, M)
+    init = dynamics.PhaseState.make(X0, p0, phi=phi0)
+    dt = min(dynamics.DEFAULT_C_STEP / np.sqrt(M), 2e-3)
     traj = dynamics.simulate(model, init, "ehrenfest", T_final=10.0 * model.L / p0,
-                             dt=dt, surface=0.0, M=M, max_hits=1, c_step=c_step)
+                             dt=dt, surface=X0, M=M, max_hits=1)
     if not traj.hits:
         raise CausticError("Ehrenfest loop did not close; cannot build the field")
     tau = traj.hits[0].tau
     inside = traj.t <= tau
+    if traj.p[inside, 0].min() <= 0.0:
+        raise CausticError("Ehrenfest loop turned back before closing; caustic present")
     t_s = traj.t[inside]
     X_s = traj.X[inside, 0]
     v0_s = traj.H[inside] - 0.5 * traj.p[inside, 0] ** 2
     # dynamical dressing: psi_hat = phi * exp(i sqrt(M) int V_hat_0 dt)
     phase = np.concatenate([[0.0], np.cumsum(0.5 * np.diff(t_s) * (v0_s[1:] + v0_s[:-1]))])
     psi_s = traj.phi[inside] * np.exp(1j * np.sqrt(M) * phase)[:, None]
-    # force exact periodicity at the seam (mismatch is the loop monodromy error)
-    X_ext = np.append(X_s, model.L)
+    # force exact periodicity at the seam (mismatch is the loop monodromy error);
+    # the periodic splines extrapolate to the grid points below X0
+    X_ext = np.append(X_s, X0 + model.L)
     v0_spline = CubicSpline(X_ext, np.append(v0_s, v0_s[0]), bc_type="periodic")
     psi_splines = [
         (CubicSpline(X_ext, np.append(psi_s[:, n].real, psi_s[0, n].real), bc_type="periodic"),
@@ -199,34 +192,22 @@ def _ehrenfest_effective_potential(model, E0, M, dt=None, c_step=0.1):
     return v0_spline, psi_splines
 
 
-def build_field(model, M, k, scheme="bo", n_grid=1024, basis=None):
+def build_field(model, M, k, scheme="bo", n_grid=1024):
     """Quantize the energy for index k and assemble the field."""
-    if scheme == "bo":
-        E = quantized_energy(model, k, M)
-        return field_from_energy(model, E, M, n_grid=n_grid, scheme="bo",
-                                 basis=basis, k=k)
-    if scheme != "ehrenfest":
+    if scheme not in ("bo", "ehrenfest"):
         raise ValueError(f"unknown scheme {scheme!r}")
-    E0 = quantized_energy(model, k, M)
-    v0_spline, psi_splines = _ehrenfest_effective_potential(model, E0, M)
-    E = quantized_energy(model, k, M, potential=v0_spline)
-    grid = periodic_grid(model.L, n_grid)
-    v0 = v0_spline(grid)
-    p_sq = 2.0 * (E - v0)
-    if p_sq.min() <= EPS_CAUSTIC ** 2:
-        raise CausticError("Ehrenfest momentum field vanishes; caustic present")
-    pfield = np.sqrt(p_sq)
-    theta = periodic_antiderivative(pfield, model.L)
-    G = np.sqrt(pfield / pfield[0])
-    inv_p = 1.0 / pfield
-    rho = inv_p / periodic_integral(inv_p, model.L)
-    psi = np.empty((n_grid, model.d), dtype=complex)
-    for n, (re_s, im_s) in enumerate(psi_splines):
-        psi[:, n] = re_s(grid) + 1j * im_s(grid)
-    norms = np.linalg.norm(psi, axis=1, keepdims=True)
-    psi /= norms
-    return WkbField(grid=grid, E=float(E), theta=theta, pfield=pfield, G=G,
-                    rho=rho, psi=psi, M=float(M), scheme="ehrenfest", k=k)
+    E = quantized_energy(model, k, M)
+    if scheme == "bo":
+        return field_from_energy(model, E, M, n_grid=n_grid, k=k)
+    v0_spline, psi_splines = _ehrenfest_effective_potential(model, E, M)
+    E = quantized_energy_from_profiles(v0_spline(periodic_grid(model.L, _N_QUAD)),
+                                       model.L, k, M)
+
+    def dressed(grid):
+        psi = np.column_stack([re_s(grid) + 1j * im_s(grid) for re_s, im_s in psi_splines])
+        return v0_spline(grid), psi / np.linalg.norm(psi, axis=1, keepdims=True)
+
+    return _assemble_field(model, E, M, n_grid, dressed, "ehrenfest", k)
 
 
 def weight_along(trajectory, model, check_tol=1e-6, eps_caustic=EPS_CAUSTIC):
@@ -277,17 +258,6 @@ def weight_along(trajectory, model, check_tol=1e-6, eps_caustic=EPS_CAUSTIC):
         raise RuntimeError(
             f"Liouville identity violated: max |G^2/G_0^2 - det J| = {dev:.3e}")
     return WeightVariation(t=t.copy(), G=G, J=J)
-
-
-def density(field):
-    """Classical density C/G^2 on the grid, normalized to unit mass."""
-    if np.any(field.pfield <= EPS_CAUSTIC):
-        raise CausticError("momentum field vanishes; density undefined")
-    raw = 1.0 / field.G ** 2
-    rho = raw / periodic_integral(raw, field.grid[1] * len(field.grid))
-    if np.any(rho <= 0.0):
-        raise CausticError("density must stay positive")
-    return rho
 
 
 def detect_caustics(obj, model=None, eps=EPS_CAUSTIC):

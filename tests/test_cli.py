@@ -109,6 +109,33 @@ def test_wkb_csv(tmp_path, cos_config):
     assert abs(rho.sum() * 2 * np.pi / 128 - 1.0) < 1e-6
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("option, message", [
+    (["--ngrid", "0"], "n_grid must be >= 1"), (["--ngrid=-3"], "n_grid must be >= 1"),
+    (["--M", "0"], "M must be finite and >= 1"), (["--M=-4"], "M must be finite and >= 1"),
+    (["--M", "nan"], "M must be finite and >= 1"),
+    (["--M", "inf"], "M must be finite and >= 1")])
+def test_wkb_rejects_bad_inputs(tmp_path, cos_config, capsys, option, message):
+    out = tmp_path / "wkb.csv"
+    # the option given last replaces the valid value before it
+    assert cli.main(["wkb", "--config", cos_config, "--M", "256", "--k", "12",
+                     "--ngrid", "128", "--out", str(out)] + option) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err and "Warning" not in err
+    assert not out.exists()
+
+
+def test_wkb_ehrenfest_turning_back_exits_two(tmp_path, capsys):
+    config = tmp_path / "cross.json"
+    config.write_text(json.dumps({"family": "two_level_cross", "d": 2}))
+    out = tmp_path / "wkb.csv"
+    assert cli.main(["wkb", "--config", str(config), "--M", "256", "--k", "34",
+                     "--scheme", "ehrenfest", "--ngrid", "128", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "certificate failed" in err and "caustic" in err
+    assert not out.exists()
+
+
 def test_qref_csv(tmp_path, cos_config):
     out = str(tmp_path / "eig.csv")
     assert cli.main(["qref", "--config", cos_config, "--M", "64", "--ngrid", "128",

@@ -212,3 +212,11 @@ def test_smooth_branches_gap_vs_cross():
     # the sorted ground level, by contrast, has the |sin| kink at the crossing
     sorted0 = np.sort(fc.mu, axis=1)[order, 0]
     assert np.abs(np.diff(sorted0, 2)).max() / h ** 2 > 10.0
+
+
+def test_loop_branches_launch_at_widest_first_gap():
+    assert espec.loop_branches(build_model(ModelSpec(family="free"))).launch == 0.0
+    assert espec.loop_branches(gap_model()).launch == 0.0
+    # the crossing family's first gap 4 |sin(X/2)| is widest at X = pi
+    branch = espec.loop_branches(cross_model())
+    assert branch.grid.size == 512 and branch.launch == np.pi

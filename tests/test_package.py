@@ -1,0 +1,15 @@
+import importlib
+import pkgutil
+
+import pytest
+
+import qcmd
+
+MODULES = ["qcmd"] + [f"qcmd.{info.name}" for info in pkgutil.iter_modules(qcmd.__path__)]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_exists(name):
+    module = importlib.import_module(name)
+    missing = [n for n in getattr(module, "__all__", []) if not hasattr(module, n)]
+    assert missing == []

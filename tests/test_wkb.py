@@ -110,8 +110,6 @@ def test_density_free_uniform():
     m = free_model()
     field = wkb.field_from_energy(m, 0.5, M=64.0, n_grid=128)
     assert np.abs(field.rho - 1.0 / m.L).max() < 1e-14
-    rho = wkb.density(field)
-    assert np.abs(rho - 1.0 / m.L).max() < 1e-12
 
 
 def test_density_normalized_and_momentum_product_constant():
@@ -209,6 +207,35 @@ def test_ehrenfest_field_builder_scalar_reduces_to_bo():
     assert abs(f_e.E - f_bo.E) < 1e-5
     assert np.abs(f_e.pfield - f_bo.pfield).max() < 1e-4
     assert np.abs(np.abs(f_e.psi[:, 0]) - 1.0).max() < 1e-10
+
+
+def test_ehrenfest_field_two_level_gap_launches_at_branch_start():
+    m = build_model(ModelSpec(family="two_level_gap", params={"delta": 0.25}, d=2))
+    M = 256.0
+    k = wkb.bohr_sommerfeld_index(m, 1.0, M)
+    field = wkb.build_field(m, M, k, scheme="ehrenfest", n_grid=256)
+    assert field.scheme == "ehrenfest" and field.psi.shape == (256, 2)
+    assert np.abs(np.linalg.norm(field.psi, axis=1) - 1.0).max() < 1e-12
+    assert wkb.detect_caustics(field) == [] and field.pfield.min() > 0.0
+    # the loop starts on the first grid point: psi there is the launch state
+    X0 = espec.loop_branches(m).launch
+    assert X0 == field.grid[0]
+    p0 = np.sqrt(2.0 * (wkb.quantized_energy(m, k, M) - espec.eigen_at(m, X0)[0][0]))
+    phi0 = dynamics.initial_electron_state(m, X0, p0, M)
+    assert np.abs(field.psi[0] - phi0).max() < 1e-12
+
+
+def test_ehrenfest_field_turning_back_is_a_caustic():
+    # the Ehrenfest loop turns back (p < 0) before it returns to its launch point
+    m = build_model(ModelSpec(family="two_level_cross", d=2))
+    with pytest.raises(CausticError, match="turned back"):
+        wkb.build_field(m, 256.0, 34, scheme="ehrenfest", n_grid=256)
+
+
+@pytest.mark.parametrize("M", [0.0, 0.5, -4.0, np.nan, np.inf])
+def test_quantization_rejects_bad_mass(M):
+    with pytest.raises(ValueError, match="M must be finite and >= 1"):
+        wkb.quantized_energy(cos_model(), 3, M)
 
 
 def test_wkb_residual_decays_with_mass():
