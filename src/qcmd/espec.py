@@ -229,29 +229,48 @@ def _greedy_match(ov):
     return assign
 
 
+def _compose_prefixes(maps):
+    """Row t is maps[t] o maps[t - 1] o ... o maps[0], by doubling."""
+    out = maps.copy()
+    step = 1
+    while step < len(out):
+        out[step:] = np.take_along_axis(out[step:], out[:-step], axis=1)
+        step *= 2
+    return out
+
+
 def smooth_branches(model, grid):
-    """Continue eigenpairs smoothly around the torus; labels may swap at crossings."""
+    """Continue eigenpairs smoothly around the torus; labels may swap at crossings.
+
+    Matching reads only |overlap|, which no sign fix of a neighbour changes,
+    so the overlaps of every pair of neighbouring points come from one
+    product, and each point's match of its sorted levels to the previous
+    point's is composed onto the branch assignment; ``_greedy_match`` runs
+    only where two levels want the same partner.
+    """
     grid = np.asarray(grid, dtype=float)
     n, d = grid.size, model.d
     lam_all, vec_all = eigen_at(model, grid)
     gaps1 = lam_all[:, 1] - lam_all[:, 0] if d > 1 else np.ones(n)
     start = int(np.argmax(gaps1))
     order = np.r_[np.arange(start, n), np.arange(0, start)]
+    walk = vec_all[np.r_[order, start]]    # around the loop and back to the start
+    ov = np.abs(walk[1:].transpose(0, 2, 1) @ walk[:-1])   # (step, here, before)
+    best = ov.argmax(axis=1)               # the best level here of each level before
+    tie = (np.diff(np.sort(best, axis=1), axis=1) == 0).any(axis=1)
+    assign = np.empty((n + 1, d), dtype=int)    # sorted level of each branch, per step
+    assign[0] = np.arange(d)
+    t = 0
+    for tied in np.r_[np.flatnonzero(tie), n]:
+        assign[t + 1:tied + 1] = _compose_prefixes(best[t:tied])[:, assign[t]]
+        if tied < n:
+            assign[tied + 1] = _greedy_match(ov[tied][:, assign[tied]])
+        t = tied + 1
     sorted_index = np.empty((n, d), dtype=int)
-    mu = np.empty((n, d))
-    prev = vec_all[start].copy()
-    sorted_index[start] = np.arange(d)
-    mu[start] = lam_all[start]
-    branches = np.arange(d)
-    for i in order[1:]:
-        ov = vec_all[i].T @ prev            # (sorted, branch)
-        assign = _greedy_match(ov)
-        prev = vec_all[i][:, assign] * np.where(ov[assign, branches] >= 0.0, 1.0, -1.0)
-        sorted_index[i] = assign
-        mu[i] = lam_all[i, assign]
-    permutation = _greedy_match(vec_all[start].T @ prev)
+    sorted_index[order] = assign[:n]
+    mu = np.take_along_axis(lam_all, sorted_index, axis=1)
     return BranchField(grid=grid, mu=mu, sorted_index=sorted_index,
-                       permutation=permutation, start=start)
+                       permutation=assign[n], start=start)
 
 
 def loop_branches(model):

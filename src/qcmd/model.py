@@ -7,7 +7,9 @@ carry closed forms for V, its X-derivatives, its ascending eigenvalues
 with their X-derivatives, and the electron propagator exp(-i a V), evaluated
 on whole arrays of X at once: a scalar X gives one (d, d) matrix, an array
 of n points an (n, d, d) stack whose entries equal the per-point values bit
-for bit.
+for bit.  Each family also declares the level involutions of its V: the
+reflection V(-X) = P_r V(X) P_r and the half-period shift
+V(X + L/2) = P_h V(X) P_h.
 """
 
 import json
@@ -32,6 +34,7 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
+_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 @dataclass(frozen=True)
@@ -95,6 +98,11 @@ class ModelSystem:
     s beta_R) for exp(-i a V(x)) = cos(a rho) I - i sin(a rho) R with
     s = sin(a rho) and R = [[alpha_R, beta_R], [beta_R, -alpha_R]], and
     x -> (alpha', beta') of dV/dX (None for every other family).
+
+    ``involutions`` is (P_r, P_h): symmetric d x d matrices with square I and
+    V(-X) = P_r V(X) P_r, V(X + L/2) = P_h V(X) P_h, or None where the family
+    has no such symmetry.  They are hints: ``qref`` uses one only after it
+    holds exactly on the Fourier coefficients of the sampled V.
     """
 
     family: str
@@ -112,6 +120,7 @@ class ModelSystem:
     _second_derivative: callable = field(repr=False, default=None)
     _ground_slope: callable = field(repr=False, default=None)
     _float_forms: tuple = field(repr=False, default=None)
+    involutions: tuple = field(repr=False, compare=False, default=(None, None))
 
     def potential(self, X):
         return evaluate_potential(self, X)
@@ -165,7 +174,7 @@ def _free(params, L, d):
                 _second_derivative=lambda X: zeros(X, 1, 1),
                 _levels=lambda X: (zeros(X, 1), zeros(X, 1)),
                 _propagator=lambda X, a: np.ones((X.size, 1, 1), dtype=complex),
-                gap_floor=np.inf)
+                gap_floor=np.inf, involutions=(np.eye(1), None))
 
 
 def _scalar_cos(params, L, d):
@@ -190,8 +199,10 @@ def _scalar_cos(params, L, d):
     def propagator(X, rate):
         return np.exp(-1j * (rate * (a * np.cos(w * X))))[:, None, None]
 
+    # even in X; V(X + L/2) = -V(X) has no level involution
     return dict(_fields=fields, _derivative=derivative, _second_derivative=d2pot,
-                _levels=levels, _propagator=propagator, gap_floor=np.inf)
+                _levels=levels, _propagator=propagator, gap_floor=np.inf,
+                involutions=(np.eye(1), None))
 
 
 def _two_level_gap(params, L, d):
@@ -239,10 +250,12 @@ def _two_level_gap(params, L, d):
     def derivative_floats(x):
         return -math.sin(x), 0.0
 
-    # lambda_1 - lambda_0 = 2 hypot(cos X, delta)
+    # lambda_1 - lambda_0 = 2 hypot(cos X, delta); V is even in X, and
+    # cos(X + pi) = -cos X swaps the diagonal: V(X + pi) = sx V(X) sx
     return dict(_fields=fields, _derivative=derivative, _second_derivative=d2pot,
                 _levels=levels, _propagator=propagator, gap_floor=2.0 * delta,
-                _float_forms=(propagator_floats, derivative_floats))
+                _float_forms=(propagator_floats, derivative_floats),
+                involutions=(np.eye(2), _SIGMA_X))
 
 
 def _two_level_cross(params, L, d):
@@ -288,9 +301,11 @@ def _two_level_cross(params, L, d):
     def derivative_floats(x):
         return math.cos(x), math.sin(x)
 
+    # sin(-X) = -sin X swaps the diagonal: V(-X) = sx V(X) sx
     return dict(_fields=fields, _derivative=derivative, _second_derivative=d2pot,
                 _levels=levels, _propagator=propagator, gap_floor=0.0,
-                _float_forms=(propagator_floats, derivative_floats))
+                _float_forms=(propagator_floats, derivative_floats),
+                involutions=(_SIGMA_X, None))
 
 
 def _multi_level(params, L, d):
@@ -352,9 +367,11 @@ def _multi_level(params, L, d):
     if np.any(np.diff(levels(np.array([0.0, 0.5 * L]))[0], axis=1) <= 0.0):
         raise ValueError("multi_level gap profiles must be positive and ordered")
 
-    # lambda_1 - lambda_0 = g_1 + eps_1 cos(w X)
+    # lambda_1 - lambda_0 = g_1 + eps_1 cos(w X); P = diag(+-1) alternating
+    # flips A (P A P = -A), so P Q(X) P = Q(-X) and V(-X) = P V(X) P
     return dict(_fields=fields, _levels=levels, _ground_slope=ground_slope,
-                _propagator=propagator, gap_floor=g[1] - abs(eps[1]))
+                _propagator=propagator, gap_floor=g[1] - abs(eps[1]),
+                involutions=(np.diag((-1.0) ** np.arange(d)), None))
 
 
 _FAMILIES = {

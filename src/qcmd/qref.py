@@ -7,23 +7,33 @@ circulant, so they are diagonal in the real plane-wave basis
 
     1, cos(m x), sin(m x) (0 < m < n/2), cos(n x / 2) (n even),
 
-sampled at the nodes and normalized (an orthogonal n x n matrix Q).  With
-the d levels innermost, Q^T H Q is banded: its entries are sums of Fourier
-coefficients of the sampled V_ab(x_j), and a mode m couples only to modes m'
-with |m - m'| up to the highest harmonic of V, aliasing wrap-around
-included.  A cosine and a sine mode couple only through the sine
-coefficients of V, so when V is even in X (every sine coefficient is zero)
-the modes are ordered as all cosines 0, cos 1, ..., Nyquist, then all
-sines, and Q^T H Q is two independent diagonal blocks, each with about half
-the bandwidth of the interleaved order; otherwise the order is
-0, cos 1, sin 1, cos 2, sin 2, ..., Nyquist and there is one block.  This
-is an exact orthogonal similarity transform of the collocation operator,
-not a Galerkin truncation; only Fourier coefficients at the rounding level
-of the FFT are dropped.  Eigenvalues come from a windowed banded solve
-(LAPACK ``dsbevx``) of each block, eigenvectors from block inverse
-iteration on each near-degenerate cluster within a block, and every
-returned pair is certified by its residual against the full collocation
-operator, applied by FFT.
+sampled at the nodes and normalized (an orthogonal n x n matrix F).  With
+the d levels innermost, Q^T H Q (Q = F times a level basis U) is banded: its
+entries are sums of Fourier coefficients of U^T V(x_j) U, and a mode m
+couples only to modes m' with |m - m'| up to the highest harmonic of V,
+aliasing wrap-around included.
+
+Each model declares the level involutions of its V: the reflection
+V(-x) = P_r V(x) P_r and the half shift V(x + L/2) = P_h V(x) P_h.  U holds
+common eigenvectors of the declared involutions, and a position (real mode,
+level of U) gets the label (+1 for cos, -1 for sin) times p_r from the
+reflection and (-1)^m times p_h from the half shift.  An involution is
+used only when the rotated, rounding-cut Fourier coefficients satisfy it
+exactly; then no entry couples positions of different labels, and the
+positions of equal labels, ordered by m, then cos/sin, then level, form one
+independent diagonal block of Q^T H Q.  ``two_level_gap`` gets four
+tridiagonal blocks (P_r = I, P_h = sx), ``two_level_cross`` and
+``multi_level`` two (P_r = sx and diag(+-1)), the scalar families two
+(cosines, then sines), and a potential with no involution one block in the
+interleaved order.
+
+This is an exact orthogonal similarity transform of the collocation
+operator, not a Galerkin truncation; only Fourier coefficients at the
+rounding level of the FFT are dropped.  Eigenvalues come from a windowed
+banded solve (LAPACK ``dsbevx``) of each block, eigenvectors from block
+inverse iteration on each near-degenerate cluster within a block, and
+every returned pair is certified by its residual against the full
+collocation operator, applied by FFT.
 """
 
 from dataclasses import dataclass
@@ -61,18 +71,21 @@ class DiscreteHamiltonian:
     """Collocation operator in banded real plane-wave form.
 
     ``matrix`` is the upper band of Q^T H Q in LAPACK symmetric band storage,
-    shape (bandwidth + 1, n_grid * d), with the real modes in the order
-    ``modes`` (indices into 0, cos 1, sin 1, cos 2, sin 2, ..., Nyquist) and
-    the d levels innermost.  ``blocks`` holds the column ranges (lo, hi) of
-    the diagonal blocks that no entry couples: the cosine and the sine modes
-    when V is even in X, else the whole operator.  ``potential`` holds
-    V(x_j) and ``kinetic`` the kinetic symbol at the FFT frequencies, from
-    which the full collocation operator is applied for residuals.
+    shape (bandwidth + 1, n_grid * d).  A position r * d + a is real mode r
+    (0, cos 1, sin 1, cos 2, sin 2, ..., Nyquist) times column a of
+    ``levels``, the level basis U (common eigenvectors of the involutions
+    that hold, else I); column k of ``matrix`` is position ``order[k]``.
+    ``blocks`` holds the column ranges (lo, hi) of the diagonal blocks that
+    no entry couples, one per label of the involutions.  ``potential``
+    holds V(x_j) in the original levels and ``kinetic`` the kinetic symbol
+    at the FFT frequencies, from which the full collocation operator is
+    applied for residuals.
     """
 
     matrix: np.ndarray
-    modes: np.ndarray        # (n_grid,), real-mode order of the band
+    order: np.ndarray        # (n_grid * d,), position (mode * d + level) of each column
     blocks: tuple            # ((lo, hi), ...), independent column ranges
+    levels: np.ndarray       # (d, d), the rotated level basis as columns
     grid: np.ndarray
     M: float
     n_grid: int
@@ -123,40 +136,94 @@ def _real_modes(n):
     return m, sine, weight
 
 
-def _band(V, kinetic):
-    """Upper band of Q^T H Q, its real-mode order and its independent blocks.
+def _level_basis(involutions, d):
+    """Common eigenvectors of the declared level involutions, as columns.
 
-    From the samples V(x_j) and the kinetic symbol.  When every sine
-    coefficient of V is zero the cosines come first, then the sines, and the
-    two sets are the blocks; otherwise the modes stay interleaved in one block.
+    The eigenvalues of sum_k 2^k P_k tell the joint sign patterns of
+    commuting involutions P_k apart, so its eigenvectors are common ones.
+    """
+    declared = [P for P in involutions if P is not None]
+    if not declared:
+        return np.eye(d)
+    S = sum(2.0 ** k * np.asarray(P, dtype=float) for k, P in enumerate(declared))
+    return np.linalg.eigh(S)[1]
+
+
+def _split_levels(coef, involutions):
+    """Level basis, cut coefficients and level signs of the involutions that hold.
+
+    The levels are rotated into common eigenvectors U of the involutions;
+    one that the rotated, cut coefficients do not satisfy exactly is dropped
+    and U is taken again from the rest.  Returns U, the cosine and sine
+    coefficients in the basis U and, per involution, the sign of each
+    column of U (None for one not declared or dropped).
+    """
+    n, d, _ = coef.shape
+    tol = _COEF_TOL * np.abs(coef).max()
+    q_odd = (np.arange(n) % 2 == 1)[:, None, None]
+    kept = list(involutions)
+    while True:
+        U = _level_basis(kept, d)
+        rotated = np.einsum("ia,qij,jb->qab", U, coef, U)
+        rotated = 0.5 * (rotated + rotated.transpose(0, 2, 1))
+        A = np.where(np.abs(rotated.real) > tol, rotated.real, 0.0)     # cosine coefficients
+        B = np.where(np.abs(rotated.imag) > tol, -rotated.imag, 0.0)    # sine coefficients
+        signs = [None if P is None else np.where(np.einsum("ia,ij,ja->a", U, P, U) < 0.0, -1, 1)
+                 for P in kept]
+        p_r, p_h = signs
+        fails = [False, False]
+        if p_r is not None:
+            # V(-x) = P_r V(x) P_r: an entry with p_a p_b = 1 is even in x (no
+            # sine part), one with p_a p_b = -1 odd (no cosine part)
+            even = np.outer(p_r, p_r) > 0
+            fails[0] = bool(B[:, even].any() or A[:, ~even].any())
+        if p_h is not None:
+            # V(x + L/2) = P_h V(x) P_h: entry a, b holds only harmonics q
+            # with (-1)^q = p_a p_b.  On an odd grid, where the shift is no
+            # symmetry, coef_{n-q} = conj(coef_q) has the other parity, so
+            # this holds only when no entry couples two labels either
+            wrong = q_odd == (np.outer(p_h, p_h) > 0)
+            fails[1] = bool(A[wrong].any() or B[wrong].any())
+        if not any(fails):
+            return U, A, B, signs
+        kept = [None if fail else P for P, fail in zip(kept, fails)]
+
+
+def _band(V, kinetic, involutions):
+    """Upper band of Q^T H Q, its position order, its blocks and its level basis.
+
+    From the samples V(x_j), the kinetic symbol and the declared level
+    involutions (P_r, P_h); the labels, their check and the block order are
+    those of the module docstring.
     """
     n, d, _ = V.shape
     coef = np.fft.fft(V, axis=0) / n          # V_ab(x_j) = sum_q coef_q e^{i q x_j}
-    tol = _COEF_TOL * np.abs(coef).max()
-    A = np.where(np.abs(coef.real) > tol, coef.real, 0.0)     # cosine coefficients
-    B = np.where(np.abs(coef.imag) > tol, -coef.imag, 0.0)    # sine coefficients
+    U, A, B, (p_r, p_h) = _split_levels(coef, involutions)
+    m, sine, weight = _real_modes(n)
+    label = np.zeros((n, d), dtype=int)       # block key of position (mode, level)
+    if p_r is not None:
+        label += 2 * (np.where(sine, -1, 1)[:, None] * p_r < 0)
+    if p_h is not None:
+        label += ((-1) ** m)[:, None] * p_h < 0
+    label = label.reshape(-1)
+    order = np.argsort(label, kind="stable")   # m, cos/sin, level within a block
+    ends = np.cumsum(np.bincount(label))
+    blocks = tuple((int(lo), int(hi)) for lo, hi in zip(np.r_[0, ends[:-1]], ends) if hi > lo)
     harmonics = np.flatnonzero((A != 0.0).any(axis=(1, 2)) | (B != 0.0).any(axis=(1, 2)))
     K = int(np.minimum(harmonics, n - harmonics).max()) if harmonics.size else 0
     N = n * d
-    m, sine, weight = _real_modes(n)
-    if B.any():
-        modes = np.arange(n)
-        blocks = ((0, N),)
-        b_max = min((2 * K + 2) * d - 1, N - 1)
-    else:
-        # cos m sits at mode position m and sin m at n // 2 + m, so a
-        # harmonic K of V (aliased sums m + m' near n included) spans K
-        # positions, not 2 K + 1
-        modes = np.concatenate([np.flatnonzero(~sine), np.flatnonzero(sine)])
-        cut = int(np.count_nonzero(~sine)) * d
-        blocks = tuple((lo, hi) for lo, hi in ((0, cut), (cut, N)) if hi > lo)
-        b_max = min((K + 1) * d - 1, N - 1)
+    # a harmonic K of V (aliased sums m + m' near n included) couples modes
+    # at most K apart in m, so the band reaches the last position of the
+    # same block within K of each position's wavenumber
+    ms = m[order // d]
+    key = label[order] * (n + K + 1) + ms      # ascending: blocks apart by more than K
+    b_max = int((np.searchsorted(key, key + K, side="right") - 1 - np.arange(N)).max())
     offset = np.arange(b_max + 1)[:, None]
     j = np.arange(N)[None, :]
     i = j - offset                             # entry (i, j) sits at band[b - offset, j]
     inside = i >= 0
     i = np.where(inside, i, j)                 # any valid index; masked out below
-    ri, ai, rj, aj = modes[i // d], i % d, modes[j // d], j % d
+    ri, ai, rj, aj = order[i] // d, order[i] % d, order[j] // d, order[j] % d
     mi, mj = m[ri], m[rj]
     si, sj = sine[ri], sine[rj]
     diff, total = (mi - mj) % n, (mi + mj) % n
@@ -169,7 +236,7 @@ def _band(V, kinetic):
     val = np.where(inside, val, 0.0)
     nonzero = np.flatnonzero(np.abs(val).max(axis=1) > 0.0)
     b = int(nonzero.max()) if nonzero.size else 0
-    return np.ascontiguousarray(val[b::-1]), modes, blocks
+    return np.ascontiguousarray(val[b::-1]), order, blocks, U
 
 
 def assemble_hamiltonian(model, M, n_grid, e_max=None, laplacian="spectral"):
@@ -195,8 +262,8 @@ def assemble_hamiltonian(model, M, n_grid, e_max=None, laplacian="spectral"):
     grid = periodic_grid(model.L, n_grid)
     V = model_mod.evaluate_potential(model, grid)
     V = 0.5 * (V + V.transpose(0, 2, 1))
-    matrix, modes, blocks = _band(V, kinetic)
-    return DiscreteHamiltonian(matrix=matrix, modes=modes, blocks=blocks, grid=grid,
+    matrix, order, blocks, levels = _band(V, kinetic, model.involutions)
+    return DiscreteHamiltonian(matrix=matrix, order=order, blocks=blocks, levels=levels, grid=grid,
                                M=float(M), n_grid=n_grid, d=model.d, L=model.L,
                                potential=V, kinetic=kinetic)
 
@@ -221,24 +288,26 @@ def _band_matvec(band, X):
 
 
 def _to_grid(H, vec):
-    """Grid values (n_grid, d) of a vector of real-mode coefficients in H's order."""
+    """Grid values (n_grid, d) of a vector of position coefficients in H's order."""
     n = H.n_grid
-    U = np.empty((n, H.d))
-    U[H.modes] = vec.reshape(n, H.d)
+    C = np.empty(n * H.d)
+    C[H.order] = vec
+    C = C.reshape(n, H.d)                      # real mode by level of H.levels
     Z = np.zeros((n // 2 + 1, H.d), dtype=complex)
-    Z[0] = U[0]
+    Z[0] = C[0]
     top = (n - 1) // 2
-    Z[1:top + 1] = (U[1:2 * top:2] - 1j * U[2:2 * top + 1:2]) / np.sqrt(2.0)
+    Z[1:top + 1] = (C[1:2 * top:2] - 1j * C[2:2 * top + 1:2]) / np.sqrt(2.0)
     if n % 2 == 0:
-        Z[n // 2] = U[n - 1]
-    return np.fft.irfft(Z * np.sqrt(n), n, axis=0)
+        Z[n // 2] = C[n - 1]
+    return np.fft.irfft(Z * np.sqrt(n), n, axis=0) @ H.levels.T
 
 
 def _cluster_vectors(band, energies, scale):
     """Orthonormal eigenvectors for a cluster of close eigenvalues.
 
     Block inverse iteration shifted just off the cluster (so that an exact
-    eigenvalue never makes the shifted band singular), from a fixed-seed
+    eigenvalue never makes the shifted band singular; the band is factored
+    once and every iteration reuses the LU factors), from a fixed-seed
     start block with ``_GUARD`` extra columns, then a Rayleigh-Ritz rotation
     inside the block; the Ritz vectors nearest the shift are returned in
     ascending order of their Ritz values.
@@ -248,16 +317,20 @@ def _cluster_vectors(band, energies, scale):
     c = len(energies)
     width = min(c + _GUARD, N)
     sigma = float(np.mean(energies)) + 1e-10 * scale   # far below any level gap
-    shifted = np.zeros((2 * b + 1, N))
-    shifted[:b + 1] = band
-    shifted[b] -= sigma
+    # LAPACK general band storage: b rows for the LU fill-in, then the band
+    shifted = np.zeros((3 * b + 1, N))
+    shifted[b:2 * b + 1] = band
+    shifted[2 * b] -= sigma
     for k in range(1, b + 1):
-        shifted[b + k, :N - k] = band[b - k, k:]
+        shifted[2 * b + k, :N - k] = band[b - k, k:]
+    lu, piv, info = scipy.linalg.lapack.dgbtrf(shifted, b, b, overwrite_ab=True)
+    if info:
+        raise np.linalg.LinAlgError("shifted band is singular")
     X = np.linalg.qr(np.random.default_rng(0).standard_normal((N, width)))[0]
     tol = 1e-12 * scale
     best = np.inf
     for _ in range(_MAX_ITER):
-        X = np.linalg.qr(scipy.linalg.solve_banded((b, b), shifted, X))[0]
+        X = np.linalg.qr(scipy.linalg.lapack.dgbtrs(lu, b, b, X, piv)[0])[0]
         HX = _band_matvec(band, X)
         theta, W = np.linalg.eigh(X.T @ HX)
         keep = np.sort(np.argsort(np.abs(theta - sigma), kind="stable")[:c])

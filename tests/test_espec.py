@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -212,6 +214,80 @@ def test_smooth_branches_gap_vs_cross():
     # the sorted ground level, by contrast, has the |sin| kink at the crossing
     sorted0 = np.sort(fc.mu, axis=1)[order, 0]
     assert np.abs(np.diff(sorted0, 2)).max() / h ** 2 > 10.0
+
+
+def per_point_branches(model, grid):
+    """The branch continuation one point at a time, with sign-fixed vectors:
+    the oracle for ``smooth_branches``."""
+    lam_all, vec_all = espec.eigen_at(model, grid)
+    n, d = grid.size, model.d
+    gaps1 = lam_all[:, 1] - lam_all[:, 0] if d > 1 else np.ones(n)
+    start = int(np.argmax(gaps1))
+    sorted_index = np.empty((n, d), dtype=int)
+    mu = np.empty((n, d))
+    prev = vec_all[start].copy()
+    sorted_index[start] = np.arange(d)
+    mu[start] = lam_all[start]
+    for i in np.r_[np.arange(start + 1, n), np.arange(0, start)]:
+        ov = vec_all[i].T @ prev
+        assign = espec._greedy_match(ov)
+        prev = vec_all[i][:, assign] * np.where(ov[assign, np.arange(d)] >= 0.0, 1.0, -1.0)
+        sorted_index[i] = assign
+        mu[i] = lam_all[i, assign]
+    return mu, sorted_index, espec._greedy_match(vec_all[start].T @ prev), start
+
+
+def three_crossing_levels():
+    """V = diag(cos X, cos(X - 2 pi/3), cos(X + 2 pi/3)): the sorted labels
+    swap at six points, by transpositions that do not commute."""
+    base = multi([[1.0, 0.02], [2.0, 0.03]])
+
+    def fields(X):
+        V = np.zeros((X.size, 3, 3))
+        for a, shift in enumerate((0.0, -2 * np.pi / 3, 2 * np.pi / 3)):
+            V[:, a, a] = np.cos(X + shift)
+        return V, np.zeros_like(V)
+
+    return dataclasses.replace(base, _fields=fields)
+
+
+BRANCH_MODELS = {
+    "free": lambda: build_model(ModelSpec(family="free")),
+    "three_crossing_levels": three_crossing_levels,
+    "scalar_cos": lambda: build_model(ModelSpec(family="scalar_cos", params={"a": 0.1})),
+    "two_level_gap": gap_model,
+    "two_level_cross": cross_model,
+    "multi_level": lambda: multi([[1.0, 0.02], [2.0, 0.03]], a0=0.2, rot=0.3),
+}
+
+
+def assert_branches_equal(field, oracle):
+    mu, sorted_index, permutation, start = oracle
+    assert field.mu.tobytes() == mu.tobytes()
+    assert np.array_equal(field.sorted_index, sorted_index)
+    assert np.array_equal(field.permutation, permutation)
+    assert field.start == start
+
+
+@pytest.mark.parametrize("family", sorted(BRANCH_MODELS))
+def test_smooth_branches_match_per_point_loop(family):
+    m = BRANCH_MODELS[family]()
+    for n in (4, 5, 7, 16, 33, 256, 512, 1024, 2048):
+        grid = periodic_grid(m.L, n)
+        assert_branches_equal(espec.smooth_branches(m, grid), per_point_branches(m, grid))
+
+
+def test_smooth_branches_tie_takes_greedy_path(monkeypatch):
+    # on two nodes the crossing family has V(0) = 0, whose eigenvectors are
+    # the unit vectors, each at |overlap| 1/sqrt 2 with both levels at X = pi
+    m = cross_model()
+    grid = periodic_grid(m.L, 2)
+    oracle = per_point_branches(m, grid)
+    greedy = espec._greedy_match
+    calls = []
+    monkeypatch.setattr(espec, "_greedy_match", lambda ov: calls.append(ov) or greedy(ov))
+    assert_branches_equal(espec.smooth_branches(m, grid), oracle)
+    assert calls
 
 
 def test_loop_branches_launch_at_widest_first_gap():

@@ -162,6 +162,25 @@ def test_electron_propagator_matches_expm(family, params, d):
         assert np.abs(unitarity).max() < 1e-14
 
 
+@pytest.mark.parametrize("family, params, d", FAMILIES)
+def test_declared_involutions_hold(family, params, d):
+    # V(-X) = P_r V(X) P_r and V(X + L/2) = P_h V(X) P_h for what the family
+    # declares, each P a symmetric involution, and the two commuting
+    m = build_model(ModelSpec(family=family, params=params, d=d))
+    P_r, P_h = m.involutions
+    assert P_r is not None
+    assert (P_h is not None) == (family == "two_level_gap")
+    xs = np.random.default_rng(5).uniform(-3.0, 12.0, 61)
+    V = model.evaluate_potential(m, xs)
+    for P, shifted in ((P_r, -xs), (P_h, xs + 0.5 * m.L)):
+        if P is None:
+            continue
+        assert np.array_equal(P, P.T) and np.array_equal(P @ P, np.eye(d))
+        assert np.abs(model.evaluate_potential(m, shifted) - P @ V @ P).max() < 1e-14
+    if P_h is not None:
+        assert np.array_equal(P_r @ P_h, P_h @ P_r)
+
+
 @pytest.mark.parametrize("family, params", [("two_level_gap", {"delta": 0.3}),
                                             ("two_level_cross", {})])
 def test_float_forms_match_the_array_forms(family, params):

@@ -97,6 +97,27 @@ EVEN["multi_level rot=0"] = multi_level_spec(0.0)
 # a rotation rot sin(X) A gives V(-X) = P V(X) P with P = diag(+-1), not V(X),
 # so even rot = 1e-9 leaves sine coefficients well above the rounding cut
 ALL = {**FAMILIES, **EVEN, "multi_level rot=1e-9": multi_level_spec(1e-9)}
+# the declared involutions that hold: every family has its reflection, and
+# only two_level_gap the half shift V(X + pi) = sx V(X) sx (on an even grid)
+HALF_SHIFT = {"two_level_gap"}
+
+
+def expected_labels(m, H, half):
+    """Block key of each position (mode r, level a), in the order r * d + a:
+    2 for a negative reflection label, plus 1 for a negative half-shift one."""
+    n = H.n_grid
+    r = np.arange(n)
+    mode_m = (r + 1) // 2
+    sine = (r > 0) & (r % 2 == 0)
+    P_r, P_h = m.involutions
+
+    def signs(P):
+        return np.sign(np.einsum("ia,ij,ja->a", H.levels, P, H.levels))
+
+    key = 2 * (np.where(sine, -1, 1)[:, None] * signs(P_r) < 0)
+    if half:
+        key = key + (((-1) ** mode_m)[:, None] * signs(P_h) < 0)
+    return key.reshape(-1)
 
 
 def expand_band(band):
@@ -109,14 +130,16 @@ def expand_band(band):
 
 
 def test_band_is_orthogonal_transform_of_collocation():
-    # the stored band, mirrored, is Q^T H Q exactly with the modes in the
-    # order H.modes (so H stays symmetric), nothing above rounding lies
-    # outside it, and no entry couples two blocks; odd n has no Nyquist mode
+    # the stored band, mirrored, is Q^T H Q exactly with Q the real Fourier
+    # modes times the rotated levels H.levels, in the position order H.order
+    # (so H stays symmetric), nothing above rounding lies outside it, and no
+    # entry couples two blocks; odd n has no Nyquist mode
     for family in sorted(ALL):
         m = build_model(ALL[family])
         for n in (32, 33):
             H = qref.assemble_hamiltonian(m, 64.0, n)
-            Q = np.kron(real_fourier_basis(n)[:, H.modes], np.eye(m.d))
+            assert np.abs(H.levels.T @ H.levels - np.eye(m.d)).max() < 1e-15
+            Q = np.kron(real_fourier_basis(n), H.levels)[:, H.order]
             expect = Q.T @ dense_collocation(m, 64.0, n) @ Q
             b = H.matrix.shape[0] - 1
             full = expand_band(H.matrix)
@@ -129,33 +152,46 @@ def test_band_is_orthogonal_transform_of_collocation():
 @pytest.mark.parametrize("n", [32, 33])
 @pytest.mark.parametrize("family", sorted(ALL))
 def test_only_even_potentials_split_into_parity_blocks(family, n):
+    # positions of equal labels form one block, the blocks in ascending key,
+    # each in the order m, cos/sin, level (r * d + a ascending)
     m = build_model(ALL[family])
     H = qref.assemble_hamiltonian(m, 64.0, n)
-    if family not in EVEN:
-        assert H.blocks == ((0, n * m.d),)
-        assert H.modes.tolist() == list(range(n))
-        return
-    # cosines 0, cos 1, ..., Nyquist first, then the sines, each in ascending m
-    n_cos = n // 2 + 1
-    cosines = [0] + [2 * k - 1 for k in range(1, n_cos)]
-    sines = [2 * k for k in range(1, (n - 1) // 2 + 1)]
-    assert H.modes.tolist() == cosines + sines
-    assert H.blocks == ((0, n_cos * m.d), (n_cos * m.d, n * m.d))
-    # V has harmonics up to K = 1, which span one mode of either parity:
-    # b <= (K + 1) d - 1, against (2 K + 2) d - 1 in the interleaved order
-    assert H.matrix.shape[0] - 1 <= 2 * m.d - 1
+    half = family in HALF_SHIFT and n % 2 == 0
+    key = expected_labels(m, H, half)
+    assert H.order.tolist() == np.argsort(key, kind="stable").tolist()
+    sizes = [int(c) for c in np.bincount(key) if c]
+    assert [hi - lo for lo, hi in H.blocks] == sizes
+    assert H.blocks[0][0] == 0 and all(a[1] == b[0] for a, b in zip(H.blocks, H.blocks[1:]))
+    # the rotated levels are eigenvectors of every involution that holds
+    for P, holds in zip(m.involutions, (True, half)):
+        if holds:
+            U = H.levels
+            assert np.abs(P @ U - U * np.sign(np.einsum("ia,ij,ja->a", U, P, U))).max() < 1e-15
+    b = H.matrix.shape[0] - 1
+    if family == "two_level_gap":
+        # rotated into sx's eigenvectors V is [[delta, cos X], [cos X, -delta]]:
+        # four tridiagonal blocks on an even grid, the two parity blocks else
+        assert len(H.blocks) == (4 if n % 2 == 0 else 2)
+        assert b == (1 if n % 2 == 0 else 2)
+        if n % 2 == 1:
+            assert np.array_equal(H.levels, np.eye(2))
+    elif family == "two_level_cross":
+        # sx rotates V to [[1 - cos X, sin X], [sin X, cos X - 1]]
+        assert len(H.blocks) == 2 and b <= 3
+    else:
+        assert len(H.blocks) == 2
+        if m.d == 1:
+            assert b <= 1                     # harmonic K = 1 spans one mode of either parity
 
 
-@pytest.mark.parametrize("family", sorted(EVEN))
-def test_split_eigendensities_match_dense_oracle(family):
-    m = build_model(EVEN[family])
-    n, M, E, count = 64, 64.0, 0.0, 8
-    H = qref.assemble_hamiltonian(m, M, n)
-    assert len(H.blocks) == 2
-    vals, vecs = np.linalg.eigh(dense_collocation(m, M, n))
+def assert_densities_match_dense(m, H, E):
+    """The 8 levels nearest E: eigenvalues to 1e-12 and non-degenerate
+    densities to 1e-9 against the dense eigh."""
+    n = H.n_grid
+    vals, vecs = np.linalg.eigh(dense_collocation(m, H.M, n))
     h = m.L / n
     checked = 0
-    for p in qref.eigensolve_near(H, E, count=count):
+    for p in qref.eigensolve_near(H, E, count=8):
         j = int(np.argmin(np.abs(vals - p.E)))
         assert abs(vals[j] - p.E) < 1e-12
         if np.delete(np.abs(vals - vals[j]), j).min() < 1e-4:
@@ -166,10 +202,18 @@ def test_split_eigendensities_match_dense_oracle(family):
     assert checked >= 1
 
 
-@pytest.mark.parametrize("family", sorted(EVEN))
+@pytest.mark.parametrize("family", sorted(ALL))
+def test_split_eigendensities_match_dense_oracle(family):
+    m = build_model(ALL[family])
+    H = qref.assemble_hamiltonian(m, 64.0, 64)
+    assert len(H.blocks) == (4 if family in HALF_SHIFT else 2)
+    assert_densities_match_dense(m, H, 0.0)
+
+
+@pytest.mark.parametrize("family", sorted(ALL))
 def test_count_above_the_smaller_block(family):
-    # every level of tiny grids, and one more than the smaller block holds
-    m = build_model(EVEN[family])
+    # every level of tiny grids, and one more than the smallest block holds
+    m = build_model(ALL[family])
     for n in range(1, 7):
         H = qref.assemble_hamiltonian(m, 4.0, n)
         sizes = [hi - lo for lo, hi in H.blocks]
@@ -196,6 +240,26 @@ def test_block_narrower_than_the_band():
     expect = np.linalg.eigvalsh(dense_collocation(m, 4.0, 6))
     pairs = qref.eigensolve_near(H, 0.0, count=6)
     assert np.abs(np.sort([p.E for p in pairs]) - expect).max() < 1e-12
+
+
+@pytest.mark.parametrize("term, n_blocks", [("0.2", 2), ("0.2 sin X", 1)])
+def test_involutions_dropped_when_v_breaks_them(term, n_blocks):
+    # V_11 of two_level_gap plus 0.2 breaks V(X + pi) = sx V(X) sx and leaves
+    # the parity split, in the unrotated levels; plus 0.2 sin X breaks the
+    # reflection too and leaves one block in the interleaved order
+    base = gap_model()
+
+    def fields(X):
+        V, dV = base._fields(X)
+        V[:, 1, 1] += 0.2 if term == "0.2" else 0.2 * np.sin(X)
+        return V, dV
+
+    m = dataclasses.replace(base, _fields=fields)
+    H = qref.assemble_hamiltonian(m, 64.0, 64)
+    assert len(H.blocks) == n_blocks and np.array_equal(H.levels, np.eye(2))
+    if n_blocks == 1:
+        assert H.order.tolist() == list(range(H.n_grid * m.d))
+    assert_densities_match_dense(m, H, 0.1)
 
 
 @pytest.mark.parametrize("count", [2, 3])
