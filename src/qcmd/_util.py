@@ -14,7 +14,9 @@ def stream_rng(master_seed, index=0):
 
 
 def periodic_grid(L, n):
-    """Uniform grid on [0, L) with n points, endpoint excluded."""
+    """Uniform grid on [0, L) with n >= 1 points, endpoint excluded."""
+    if n < 1:
+        raise ValueError(f"a periodic grid needs n >= 1 points, got {n}")
     return np.arange(n) * (L / n)
 
 

@@ -3,9 +3,10 @@
 Deterministic: Ehrenfest (Strang splitting with exact electron rotation) and
 Born-Oppenheimer (Stoermer-Verlet on the ground surface).  Stochastic:
 Langevin (BAOAB) and Smoluchowski (Euler-Maruyama), both with unit mass in
-the slow variables and the ground eigenvalue as potential.  Ehrenfest rotates
-by the family's closed-form propagator exp(-i sqrt(M) dt V) and makes no
-eigensolve; only branch-following Born-Oppenheimer solves V(X) every step.
+the slow variables and the ground eigenvalue as potential.  No scheme solves
+an eigenproblem: Ehrenfest rotates by the family's closed-form propagator
+exp(-i sqrt(M) dt V), and the forces read the families' closed-form levels,
+slopes and eigenvectors.
 
 Each scheme has one step kernel over B stacked lanes: positions X (B,),
 momenta p (B,), electron or branch vectors (B, d), with per-lane step sizes
@@ -27,7 +28,7 @@ and the d = 1 families stay on the lockstep kernel.
 """
 
 from dataclasses import dataclass, field
-from math import inf, isfinite
+from math import cos, inf, isfinite, sin
 
 import numpy as np
 
@@ -210,13 +211,13 @@ def _bo_force(model, X, b):
 
     With b None the force is the sorted ground level's (``_ground_force``).
     With unit vectors b (B, d) it follows the smooth branch through the
-    eigenvector of V(X) with the largest overlap, signed to keep the overlap
-    nonnegative.
+    closed-form eigenvector of V(X) with the largest overlap, signed to keep
+    the overlap nonnegative.
     """
     if b is None:
         return _ground_force(model, X), None
-    V, dV = model_mod.potential_and_derivative(model, X)
-    lam, vecs = espec._eigh(V, X)
+    dV = model_mod.potential_derivative(model, X)
+    vecs = model_mod.eigenvectors(model, X)
     ov = (vecs.transpose(0, 2, 1) @ b[:, :, None])[:, :, 0]
     rows = np.arange(X.size)
     j = np.abs(ov).argmax(axis=1)
@@ -400,7 +401,7 @@ def _energies(model, scheme, X, p, vec):
     the branch level <b, V b> of the normalized vectors, or the sorted ground level."""
     kinetic = 0.5 * (p * p)
     if vec is None:
-        return kinetic + model_mod.eigenvalues_closed_form(model, X)[:, 0]
+        return kinetic + model_mod.levels_and_slopes(model, X)[0][:, 0]
     V = model_mod.evaluate_potential(model, X)
     if scheme == "ehrenfest":
         return kinetic + _expectation(vec, V).real
@@ -509,9 +510,9 @@ def _float_lane(model, X, p, phi, z, t, dt, rate, n_steps, budget, surface,
                 record_every, rows):
     """One Ehrenfest lane of a traceless two-level family over Python floats.
 
-    The step of ``_ehrenfest_step`` written out for V and dV/dX of the form
-    [[alpha, beta], [beta, -alpha]] (``ModelSystem._float_forms``): the
-    amplitude is the four floats phi = (u0 + i v0, u1 + i v1), the
+    The step of ``_ehrenfest_step`` written out for V = rho R(theta) and
+    dV/dX = [[alpha', beta'], [beta', -alpha']] (``ModelSystem._float_forms``):
+    the amplitude is the four floats phi = (u0 + i v0, u1 + i v1), the
     propagator at the drift midpoint cos(a rho) I - i sin(a rho) R acts on
     them in closed form, and the force -<phi, dV phi> is
     -(alpha' (|phi0|^2 - |phi1|^2) + 2 beta' Re(conj(phi0) phi1)).  Guards,
@@ -520,7 +521,7 @@ def _float_lane(model, X, p, phi, z, t, dt, rate, n_steps, budget, surface,
     ``rows`` holds the lane's record columns X, p, z, u0, v0, u1, v1, each
     written in place from row 1 on.  Returns the steps taken and the hits.
     """
-    propagator, slope = model._float_forms
+    polar, slope = model._float_forms
     L = model.L
     X, p, z, t, dt, rate = map(float, (X, p, z, t, dt, rate))
     half, sixth = 0.5 * dt, dt / 6.0
@@ -541,7 +542,10 @@ def _float_lane(model, X, p, phi, z, t, dt, rate, n_steps, budget, surface,
             raise ValueError("electron amplitude must be normalized to 1e-8")
         p_half = p + half * F
         X1 = X + dt * p_half
-        c, a, b = propagator(X + half * p_half, rate)
+        rho, cos_theta, sin_theta = polar(X + half * p_half)
+        arg = rate * rho
+        c, s = cos(arg), sin(arg)
+        a, b = s * cos_theta, s * sin_theta
         u0, v0, u1, v1 = (c * u0 + (a * v0 + b * v1), c * v0 - (a * u0 + b * u1),
                           c * u1 + (b * v0 - a * v1), c * v1 - (b * u0 - a * u1))
         a, b = slope(X1)

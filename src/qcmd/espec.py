@@ -1,9 +1,11 @@
 """Electron spectral toolkit.
 
 Gauge-continuous eigendecomposition of V(X) along grids and trajectories,
-gap and crossing diagnostics, level slopes and ground-level forces from the
-families' closed forms, and the gap-flatness diagnostic kappa used by the
-equilibrium bounds.
+smooth branches through level crossings, gap and crossing diagnostics,
+ground-level forces, and the gap-flatness diagnostic kappa used by the
+equilibrium bounds.  Every eigenpair comes from the families' closed forms
+(``model.levels_and_slopes`` and ``model.eigenvectors``); nothing here
+solves an eigenproblem.
 """
 
 from dataclasses import dataclass, field
@@ -27,7 +29,6 @@ __all__ = [
     "detect_crossings",
     "ground_force",
     "ground_curvature",
-    "level_slopes",
     "gap_derivatives",
     "kappa",
 ]
@@ -59,31 +60,26 @@ class CrossingEvent:
     degenerate: bool = False
 
 
-def _eigh(V, X):
-    """Stacked symmetric eigensolve of V = V(X); a failure becomes a RuntimeError."""
-    try:
-        return np.linalg.eigh(V)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"eigensolver failed to converge at X = {X}") from exc
-
-
 def eigen_at(model, X):
-    """Eigenvalues (ascending) and eigenvectors of V(X), at one point or stacked points."""
-    return _eigh(model_mod.evaluate_potential(model, X), X)
+    """Eigenvalues (ascending) and eigenvectors (columns) of V(X) from the
+    family closed forms, at one point or stacked points."""
+    return model_mod.levels_and_slopes(model, X)[0], model_mod.eigenvectors(model, X)
 
 
-def eigenvalues_along(model, X_values):
-    """Ascending eigenvalues at many points, from the family closed form."""
-    return model_mod.eigenvalues_closed_form(model, X_values)
+def _torus_grid(model, grid):
+    """grid as floats, checked to be 1-D, nonempty, strictly increasing and
+    inside [0, L)."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0.0):
+        raise ValueError("grid must be 1-D, nonempty and strictly increasing")
+    if grid[0] < 0.0 or grid[-1] >= model.L:
+        raise ValueError("grid must lie inside [0, L)")
+    return grid
 
 
 def eigendecompose_field(model, grid):
     """Eigenpairs on a sorted grid with successive-overlap sign fixing."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or np.any(np.diff(grid) <= 0.0):
-        raise ValueError("grid must be 1-D and strictly increasing")
-    if grid[0] < 0.0 or grid[-1] >= model.L:
-        raise ValueError("grid must lie inside [0, L)")
+    grid = _torus_grid(model, grid)
     lambdas, vectors = eigen_at(model, grid)
     # the first point's columns lead with a positive entry; every later
     # column keeps a nonnegative overlap with its sign-fixed predecessor
@@ -120,12 +116,11 @@ def detect_crossings(field, trajectory, c_min=1e-8, sigma_tol=1e-10, gap_tol=1e-
     X = np.asarray(trajectory.X, dtype=float).reshape(len(t), -1)[:, 0]
 
     def gap_at(time, level):
-        x = np.interp(time, t, X)
-        lam = eigenvalues_along(model, [x])[0]
+        lam = model_mod.levels_and_slopes(model, np.interp(time, t, X))[0]
         return lam[level] - lam[0]
 
     events = []
-    lam_path = eigenvalues_along(model, X)
+    lam_path = model_mod.levels_and_slopes(model, X)[0]
     dt = np.median(np.diff(t)) if t.size > 1 else 0.0
     for level in range(1, model.d):
         g = lam_path[:, level] - lam_path[:, 0]
@@ -172,7 +167,7 @@ def detect_crossings(field, trajectory, c_min=1e-8, sigma_tol=1e-10, gap_tol=1e-
 
 @dataclass(frozen=True)
 class BranchField:
-    """Eigenvalue curves continued smoothly (by eigenvector overlap) around the torus.
+    """Eigenvalue curves continued smoothly around the torus.
 
     ``mu[i, j]`` is the eigenvalue of smooth branch j at grid point i (branch
     j coincides with sorted index j at the widest-gap starting point);
@@ -211,66 +206,28 @@ class BranchField:
         return changes
 
 
-def _greedy_match(ov):
-    """For each branch (column of ov) the sorted level (row) of largest |overlap|;
-    branches with the strongest best overlap choose first, each level once."""
-    best = np.abs(ov).argmax(axis=0)
-    if len(set(best.tolist())) == best.size:
-        return best             # no two branches want the same level
-    d = ov.shape[1]
-    assign = np.full(d, -1, dtype=int)
-    taken = set()
-    for j in np.argsort(-np.max(np.abs(ov), axis=0)):
-        for c in np.argsort(-np.abs(ov[:, j])):
-            if int(c) not in taken:
-                assign[j] = int(c)
-                taken.add(int(c))
-                break
-    return assign
-
-
-def _compose_prefixes(maps):
-    """Row t is maps[t] o maps[t - 1] o ... o maps[0], by doubling."""
-    out = maps.copy()
-    step = 1
-    while step < len(out):
-        out[step:] = np.take_along_axis(out[step:], out[:-step], axis=1)
-        step *= 2
-    return out
-
-
 def smooth_branches(model, grid):
-    """Continue eigenpairs smoothly around the torus; labels may swap at crossings.
+    """Continue the sorted levels smoothly around the torus, on a sorted grid
+    inside [0, L); labels may swap at crossings.
 
-    Matching reads only |overlap|, which no sign fix of a neighbour changes,
-    so the overlaps of every pair of neighbouring points come from one
-    product, and each point's match of its sorted levels to the previous
-    point's is composed onto the branch assignment; ``_greedy_match`` runs
-    only where two levels want the same partner.
+    Inside (0, L) every sorted level is a smooth branch, and across X = L = 0
+    the levels undergo the family's ``seam`` permutation, so branch j is
+    sorted level j from the widest-gap start to L and level seam[j] from 0
+    up to the start, where it closes on branch seam[j].
     """
-    grid = np.asarray(grid, dtype=float)
-    n, d = grid.size, model.d
-    lam_all, vec_all = eigen_at(model, grid)
-    gaps1 = lam_all[:, 1] - lam_all[:, 0] if d > 1 else np.ones(n)
-    start = int(np.argmax(gaps1))
-    order = np.r_[np.arange(start, n), np.arange(0, start)]
-    walk = vec_all[np.r_[order, start]]    # around the loop and back to the start
-    ov = np.abs(walk[1:].transpose(0, 2, 1) @ walk[:-1])   # (step, here, before)
-    best = ov.argmax(axis=1)               # the best level here of each level before
-    tie = (np.diff(np.sort(best, axis=1), axis=1) == 0).any(axis=1)
-    assign = np.empty((n + 1, d), dtype=int)    # sorted level of each branch, per step
-    assign[0] = np.arange(d)
-    t = 0
-    for tied in np.r_[np.flatnonzero(tie), n]:
-        assign[t + 1:tied + 1] = _compose_prefixes(best[t:tied])[:, assign[t]]
-        if tied < n:
-            assign[tied + 1] = _greedy_match(ov[tied][:, assign[tied]])
-        t = tied + 1
-    sorted_index = np.empty((n, d), dtype=int)
-    sorted_index[order] = assign[:n]
-    mu = np.take_along_axis(lam_all, sorted_index, axis=1)
+    grid = _torus_grid(model, grid)
+    lam = model_mod.levels_and_slopes(model, grid)[0]
+    gaps1 = lam[:, 1] - lam[:, 0] if model.d > 1 else np.ones(grid.size)
+    # gaps within rounding of the widest count as equal, so that a tie of
+    # exact arithmetic goes to the first point
+    start = int(np.argmax(gaps1 >= gaps1.max() * (1.0 - 1e-12)))
+    seam = np.array(model.seam)
+    sorted_index = np.empty(lam.shape, dtype=int)
+    sorted_index[start:] = np.arange(model.d)
+    sorted_index[:start] = seam
+    mu = np.take_along_axis(lam, sorted_index, axis=1)
     return BranchField(grid=grid, mu=mu, sorted_index=sorted_index,
-                       permutation=assign[n], start=start)
+                       permutation=seam, start=start)
 
 
 def loop_branches(model):
@@ -281,7 +238,7 @@ def loop_branches(model):
 def ground_force(model, X):
     """-d(lambda_0)/dX from the closed-form slope; a degenerate ground level
     makes the force undefined."""
-    lam, slopes = level_slopes(model, float(X))
+    lam, slopes = model_mod.levels_and_slopes(model, float(X))
     if model.d > 1 and lam[1] - lam[0] < _DEGENERACY_TOL:
         raise CrossingError(f"lambda_0 is degenerate at X = {X}; force undefined")
     return -float(slopes[0])
@@ -291,8 +248,8 @@ def ground_curvature(model, X):
     """d2(lambda_0)/dX2 by second-order eigenvalue perturbation theory."""
     if model.d == 1:
         return float(model_mod.potential_second_derivative(model, X)[0, 0])
-    V, dV = model_mod.potential_and_derivative(model, X)
-    lam, vec = _eigh(V, X)
+    dV = model_mod.potential_derivative(model, X)
+    lam, vec = eigen_at(model, X)
     d2V = model_mod.potential_second_derivative(model, X)
     v0 = vec[:, 0]
     out = float(v0 @ d2V @ v0)
@@ -302,15 +259,9 @@ def ground_curvature(model, X):
     return out
 
 
-def level_slopes(model, X):
-    """Ascending eigenvalues of V(X) and their slopes d(lambda_n)/dX from the
-    family closed form, at one point or stacked points (no degeneracy check)."""
-    return model_mod.levels_and_slopes(model, X)
-
-
 def gap_derivatives(model, X):
     """(gaps, d(gaps)/dX) for the excited levels at X, from the level slopes."""
-    lam, slopes = level_slopes(model, X)
+    lam, slopes = model_mod.levels_and_slopes(model, X)
     return lam[..., 1:] - lam[..., :1], slopes[..., 1:] - slopes[..., :1]
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dynamics, espec
+from . import model as model_mod
 from .errors import BoundViolationError, CrossingError
 from ._util import periodic_grid, stream_rng
 
@@ -41,11 +42,17 @@ class GibbsSamples:
 
 
 def gaps_at(model, X):
-    lam = espec.eigen_at(model, X)[0]
+    lam = model_mod.levels_and_slopes(model, X)[0]
     gaps = lam[1:] - lam[0]
     if gaps.size and gaps.min() <= 1e-12:
         raise CrossingError(f"level crossing at X = {X}; Gibbs sampling undefined")
     return gaps
+
+
+def _check_temperature(T, what):
+    # written so that NaN and inf fail it
+    if not (np.isfinite(T) and T > 0.0):
+        raise ValueError(f"{what} needs a finite T > 0, got {T}")
 
 
 def _check_samples(n_samples):
@@ -72,8 +79,7 @@ def sample_electron_coefficients(gaps, T, n_samples, rng, X=0.0, log_pairs=False
     with the proposal effective sample size and acceptance rate reported.
     """
     gaps = np.asarray(gaps, dtype=float)
-    if T <= 0.0:
-        raise ValueError("sampling needs T > 0")
+    _check_temperature(T, "sampling")
     _check_samples(n_samples)
     if gaps.size and gaps.min() <= 0.0:
         raise CrossingError("all excited gaps must be positive")
@@ -132,6 +138,7 @@ def marginal_ratio(model, X, X_c, T, n_samples=20000, rng=None, n_s=9,
     on Gauss-Legendre nodes of the segment.  When ``check`` is on, the value
     is asserted against the kappa bound (plus 3 sigma MC slack).
     """
+    _check_temperature(T, "marginal_ratio")
     _check_samples(n_samples)
     if rng is None:
         rng = stream_rng(seed)
@@ -195,13 +202,12 @@ def gibbs_observable(model, g, T, n_grid=65, n_samples=20000, rng=None, seed=0):
     once around from the drift sampled at every grid point (cached), so all
     ratios share one reference point.
     """
-    if T <= 0.0:
-        raise ValueError("gibbs_observable needs T > 0")
+    _check_temperature(T, "gibbs_observable")
     _check_samples(n_samples)
     if rng is None:
         rng = stream_rng(seed)
     grid = periodic_grid(model.L, n_grid)
-    lam0 = espec.eigen_at(model, grid)[0][:, 0]
+    lam0 = model_mod.levels_and_slopes(model, grid)[0][:, 0]
     drift = np.zeros(n_grid)
     node_sigma = np.zeros(n_grid)
     if model.d > 1:
@@ -248,14 +254,15 @@ class CorrectedPotential:
 
     def potential(self, X):
         """The corrected potential at one point (a float) or at stacked points."""
-        lam = espec.eigen_at(self._model, X)[0]
+        lam = model_mod.levels_and_slopes(self._model, X)[0]
         gaps = lam[..., 1:] - lam[..., :1]
         value = lam[..., 0] + self.trace_coefficient * self.T * np.sum(np.log(gaps), axis=-1)
         return float(value) if np.ndim(value) == 0 else value
 
     def force(self, X):
         """Forces (B,) at the positions X (B,) of a lane ensemble, lane by lane."""
-        lam, slopes = espec.level_slopes(self._model, np.atleast_1d(np.asarray(X, dtype=float)))
+        lam, slopes = model_mod.levels_and_slopes(self._model,
+                                                  np.atleast_1d(np.asarray(X, dtype=float)))
         gaps = lam[:, 1:] - lam[:, :1]
         dgaps = slopes[:, 1:] - slopes[:, :1]
         return -slopes[:, 0] - self.trace_coefficient * self.T * np.sum(dgaps / gaps, axis=1)

@@ -84,7 +84,7 @@ class RunRecord:
     pre_asymptotic: bool = False
     observable_names: list = field(default_factory=list)
     wall_times: dict = field(default_factory=dict)
-    version: str = "qcmd-0.5.0"
+    version: str = "qcmd-0.6.0"
     # the remaining converge options, so that replay runs what the record ran
     count: int = 16
     k_spread: int = 1

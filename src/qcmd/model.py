@@ -4,11 +4,12 @@ Every other module operates on a :class:`ModelSystem`: a d-level real
 symmetric potential matrix V(X) on a torus of length L, together with the
 nuclear mass, temperature and friction parameters.  Registered families
 carry closed forms for V, its X-derivatives, its ascending eigenvalues
-with their X-derivatives, and the electron propagator exp(-i a V), evaluated
-on whole arrays of X at once: a scalar X gives one (d, d) matrix, an array
-of n points an (n, d, d) stack whose entries equal the per-point values bit
-for bit.  Each family also declares the level involutions of its V: the
-reflection V(-X) = P_r V(X) P_r and the half-period shift
+with their X-derivatives, the matching eigenvectors, and the electron
+propagator exp(-i a V), evaluated on whole arrays of X at once: a scalar X
+gives one (d, d) matrix, an array of n points an (n, d, d) stack whose
+entries equal the per-point values bit for bit.  No family solves an
+eigenproblem.  Each family also declares the level involutions of its V:
+the reflection V(-X) = P_r V(X) P_r and the half-period shift
 V(X + L/2) = P_h V(X) P_h.
 """
 
@@ -26,8 +27,8 @@ __all__ = [
     "potential_and_derivative",
     "potential_derivative",
     "potential_second_derivative",
-    "eigenvalues_closed_form",
     "levels_and_slopes",
+    "eigenvectors",
     "ground_slope",
     "electron_propagator",
     "list_families",
@@ -84,20 +85,28 @@ class ModelSystem:
     bit without V (None: from ``_fields``), ``_second_derivative`` the
     (n, d, d) stack of d2V/dX2 (None: finite differences of dV), ``_levels``
     the eigenvalues of V in ascending order and their X-derivatives, (n, d)
-    each, and ``_propagator`` (with a second array of n rates a) the complex
-    (n, d, d) stack exp(-i a V), all in closed form.  Every family provides
-    ``_levels``, and its order must hold at every X without a run-time sort,
-    so the ground level and its slope are column 0.  ``gap_floor`` is a
-    closed-form lower bound on lambda_1 - lambda_0 over all X (inf for d = 1).
+    each, ``_vectors`` the matching unit eigenvectors as the columns of an
+    (n, d, d) stack, and ``_propagator`` (with a second array of n rates a)
+    the complex (n, d, d) stack exp(-i a V), all in closed form (a family
+    that gives no ``_propagator`` gets Q diag(exp(-i a lambda)) Q^T from its
+    levels and vectors).  The order
+    of ``_levels`` must hold at every X without a run-time sort, so the
+    ground level and its slope are column 0.  ``gap_floor`` is a closed-form
+    lower bound on lambda_1 - lambda_0 over all X (inf for d = 1).
     ``_ground_slope`` gives the ground level's slope alone, (n,), the same
     bits as column 0 of ``_levels`` (None: from ``_levels``).
 
+    Inside (0, L) the sorted levels are smooth branches; ``seam`` is the
+    permutation they undergo across X = L = 0: the branch on sorted level j
+    just below L continues on level seam[j] just above 0 (the identity but
+    for ``two_level_cross``, whose two levels cross there).
+
     ``_float_forms`` is set by the two traceless two-level families, whose V
     and dV/dX are both [[alpha, beta], [beta, -alpha]]: a pair of per-point
-    closed forms over Python floats, (x, a) -> (cos(a rho), s alpha_R,
-    s beta_R) for exp(-i a V(x)) = cos(a rho) I - i sin(a rho) R with
-    s = sin(a rho) and R = [[alpha_R, beta_R], [beta_R, -alpha_R]], and
-    x -> (alpha', beta') of dV/dX (None for every other family).
+    closed forms over Python floats, x -> (rho, cos theta, sin theta) of
+    V(x) = rho R(theta) with R(theta) = [[cos theta, sin theta], [sin theta,
+    -cos theta]], and x -> (alpha', beta') of dV/dX (None for every other
+    family).
 
     ``involutions`` is (P_r, P_h): symmetric d x d matrices with square I and
     V(-X) = P_r V(X) P_r, V(X + L/2) = P_h V(X) P_h, or None where the family
@@ -114,8 +123,10 @@ class ModelSystem:
     K: float
     _fields: callable = field(repr=False)
     _levels: callable = field(repr=False)
+    _vectors: callable = field(repr=False)
     _propagator: callable = field(repr=False)
     gap_floor: float
+    seam: tuple
     _derivative: callable = field(repr=False, default=None)
     _second_derivative: callable = field(repr=False, default=None)
     _ground_slope: callable = field(repr=False, default=None)
@@ -140,27 +151,59 @@ def _sym2(a, b, c):
     return out
 
 
-def _pair(a, b):
-    """Stacked pairs [a, b]; a has the stack shape."""
-    out = np.empty(a.shape + (2,))
-    out[:, 0] = a
-    out[:, 1] = b
-    return out
+def _reflection(polar):
+    """Levels, eigenvectors and propagator of a 2 x 2 V = rho R(theta).
 
-
-def _reflection_propagator(c, a, b):
-    """Stacked c I - i [[a, b], [b, -a]].
-
-    For a 2 x 2 V = rho R with R^2 = I, exp(-i t V) = cos(t rho) I
-    - i sin(t rho) R; c = cos(t rho) and [[a, b], [b, -a]] = sin(t rho) R.
+    R(theta) = [[cos theta, sin theta], [sin theta, -cos theta]] has the
+    eigenvectors (cos theta/2, sin theta/2) for +1 and (-sin theta/2,
+    cos theta/2) for -1 (Golub & Van Loan, Matrix Computations, sec. 8.5),
+    so with a signed rho the sorted levels are -|rho| and |rho|, their
+    vectors swap where rho < 0, and exp(-i a V) = cos(a rho) I - i sin(a rho) R.
+    ``polar`` maps an array X to (rho, d rho/dX, theta).  Returns the
+    family's ``_levels``, ``_vectors`` and ``_propagator``.
     """
-    out = np.zeros(c.shape + (2, 2, 2))     # real and imaginary parts last
-    out[:, 0, 0, 0] = c
-    out[:, 1, 1, 0] = c
-    out[:, 0, 0, 1] = -a
-    out[:, 1, 1, 1] = a
-    out[:, 0, 1, 1] = out[:, 1, 0, 1] = -b
-    return out.view(complex)[..., 0]
+
+    def levels(X):
+        rho, drho, _ = polar(X)
+        r = np.abs(rho)
+        slope = np.sign(rho) * drho
+        return np.stack((-r, r), axis=1), np.stack((-slope, slope), axis=1)
+
+    def vectors(X):
+        rho, _, theta = polar(X)
+        c, s = np.cos(0.5 * theta), np.sin(0.5 * theta)
+        minus, plus = np.stack((-s, c), axis=1), np.stack((c, s), axis=1)
+        swap = (rho < 0.0)[:, None]
+        return np.stack((np.where(swap, plus, minus), np.where(swap, minus, plus)), axis=2)
+
+    def propagator(X, rate):
+        rho, _, theta = polar(X)
+        arg = rate * rho
+        sa = np.sin(arg)
+        a, b = sa * np.cos(theta), sa * np.sin(theta)
+        out = np.zeros(X.shape + (2, 2, 2))     # real and imaginary parts last
+        out[:, 0, 0, 0] = out[:, 1, 1, 0] = np.cos(arg)
+        out[:, 0, 0, 1] = -a
+        out[:, 1, 1, 1] = a
+        out[:, 0, 1, 1] = out[:, 1, 0, 1] = -b
+        return out.view(complex)[..., 0]
+
+    return dict(_levels=levels, _vectors=vectors, _propagator=propagator)
+
+
+def _spectral_propagator(levels, vectors):
+    """exp(-i a V) = Q diag(exp(-i a lambda)) Q^T from the closed-form eigenpairs."""
+
+    def propagator(X, a):
+        Q = vectors(X)
+        phase = np.exp(-1j * (a[:, None] * levels(X)[0]))
+        return (Q * phase[:, None, :]) @ Q.transpose(0, 2, 1)
+
+    return propagator
+
+
+def _unit_vectors(X):
+    return np.ones((X.size, 1, 1))
 
 
 def _free(params, L, d):
@@ -172,8 +215,7 @@ def _free(params, L, d):
 
     return dict(_fields=lambda X: (zeros(X, 1, 1), zeros(X, 1, 1)),
                 _second_derivative=lambda X: zeros(X, 1, 1),
-                _levels=lambda X: (zeros(X, 1), zeros(X, 1)),
-                _propagator=lambda X, a: np.ones((X.size, 1, 1), dtype=complex),
+                _levels=lambda X: (zeros(X, 1), zeros(X, 1)), _vectors=_unit_vectors,
                 gap_floor=np.inf, involutions=(np.eye(1), None))
 
 
@@ -196,12 +238,9 @@ def _scalar_cos(params, L, d):
         wX = w * X
         return (a * np.cos(wX))[:, None], (-a * w * np.sin(wX))[:, None]
 
-    def propagator(X, rate):
-        return np.exp(-1j * (rate * (a * np.cos(w * X))))[:, None, None]
-
     # even in X; V(X + L/2) = -V(X) has no level involution
     return dict(_fields=fields, _derivative=derivative, _second_derivative=d2pot,
-                _levels=levels, _propagator=propagator, gap_floor=np.inf,
+                _levels=levels, _vectors=_unit_vectors, gap_floor=np.inf,
                 involutions=(np.eye(1), None))
 
 
@@ -226,26 +265,16 @@ def _two_level_gap(params, L, d):
         c = np.cos(X)
         return _sym2(-c, 0.0, c)
 
-    def levels(X):
-        c = np.cos(X)
-        r = np.hypot(c, delta)
-        slope = c * np.sin(X) / r
-        return _pair(-r, r), _pair(slope, -slope)
-
-    def propagator(X, rate):
-        # V = rho R with rho = hypot(cos X, delta) >= delta > 0 and R = V / rho
+    def polar(X):
+        # V = rho R(theta) with rho = hypot(cos X, delta) >= delta > 0
         c = np.cos(X)
         rho = np.hypot(c, delta)
-        arg = rate * rho
-        f = np.sin(arg) / rho
-        return _reflection_propagator(np.cos(arg), f * c, f * delta)
+        return rho, -c * np.sin(X) / rho, np.arctan2(delta, c)
 
-    def propagator_floats(x, rate):
+    def polar_floats(x):
         c = math.cos(x)
         rho = math.hypot(c, delta)
-        arg = rate * rho
-        f = math.sin(arg) / rho
-        return math.cos(arg), f * c, f * delta
+        return rho, c / rho, delta / rho
 
     def derivative_floats(x):
         return -math.sin(x), 0.0
@@ -253,14 +282,13 @@ def _two_level_gap(params, L, d):
     # lambda_1 - lambda_0 = 2 hypot(cos X, delta); V is even in X, and
     # cos(X + pi) = -cos X swaps the diagonal: V(X + pi) = sx V(X) sx
     return dict(_fields=fields, _derivative=derivative, _second_derivative=d2pot,
-                _levels=levels, _propagator=propagator, gap_floor=2.0 * delta,
-                _float_forms=(propagator_floats, derivative_floats),
-                involutions=(np.eye(2), _SIGMA_X))
+                gap_floor=2.0 * delta, _float_forms=(polar_floats, derivative_floats),
+                involutions=(np.eye(2), _SIGMA_X), **_reflection(polar))
 
 
 def _two_level_cross(params, L, d):
-    # V = 2 sin(X/2) * reflection(X/2): eigenvalues +/- 2|sin(X/2)| cross at
-    # X = 0 with X-dependent eigenvectors, giving a genuine level crossing.
+    # V = 2 sin(X/2) R(X/2): eigenvalues +/- 2|sin(X/2)| cross at X = 0 with
+    # X-dependent eigenvectors, giving a genuine level crossing.
     if d != 2:
         raise ValueError("family 'two_level_cross' has d = 2")
     if abs(L - TWO_PI) > 1e-12:
@@ -278,39 +306,32 @@ def _two_level_cross(params, L, d):
         s, c = np.sin(X), np.cos(X)
         return _sym2(-s, c, s)
 
-    def levels(X):
-        s = np.sin(X / 2.0)
-        r = 2.0 * np.abs(s)
-        slope = np.sign(s) * np.cos(X / 2.0)
-        return _pair(-r, r), _pair(-slope, slope)
+    def polar(X):
+        # the signed rho = 2 sin(X/2) needs no division, so every form is
+        # exact through the crossing
+        half = X / 2.0
+        return 2.0 * np.sin(half), np.cos(half), half
 
-    def propagator(X, rate):
-        # rho = 2 sin(X/2), signed, and R = R(X/2): no division, so the form
-        # is exact through the crossing
-        s, c = np.sin(X / 2.0), np.cos(X / 2.0)
-        arg = rate * (2.0 * s)
-        sa = np.sin(arg)
-        return _reflection_propagator(np.cos(arg), sa * c, sa * s)
-
-    def propagator_floats(x, rate):
-        s, c = math.sin(x / 2.0), math.cos(x / 2.0)
-        arg = rate * (2.0 * s)
-        sa = math.sin(arg)
-        return math.cos(arg), sa * c, sa * s
+    def polar_floats(x):
+        half = x / 2.0
+        s = math.sin(half)
+        return 2.0 * s, math.cos(half), s
 
     def derivative_floats(x):
         return math.cos(x), math.sin(x)
 
-    # sin(-X) = -sin X swaps the diagonal: V(-X) = sx V(X) sx
+    # rho changes sign at X = L = 0, so the levels swap there; sin(-X) =
+    # -sin X swaps the diagonal: V(-X) = sx V(X) sx
     return dict(_fields=fields, _derivative=derivative, _second_derivative=d2pot,
-                _levels=levels, _propagator=propagator, gap_floor=0.0,
-                _float_forms=(propagator_floats, derivative_floats),
-                involutions=(_SIGMA_X, None))
+                gap_floor=0.0, seam=(1, 0),
+                _float_forms=(polar_floats, derivative_floats),
+                involutions=(_SIGMA_X, None), **_reflection(polar))
 
 
 def _multi_level(params, L, d):
     # Diagonal level profiles lambda_0, lambda_0 + gap_n(X) conjugated by a
-    # rotation exp(phi(X) A), A antisymmetric on adjacent levels.
+    # rotation Q(X) = exp(phi(X) A), A antisymmetric on adjacent levels; the
+    # columns of Q are the eigenvectors.
     if d < 2:
         raise ValueError("family 'multi_level' has d >= 2")
     gaps = [tuple(map(float, g)) for g in params.get("gaps", [])]
@@ -356,12 +377,6 @@ def _multi_level(params, L, d):
         dV = (rot * w * c)[:, :, None] * (A @ V - V @ A) + (Q * dlam[:, None, :]) @ QT
         return 0.5 * (V + V.transpose(0, 2, 1)), 0.5 * (dV + dV.transpose(0, 2, 1))
 
-    def propagator(X, a):
-        # Q diag(exp(-i a lambda)) Q^T with the rotation Q of ``fields``
-        Q = rotation(np.sin(w * X)[:, None])
-        phase = np.exp(-1j * (a[:, None] * levels(X)[0]))
-        return (Q * phase[:, None, :]) @ Q.transpose(0, 2, 1)
-
     # the levels must stay ascending for adiabatic labelling; adjacent gaps
     # are linear in cos(w X), so their extremes are at X = 0 and X = L/2
     if np.any(np.diff(levels(np.array([0.0, 0.5 * L]))[0], axis=1) <= 0.0):
@@ -370,7 +385,8 @@ def _multi_level(params, L, d):
     # lambda_1 - lambda_0 = g_1 + eps_1 cos(w X); P = diag(+-1) alternating
     # flips A (P A P = -A), so P Q(X) P = Q(-X) and V(-X) = P V(X) P
     return dict(_fields=fields, _levels=levels, _ground_slope=ground_slope,
-                _propagator=propagator, gap_floor=g[1] - abs(eps[1]),
+                _vectors=lambda X: rotation(np.sin(w * X)[:, None]),
+                gap_floor=g[1] - abs(eps[1]),
                 involutions=(np.diag((-1.0) ** np.arange(d)), None))
 
 
@@ -406,6 +422,8 @@ def build_model(spec):
         raise ValueError("friction parameter must be finite and > 0")
     parts = _FAMILIES[spec.family](spec.params, spec.L, spec.d)
     parts["gap_floor"] = float(parts["gap_floor"])
+    parts.setdefault("seam", tuple(range(spec.d)))
+    parts.setdefault("_propagator", _spectral_propagator(parts["_levels"], parts["_vectors"]))
     return ModelSystem(family=spec.family, params=dict(spec.params), L=spec.L,
                        d=spec.d, M=tuple(spec.M), T=spec.T, K=spec.K, **parts)
 
@@ -479,9 +497,11 @@ def ground_slope(model, X):
     return _stacked(model._ground_slope, X, ())
 
 
-def eigenvalues_closed_form(model, X):
-    """Ascending eigenvalues of V(X) from the family closed form."""
-    return levels_and_slopes(model, X)[0]
+def eigenvectors(model, X):
+    """Unit eigenvectors of V(X) from the family closed form, as the columns
+    of a (d, d) matrix for a scalar X or an X.shape + (d, d) stack, in the
+    order of :func:`levels_and_slopes`."""
+    return _stacked(model._vectors, X, (model.d, model.d))
 
 
 def electron_propagator(model, X, a):

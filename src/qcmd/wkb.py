@@ -14,6 +14,7 @@ from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
 from . import dynamics, espec
+from . import model as model_mod
 from .errors import CausticError
 from ._util import periodic_antiderivative, periodic_grid, periodic_integral
 
@@ -113,7 +114,7 @@ def level_spacing(profiles, L, E, M):
 
 
 def _ground_profile(model):
-    return espec.eigenvalues_along(model, periodic_grid(model.L, _N_QUAD))[:, 0]
+    return model_mod.levels_and_slopes(model, periodic_grid(model.L, _N_QUAD))[0][:, 0]
 
 
 def quantized_energy(model, k, M):

@@ -192,7 +192,7 @@ def test_criterion_8_hamilton_jacobi_stability(gap_model):
         gain_b, tau_b = dynamics.hitting_value_function(m, "bo", st_b, dt=dt)
         traj = dynamics.simulate(m, st_e, "ehrenfest", T_final=1.05 * tau_e,
                                  dt=dt, M=M)
-        lam = espec.eigenvalues_along(m, traj.X[:, 0])[:, 0]
+        lam = model.levels_and_slopes(m, traj.X[:, 0])[0][:, 0]
         sup_e = np.abs(traj.H - 0.5 * traj.p[:, 0] ** 2 - lam).max()
         trj_b = dynamics.simulate(m, st_b, "bo", T_final=1.05 * tau_b, dt=dt)
         phi_c = dynamics.initial_electron_state(m, X0, p0, M)

@@ -51,6 +51,16 @@ def test_spectrum_csv(tmp_path, gap_config):
     assert abs(c - 0.5) < 1e-10
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("grid", ["0", "-3"])
+def test_spectrum_rejects_grids_below_one_point(tmp_path, gap_config, capsys, grid):
+    out = tmp_path / "spec.csv"
+    assert cli.main(["spectrum", "--config", gap_config, f"--grid={grid}",
+                     "--out", str(out)]) == 1
+    assert "n >= 1 points" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_trajectory_csv(tmp_path, gap_config):
     out = str(tmp_path / "traj.csv")
     code = cli.main(["run", "--config", gap_config, "--scheme", "ehrenfest",
@@ -207,6 +217,17 @@ def test_gibbs_without_samples_exits_one(tmp_path, gap_config, capsys):
     assert cli.main(["gibbs", "--config", gap_config, "--T", "0.1", "--g", "cos(X)",
                      "--samples", "0", "--out", str(out)]) == 1
     assert "n_samples must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("T", ["nan", "inf", "0", "-0.1"])
+def test_gibbs_rejects_temperatures_that_are_not_finite_and_positive(tmp_path, gap_config,
+                                                                     capsys, T):
+    out = tmp_path / "gibbs.json"
+    assert cli.main(["gibbs", "--config", gap_config, f"--T={T}", "--samples", "200",
+                     "--out", str(out)]) == 1
+    assert "finite T > 0" in capsys.readouterr().err
     assert not out.exists()
 
 

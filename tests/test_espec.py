@@ -1,9 +1,7 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
-from qcmd import ModelSpec, build_model, espec, dynamics
+from qcmd import ModelSpec, build_model, dynamics, espec, gibbs, lab, model as mm, wkb
 from qcmd.errors import CrossingError
 from qcmd._util import periodic_grid
 
@@ -32,7 +30,6 @@ def test_free_field():
 def test_field_invariants():
     m = gap_model()
     f = espec.eigendecompose_field(m, periodic_grid(m.L, 128))
-    from qcmd import model as mm
     for i, x in enumerate(f.grid):
         V = mm.evaluate_potential(m, x)
         for n in range(m.d):
@@ -50,7 +47,6 @@ def test_field_invariants():
 
 def _eigh_level_slopes(m, X):
     """The slow path: eigh of V(X) and the Hellmann-Feynman slopes <v_n, dV v_n>."""
-    from qcmd import model as mm
     V, dV = mm.potential_and_derivative(m, X)
     lam, vec = np.linalg.eigh(V)
     return lam, np.einsum("...jn,...jk,...kn->...n", vec, dV, vec)
@@ -68,22 +64,21 @@ def test_closed_forms_match():
         # a shifted grid over three periods, negative X included, away from
         # the exact crossings of two_level_cross at X = 0 mod 2 pi
         X = np.linspace(-m.L, 2.0 * m.L, 301) + 0.0123
-        lam, slopes = espec.level_slopes(m, X)
+        lam, slopes = mm.levels_and_slopes(m, X)
         lam_ref, slopes_ref = _eigh_level_slopes(m, X)
         assert lam.shape == slopes.shape == (X.size, m.d), m.family
         assert np.abs(lam - lam_ref).max() <= 1e-12, m.family
         assert np.abs(slopes - slopes_ref).max() <= 1e-12, m.family
-        assert np.array_equal(espec.eigenvalues_along(m, X), lam)
+        assert np.array_equal(espec.eigen_at(m, X)[0], lam)
         assert (np.diff(lam, axis=1) >= 0.0).all()
         # scalar X and the force on the ground level
-        assert np.array_equal(espec.level_slopes(m, X[7])[1], slopes[7])
+        assert np.array_equal(mm.levels_and_slopes(m, X[7])[1], slopes[7])
         assert espec.ground_force(m, X[7]) == -slopes[7, 0]
 
 
 def test_reconstruction_from_eigenpairs():
     m = multi([[1.0, 0.1], [2.0, 0.2]], a0=0.3, rot=0.5)
     f = espec.eigendecompose_field(m, periodic_grid(m.L, 16))
-    from qcmd import model as mm
     for i, x in enumerate(f.grid):
         V = sum(f.lambdas[i, n] * np.outer(f.vectors[i, :, n], f.vectors[i, :, n])
                 for n in range(m.d))
@@ -135,7 +130,7 @@ def test_detect_crossings_single_and_double_pass():
     m, traj2 = _cross_trajectory(5.0)
     events2 = espec.detect_crossings(f, traj2)
     # oracle: count near-zero touches of the gap on dense samples
-    gap = espec.eigenvalues_along(m, traj2.X[:, 0])
+    gap = mm.levels_and_slopes(m, traj2.X[:, 0])[0]
     g = gap[:, 1] - gap[:, 0]
     touches = sum(1 for i in range(1, len(g) - 1)
                   if g[i] <= g[i - 1] and g[i] <= g[i + 1] and g[i] < 1e-2)
@@ -216,44 +211,50 @@ def test_smooth_branches_gap_vs_cross():
     assert np.abs(np.diff(sorted0, 2)).max() / h ** 2 > 10.0
 
 
-def per_point_branches(model, grid):
-    """The branch continuation one point at a time, with sign-fixed vectors:
-    the oracle for ``smooth_branches``."""
-    lam_all, vec_all = espec.eigen_at(model, grid)
-    n, d = grid.size, model.d
-    gaps1 = lam_all[:, 1] - lam_all[:, 0] if d > 1 else np.ones(n)
-    start = int(np.argmax(gaps1))
-    sorted_index = np.empty((n, d), dtype=int)
-    mu = np.empty((n, d))
-    prev = vec_all[start].copy()
+def greedy_match(ov):
+    """For each branch (column of ov) the sorted level (row) of largest |overlap|;
+    branches with the strongest best overlap choose first, each level once."""
+    d = ov.shape[1]
+    assign = np.full(d, -1, dtype=int)
+    taken = set()
+    for j in np.argsort(-np.max(np.abs(ov), axis=0)):
+        for c in np.argsort(-np.abs(ov[:, j])):
+            if int(c) not in taken:
+                assign[j] = int(c)
+                taken.add(int(c))
+                break
+    return assign
+
+
+def per_point_branches(model, n, fine=1024):
+    """The branch continuation by eigenvector overlap, one point at a time
+    from eigh of V(X), with sign-fixed vectors: the oracle for
+    ``smooth_branches`` on ``periodic_grid(model.L, n)``.
+
+    Overlaps follow a branch only while its vector turns by less than pi/4
+    between neighbours, which the gap family's vectors break on grids of
+    under a dozen points, so the continuation runs on the grid refined to at
+    least ``fine`` points and is read out on every r-th point.
+    """
+    r = -(-fine // n)
+    lam_all, vec_all = np.linalg.eigh(mm.evaluate_potential(model, periodic_grid(model.L, n * r)))
+    d = model.d
+    gaps1 = lam_all[::r, 1] - lam_all[::r, 0] if d > 1 else np.ones(n)
+    start = r * int(np.argmax(gaps1 >= gaps1.max() * (1.0 - 1e-12)))
+    sorted_index = np.empty((n * r, d), dtype=int)
     sorted_index[start] = np.arange(d)
-    mu[start] = lam_all[start]
-    for i in np.r_[np.arange(start + 1, n), np.arange(0, start)]:
+    prev = vec_all[start].copy()
+    for i in np.r_[np.arange(start + 1, n * r), np.arange(0, start)]:
         ov = vec_all[i].T @ prev
-        assign = espec._greedy_match(ov)
+        assign = greedy_match(ov)
         prev = vec_all[i][:, assign] * np.where(ov[assign, np.arange(d)] >= 0.0, 1.0, -1.0)
         sorted_index[i] = assign
-        mu[i] = lam_all[i, assign]
-    return mu, sorted_index, espec._greedy_match(vec_all[start].T @ prev), start
-
-
-def three_crossing_levels():
-    """V = diag(cos X, cos(X - 2 pi/3), cos(X + 2 pi/3)): the sorted labels
-    swap at six points, by transpositions that do not commute."""
-    base = multi([[1.0, 0.02], [2.0, 0.03]])
-
-    def fields(X):
-        V = np.zeros((X.size, 3, 3))
-        for a, shift in enumerate((0.0, -2 * np.pi / 3, 2 * np.pi / 3)):
-            V[:, a, a] = np.cos(X + shift)
-        return V, np.zeros_like(V)
-
-    return dataclasses.replace(base, _fields=fields)
+    mu = np.take_along_axis(lam_all, sorted_index, axis=1)
+    return (mu[::r], sorted_index[::r], greedy_match(vec_all[start].T @ prev), start // r)
 
 
 BRANCH_MODELS = {
     "free": lambda: build_model(ModelSpec(family="free")),
-    "three_crossing_levels": three_crossing_levels,
     "scalar_cos": lambda: build_model(ModelSpec(family="scalar_cos", params={"a": 0.1})),
     "two_level_gap": gap_model,
     "two_level_cross": cross_model,
@@ -261,33 +262,34 @@ BRANCH_MODELS = {
 }
 
 
-def assert_branches_equal(field, oracle):
-    mu, sorted_index, permutation, start = oracle
-    assert field.mu.tobytes() == mu.tobytes()
-    assert np.array_equal(field.sorted_index, sorted_index)
-    assert np.array_equal(field.permutation, permutation)
-    assert field.start == start
-
-
 @pytest.mark.parametrize("family", sorted(BRANCH_MODELS))
 def test_smooth_branches_match_per_point_loop(family):
     m = BRANCH_MODELS[family]()
-    for n in (4, 5, 7, 16, 33, 256, 512, 1024, 2048):
+    for n in (4, 5, 7, 16, 33, 256, 512, 1024, 2048, 4096):
         grid = periodic_grid(m.L, n)
-        assert_branches_equal(espec.smooth_branches(m, grid), per_point_branches(m, grid))
+        field = espec.smooth_branches(m, grid)
+        mu, sorted_index, permutation, start = per_point_branches(m, n)
+        assert field.start == start and np.array_equal(field.permutation, permutation)
+        assert np.abs(field.mu - mu).max() <= 1e-13
+        # the sorted labels may differ only where two levels are equal
+        lam = mm.levels_and_slopes(m, grid)[0]
+        differ = (field.sorted_index != sorted_index).any(axis=1)
+        assert (np.diff(lam[differ], axis=1) == 0.0).any(axis=1).all()
+        oracle = espec.BranchField(grid=grid, mu=mu, sorted_index=sorted_index,
+                                   permutation=permutation, start=start)
+        assert field.cycle_of(0) == oracle.cycle_of(0)
+        assert field.crossing_passes(field.cycle_of(0)) == oracle.crossing_passes(
+            oracle.cycle_of(0))
 
 
-def test_smooth_branches_tie_takes_greedy_path(monkeypatch):
-    # on two nodes the crossing family has V(0) = 0, whose eigenvectors are
-    # the unit vectors, each at |overlap| 1/sqrt 2 with both levels at X = pi
-    m = cross_model()
-    grid = periodic_grid(m.L, 2)
-    oracle = per_point_branches(m, grid)
-    greedy = espec._greedy_match
-    calls = []
-    monkeypatch.setattr(espec, "_greedy_match", lambda ov: calls.append(ov) or greedy(ov))
-    assert_branches_equal(espec.smooth_branches(m, grid), oracle)
-    assert calls
+@pytest.mark.parametrize("grid", [np.linspace(1.0, 2.0 * np.pi + 1.0, 64, endpoint=False),
+                                  np.linspace(-0.5, 6.0, 64), periodic_grid(2 * np.pi, 64)[::-1],
+                                  np.zeros(0), np.zeros((4, 4))])
+def test_smooth_branches_need_a_sorted_grid_inside_the_torus(grid):
+    # branches are evaluated on [0, L) with the seam at its ends, so a grid
+    # that wraps through X = L = 0 would hide the crossing of the cross family
+    with pytest.raises(ValueError, match="grid must"):
+        espec.smooth_branches(cross_model(), grid)
 
 
 def test_loop_branches_launch_at_widest_first_gap():
@@ -296,3 +298,40 @@ def test_loop_branches_launch_at_widest_first_gap():
     # the crossing family's first gap 4 |sin(X/2)| is widest at X = pi
     branch = espec.loop_branches(cross_model())
     assert branch.grid.size == 512 and branch.launch == np.pi
+    for make in BRANCH_MODELS.values():
+        m = make()
+        loop = espec.loop_branches(m)
+        mu, _, permutation, start = per_point_branches(m, 512)
+        assert loop.start == start and np.array_equal(loop.permutation, permutation)
+        assert np.abs(loop.mu - mu).max() <= 1e-13
+
+
+def _bo_trajectory(m, X0=0.5, E=0.6):
+    p0 = np.sqrt(2.0 * (E - espec.eigen_at(m, X0)[0][0]))
+    return dynamics.simulate(m, dynamics.PhaseState.make(X0, p0), "bo", T_final=1.0, dt=1e-3)
+
+
+AUDITED = {
+    "converge_bo_cross": lambda: lab.converge(cross_model(), "bo", [64.0], n_loops=1,
+                                              energy_window=0.7),
+    "converge_ehrenfest_gap": lambda: lab.converge(gap_model(), "ehrenfest", [64.0],
+                                                   n_loops=1),
+    "gibbs": lambda: (gibbs.gibbs_observable(gap_model(), np.cos, 0.1, n_samples=200),
+                      gibbs.corrected_potential(espec.eigendecompose_field(
+                          gap_model(), periodic_grid(2 * np.pi, 65)), 0.1)),
+    "weight_along": lambda: wkb.weight_along(_bo_trajectory(gap_model()), gap_model()),
+    "perp_correction": lambda: [
+        dynamics.initial_electron_state(m, 0.3, 1.2, 1024.0, perp_correction=True)
+        for m in (gap_model(), cross_model(), multi([[0.8, 0.12], [1.6, 0.16]], rot=0.3))],
+    "branch_step_bo": lambda: dynamics.step_bo(cross_model(), dynamics.PhaseState.make(
+        0.1, -1.0, phi=espec.eigen_at(cross_model(), 0.1)[1][:, 0].astype(complex)), 0.2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(AUDITED))
+def test_only_qref_calls_an_eigensolver(eigensolver_calls, case):
+    AUDITED[case]()
+    assert set(eigensolver_calls) <= {"qcmd.qref"}
+    if case.startswith("converge"):
+        # the audit sees the reference's own solves
+        assert "qcmd.qref" in eigensolver_calls

@@ -237,6 +237,18 @@ def test_gibbs_observable_rejects_t_zero():
         gibbs.gibbs_observable(m, np.cos, 0.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("T", [np.nan, np.inf, -np.inf, 0.0, -0.1])
+def test_temperatures_that_are_not_finite_and_positive_are_rejected(T):
+    m = multi([[1.0, 0.05]])
+    with pytest.raises(ValueError, match="finite T > 0"):
+        gibbs.gibbs_observable(m, np.cos, T, n_samples=200)
+    with pytest.raises(ValueError, match="finite T > 0"):
+        gibbs.sample_electron_coefficients(np.array([0.5]), T, 100, stream_rng(5))
+    with pytest.raises(ValueError, match="finite T > 0"):
+        gibbs.marginal_ratio(m, 1.0, 0.5, T, n_samples=100)
+
+
 # --------------------------------------------------------- corrected potential
 
 def test_corrected_potential_flat_gaps_constant_shift():

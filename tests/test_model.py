@@ -30,23 +30,23 @@ def test_two_level_gap_direct_substitution():
 
 def test_two_level_gap_closed_form_eigenvalues():
     m = make("two_level_gap", {"delta": 0.25})
-    lam = model.eigenvalues_closed_form(m, np.pi / 2)
+    lam = model.levels_and_slopes(m, np.pi / 2)[0]
     assert np.allclose(lam, [-0.25, 0.25], atol=1e-15)
     # minimal gap 2*delta at X = pi/2
     X = np.linspace(0, 2 * np.pi, 1001)
-    gaps = [np.diff(model.eigenvalues_closed_form(m, x))[0] for x in X]
+    gaps = [np.diff(model.levels_and_slopes(m, x)[0])[0] for x in X]
     assert abs(min(gaps) - 0.5) < 1e-12
 
 
 def test_two_level_cross_closed_form_and_slope():
     m = make("two_level_cross")
     for x in (0.3, 1.0, 4.2):
-        lam = model.eigenvalues_closed_form(m, x)
+        lam = model.levels_and_slopes(m, x)[0]
         r = 2 * abs(np.sin(x / 2))
         assert np.allclose(lam, [-r, r], atol=1e-14)
     # |d/dX (lambda_1 - lambda_0)| -> 2 at the crossing
     h = 1e-6
-    gap = lambda x: np.diff(model.eigenvalues_closed_form(m, x))[0]
+    gap = lambda x: np.diff(model.levels_and_slopes(m, x)[0])[0]
     assert abs((gap(h) - gap(0.0)) / h - 2.0) < 1e-4
 
 
@@ -124,7 +124,6 @@ def test_array_evaluation_matches_per_point_bitwise(family, params, d):
     d2V = model.potential_second_derivative(m, xs)
     lam, dlam = model.levels_and_slopes(m, xs)
     assert lam.shape == dlam.shape == (xs.size, d)
-    assert np.array_equal(lam, model.eigenvalues_closed_form(m, xs))
     assert V.shape == dV.shape == d2V.shape == (xs.size, d, d)
     grid = model.evaluate_potential(m, xs.reshape(-1, 1))
     assert grid.shape == (xs.size, 1, d, d) and np.array_equal(grid[:, 0], V)
@@ -146,6 +145,28 @@ def test_array_evaluation_matches_per_point_bitwise(family, params, d):
     # the ground slope alone, with and without a family closed form for it
     assert np.array_equal(model.ground_slope(m, xs), dlam[:, 0])
     assert np.array_equal(model.ground_slope(m, xs[3]), dlam[3, 0])
+
+
+@pytest.mark.parametrize("family, params, d", FAMILIES)
+def test_eigenvectors_match_eigh(family, params, d):
+    m = build_model(ModelSpec(family=family, params=params, d=d))
+    # 4097 points: X = -2 pi, 0, 2 pi and 4 pi (the crossings of
+    # two_level_cross) and points on both sides of [0, L)
+    xs = np.r_[np.linspace(-m.L, 2.0 * m.L, 4095), 0.0, m.L]
+    V = model.evaluate_potential(m, xs)
+    lam = model.levels_and_slopes(m, xs)[0]
+    Q = model.eigenvectors(m, xs)
+    assert Q.shape == (xs.size, d, d)
+    assert np.abs(Q.transpose(0, 2, 1) @ Q - np.eye(d)).max() < 1e-14
+    residual = np.linalg.norm(V @ Q - Q * lam[:, None, :], axis=1)
+    assert (residual <= 1e-14 * np.maximum(1.0, np.abs(lam))).all()
+    # up to the sign of each column, where the levels are distinct
+    lam_ref, Q_ref = np.linalg.eigh(V)
+    distinct = (np.diff(lam_ref, axis=1) > 1e-8).all(axis=1)
+    assert distinct.sum() >= xs.size - 4
+    sign = np.sign(np.einsum("ijn,ijn->in", Q, Q_ref))
+    assert np.abs(Q * sign[:, None, :] - Q_ref)[distinct].max() <= 1e-12
+    assert np.array_equal(model.eigenvectors(m, xs[9]), Q[9])
 
 
 @pytest.mark.parametrize("family, params, d", FAMILIES)
@@ -185,18 +206,26 @@ def test_declared_involutions_hold(family, params, d):
                                             ("two_level_cross", {})])
 def test_float_forms_match_the_array_forms(family, params):
     m = build_model(ModelSpec(family=family, params=params, d=2))
-    propagator, slope = m._float_forms
+    polar, slope = m._float_forms
     # through X = 0 and X = 2 pi, the crossing of two_level_cross
     xs = np.r_[np.linspace(-m.L, 2.0 * m.L, 4097), 0.0, m.L]
-    dV = model.potential_derivative(m, xs)
+    V, dV = model.potential_and_derivative(m, xs)
+    lam = model.levels_and_slopes(m, xs)[0]
+    for i, x in enumerate(xs.tolist()):
+        # V = rho R(theta), with |rho| the upper level
+        rho, cos_theta, sin_theta = polar(x)
+        assert abs(abs(rho) - lam[i, 1]) < 1e-15
+        assert abs(cos_theta ** 2 + sin_theta ** 2 - 1.0) < 1e-15
+        assert max(abs(rho * cos_theta - V[i, 0, 0]), abs(rho * sin_theta - V[i, 0, 1])) < 1e-15
     for a in (1e-3, 0.1, 7.5):
         P = model.electron_propagator(m, xs, a)
         for i, x in enumerate(xs.tolist()):
-            # P = c I - i [[alpha, beta], [beta, -alpha]]; a rounding of rho
-            # moves the phase a rho by a times as much
-            c, alpha, beta = propagator(x, a)
-            assert max(abs(c - P[i, 0, 0].real), abs(alpha + P[i, 0, 0].imag),
-                       abs(beta + P[i, 0, 1].imag)) < 1e-15 * max(1.0, a)
+            # P = cos(a rho) I - i sin(a rho) R; a rounding of rho moves the
+            # phase a rho by a times as much
+            rho, cos_theta, sin_theta = polar(x)
+            c, s = np.cos(a * rho), np.sin(a * rho)
+            assert max(abs(c - P[i, 0, 0].real), abs(s * cos_theta + P[i, 0, 0].imag),
+                       abs(s * sin_theta + P[i, 0, 1].imag)) < 1e-15 * max(1.0, a)
     for i, x in enumerate(xs.tolist()):
         alpha, beta = slope(x)
         assert max(abs(alpha - dV[i, 0, 0]), abs(beta - dV[i, 0, 1])) < 1e-15
@@ -219,7 +248,7 @@ def test_gap_floor_is_a_lower_bound(family, params, d):
     if d == 1:
         assert m.gap_floor == np.inf
         return
-    lam = model.eigenvalues_closed_form(m, np.linspace(0.0, m.L, 4097))
+    lam = model.levels_and_slopes(m, np.linspace(0.0, m.L, 4097))[0]
     assert m.gap_floor <= (lam[:, 1] - lam[:, 0]).min()
 
 
