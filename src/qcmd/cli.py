@@ -76,6 +76,8 @@ def _cmd_model(args):
         for name in model_mod.list_families():
             print(name)
         return 0
+    if args.config is None:
+        raise ValueError("model show needs --config")
     model = _load_model(args.config)
     print(json.dumps(json.loads(model.spec().to_json()), indent=2))
     return 0
@@ -348,7 +350,9 @@ def main(argv=None):
     except QcmdError as exc:
         print(f"certificate failed: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
+        # OSError: a config or record that cannot be read, an --out that
+        # cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

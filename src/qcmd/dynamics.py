@@ -16,15 +16,26 @@ kernels in lockstep, ``simulate`` is its one-lane case, and the public step
 functions are pure one-lane wrappers: they take a PhaseState and return a
 new one.
 
-Ehrenfest has a second path.  At a few lanes each numpy call of the
-lockstep kernel costs mostly its fixed overhead, so an ensemble of at most
-``_FLOAT_LANES`` lanes on one of the two traceless two-level families runs
-its lanes one after another as a loop over Python floats
-(``_float_lane``), from the family's per-point float closed forms of the
-propagator and of dV/dX; it keeps the kernel's guards, hit detection and
-records, and agrees with it to rounding.  ``step_ehrenfest`` is a one-step
-``simulate`` and so takes the same path.  Wider ensembles, ``multi_level``
-and the d = 1 families stay on the lockstep kernel.
+Ehrenfest, Langevin and Smoluchowski have a second path.  At a few lanes
+each numpy call of the lockstep kernel costs mostly its fixed overhead, so
+an ensemble of at most ``_FLOAT_LANES`` lanes runs its lanes one after
+another as loops over Python floats, from the families' per-point float
+closed forms:
+
+- Ehrenfest on one of the two traceless two-level families
+  (``_float_lane``), from the propagator and dV/dX;
+- Langevin and Smoluchowski on every family (``_float_chain``), when the
+  force is the ground force (``force=None``) or the bound ``force`` of a
+  ``gibbs.CorrectedPotential`` on the same model, from the levels and their
+  slopes.
+
+The float loops keep the kernel's guards, hit detection, records and
+noise draws, and agree with it to rounding: bit for bit where ``math`` and
+numpy round sin, cos and hypot alike.  ``step_ehrenfest`` is a one-step
+``simulate`` and so takes the same path.  Wider ensembles, any other force
+callable, and Ehrenfest on ``multi_level`` and the d = 1 families stay on
+the lockstep kernel, which is the reference the float loops are tested
+against.
 """
 
 from dataclasses import dataclass, field
@@ -60,12 +71,17 @@ DEFAULT_C_STEP = 0.1
 _ENERGY_CHUNK = 4096
 # noise values a lane of known step count draws from its stream at once
 _NOISE_BLOCK = 4096
-# Ehrenfest ensembles of at most this many lanes on a two-level family run
-# lane after lane over Python floats (``_float_lane``), wider ones in
-# lockstep.  Measured on both families (M = 1024, 4000 steps a lane, 2-core
-# host): a float lane-step costs 3-4 us, a lockstep iteration 70-90 us at
-# 12-24 lanes, so the float lanes take 0.6, 0.8, 1.0 and 1.1-1.3 times the
-# lockstep's time at 12, 16, 20 and 24 lanes.
+# Ensembles of at most this many lanes run lane after lane over Python
+# floats (``_float_lane``, ``_float_chain``), wider ones in lockstep.
+# Measured on a 2-core host.  Ehrenfest on both two-level families (M =
+# 1024, 4000 steps a lane): a float lane-step costs 3-4 us, a lockstep
+# iteration 70-90 us at 12-24 lanes, so the float lanes take 0.6, 0.8, 1.0
+# and 1.1-1.3 times the lockstep's time at 12, 16, 20 and 24 lanes.
+# Langevin and Smoluchowski on the criterion-11 model (4000 steps a lane),
+# float against lockstep per lane-step at 12, 16 and 20 lanes: plain
+# Smoluchowski 1.1-1.2 against 1.2, 1.1 and 0.9 us, plain Langevin 1.3-1.5
+# against 2.2, 1.9 and 1.5 us, and with the corrected force (whose float
+# form builds the d levels) 3.8-4.5 against 3.5-4.4, 3.0-3.8 and 2.3-3.2 us.
 _FLOAT_LANES = 16
 # the squared amplitude norm an Ehrenfest step accepts
 _NORM_LOW, _NORM_HIGH = 1.0 - 1e-8, 1.0 + 1e-8
@@ -506,6 +522,24 @@ def _check_steps(scheme, dt, T_final, M):
         raise ValueError(f"Ehrenfest needs finite masses M >= 1, got {M}")
 
 
+def _nonfinite(t, X, p):
+    """The error of a lane whose state turned non-finite at time t."""
+    return RuntimeError(f"non-finite state at t = {t:.6g} "
+                        f"(X = {np.array([X])}, p = {np.array([p])}); aborting")
+
+
+def _band_exit(surface, L, X, X1, t, dt, z, z1, target, hits):
+    """A float lane's drift from X to X1 left its band: append the hit if it
+    crossed ``target``, and move the band.  Returns whether it hit and the
+    next (target, lo, hi) of ``_next_surface``."""
+    hit = X < target <= X1
+    if hit:
+        frac = (target - X) / (X1 - X)
+        hits.append(HittingRecord(tau=t + frac * dt, X=target, p=(X1 - X) / dt,
+                                  theta=z + frac * (z1 - z)))
+    return (hit, *map(float, _next_surface(surface, L, X1)))
+
+
 def _float_lane(model, X, p, phi, z, t, dt, rate, n_steps, budget, surface,
                 record_every, rows):
     """One Ehrenfest lane of a traceless two-level family over Python floats.
@@ -556,23 +590,130 @@ def _float_lane(model, X, p, phi, z, t, dt, rate, n_steps, budget, surface,
         z1 = z + sixth * (p * p + 4.0 * (p_half * p_half) + p1 * p1)
         t1 = t + dt
         if not (isfinite(X1) and isfinite(p1)):
-            raise RuntimeError(f"non-finite state at t = {t1:.6g} "
-                               f"(X = {np.array([X1])}, p = {np.array([p1])}); aborting")
+            raise _nonfinite(t1, X1, p1)
         spent = False
         if not lo <= X1 <= hi:
-            # the drift left its band: look for a crossing, and move the band
-            if X < target <= X1:
-                frac = (target - X) / (X1 - X)
-                hits.append(HittingRecord(tau=t + frac * dt, X=target, p=(X1 - X) / dt,
-                                          theta=z + frac * (z1 - z)))
-                n_hit += 1
-                spent = n_hit >= budget
-            target, lo, hi = map(float, _next_surface(surface, L, X1))
+            hit, target, lo, hi = _band_exit(surface, L, X, X1, t, dt, z, z1, target, hits)
+            n_hit += hit
+            spent = n_hit >= budget
         X, p, z, t = X1, p1, z1, t1
         if i % record_every == 0:
             j = i // record_every
             rec_X[j], rec_p[j], rec_z[j] = X, p, z
             rec_u0[j], rec_v0[j], rec_u1[j], rec_v1[j] = u0, v0, u1, v1
+        if spent:
+            break
+    return i, hits
+
+
+def _float_force(model, force):
+    """The force of a few-lane stochastic run as a function of one float
+    position, or None when it has no float form.
+
+    ``force`` None is the ground force -s_0 (``_ground_force``), with its
+    degeneracy check where the family's gap floor does not rule one out.
+    The bound ``force`` of a ``gibbs.CorrectedPotential`` on ``model`` --
+    recognized by the method's owner, so that a wrapper installed on the
+    class keeps it -- is -s_0 - coefficient T sum_n (s_n - s_0) /
+    (lambda_n - lambda_0), summed left to right as numpy sums fewer than
+    eight terms.  Both read the family's ``_float_levels``; any other
+    callable has no float form.
+    """
+    levels = model._float_levels
+    if force is None:
+        if model.gap_floor > _SAFE_GAP_FLOOR:
+            slope = model._float_ground_slope
+            if slope is None:
+                return lambda x: -levels(x)[0][1]
+            return lambda x: -slope(x)
+
+        def ground(x):
+            (l0, s0), (l1, _), *_ = levels(x)
+            if l1 - l0 < espec._DEGENERACY_TOL:
+                raise CrossingError(f"lambda_0 is degenerate at X = {x}; force undefined")
+            return -s0
+
+        return ground
+    from .gibbs import CorrectedPotential      # gibbs imports this module
+
+    owner = getattr(force, "__self__", None)
+    if not (type(owner) is CorrectedPotential and force.__name__ == "force"
+            and owner.model is model):
+        return None
+    scale = owner.trace_coefficient * owner.T
+
+    def corrected(x):
+        (l0, s0), *excited = levels(x)
+        total = None
+        for ln, sn in excited:
+            gap, dgap = ln - l0, sn - s0
+            # numpy's quotient, inf or nan, at an exactly closed gap
+            q = dgap / gap if gap else np.float64(dgap) / gap
+            total = q if total is None else total + q
+        return -s0 - scale * (0.0 if total is None else total)
+
+    return corrected
+
+
+def _float_chain(scheme, force, array_force, L, X, p, z, t, dt, c1, kick, rng, n_steps,
+                 budget, surface, record_every, rows):
+    """One Langevin or Smoluchowski lane over Python floats.
+
+    The step of ``_langevin_step`` or ``_smoluchowski_step`` written out for
+    one lane, with ``force`` from ``_float_force``; ``kick`` scales the
+    noise, as c2 of the OU update (Langevin, whose c1 damps the momentum)
+    or as the Euler-Maruyama kick (Smoluchowski, c1 None).  The noise is
+    drawn as ``_LaneNoise`` draws it, in blocks of min(_NOISE_BLOCK, steps
+    left), or one value a step under a hit budget.  Guards, hit detection,
+    records and retirement are those of ``_lockstep``; a position that
+    turns non-finite takes its end-of-step force from ``array_force``, the
+    kernel's, so that the error reports the kernel's momentum.
+
+    ``rows`` holds the lane's record columns X, p and z, each written in
+    place from row 1 on.  Returns the steps taken and the hits.
+    """
+    langevin = scheme == "langevin"
+    half = 0.5 * dt
+    if isfinite(budget):
+        draw = rng.standard_normal
+    else:
+        def blocks():
+            for start in range(0, n_steps, _NOISE_BLOCK):
+                yield from rng.standard_normal(min(_NOISE_BLOCK, n_steps - start)).tolist()
+
+        draw = blocks().__next__
+    rec_X, rec_p, rec_z = rows
+    hits = []
+    n_hit = 0
+    target, lo, hi = -inf, -inf, inf
+    if surface is not None:
+        target, lo, hi = map(float, _next_surface(surface, L, X))
+    F = force(X) if langevin and n_steps > 0 else None
+    i = 0
+    for i in range(1, n_steps + 1):
+        if langevin:
+            p1 = p + half * F
+            X1 = X + half * p1
+            p1 = c1 * p1 + kick * draw()
+            X1 = X1 + half * p1
+            F = force(X1) if isfinite(X1) else float(array_force(np.array([X1]))[0])
+            p1 = p1 + half * F
+            z1 = z + half * (p * p + p1 * p1)
+        else:
+            X1 = X + dt * force(X) + kick * draw()
+            p1, z1 = p, z
+        t1 = t + dt
+        if not (isfinite(X1) and isfinite(p1)):
+            raise _nonfinite(t1, X1, p1)
+        spent = False
+        if not lo <= X1 <= hi:
+            hit, target, lo, hi = _band_exit(surface, L, X, X1, t, dt, z, z1, target, hits)
+            n_hit += hit
+            spent = n_hit >= budget
+        X, p, z, t = X1, p1, z1, t1
+        if i % record_every == 0:
+            j = i // record_every
+            rec_X[j], rec_p[j], rec_z[j] = X, p, z
         if spent:
             break
     return i, hits
@@ -623,8 +764,7 @@ def _lockstep(model, scheme, par, X, p, vec, z, t, n_steps, budget, surface,
         xs = X1.tolist()
         if not all(map(isfinite, xs + p1.tolist() if moves_p else xs)):
             k = int(np.argmin(np.isfinite(X1) & np.isfinite(p1)))
-            raise RuntimeError(f"non-finite state at t = {t1[k]:.6g} "
-                               f"(X = {X1[k:k + 1]}, p = {p1[k:k + 1]}); aborting")
+            raise _nonfinite(t1[k], X1[k], p1[k])
         i += 1
         spent = False
         if bounds is not None and any(
@@ -669,12 +809,14 @@ def simulate_ensemble(model, inits, scheme, T_final, dt, surface=None, rng=None,
     budget run out.  Every recorded state's energy is evaluated after the
     loop.
 
-    The lanes run in lockstep through the scheme's kernel, except Ehrenfest
-    on a two-level family with at most ``_FLOAT_LANES`` lanes, whose lanes
-    run one after another over Python floats (``_float_lane``); the two
-    paths agree to rounding.  Each returned Trajectory equals bit for bit
-    the one its lane gives alone whenever the ensemble and the lane alone
-    take the same path.
+    The lanes run in lockstep through the scheme's kernel, except in an
+    ensemble of at most ``_FLOAT_LANES`` lanes that is Ehrenfest on a
+    two-level family, or Langevin or Smoluchowski with the ground force or
+    a ``gibbs.CorrectedPotential`` force on ``model``: its lanes run one
+    after another over Python floats (``_float_lane``, ``_float_chain``),
+    and the two paths agree to rounding.  Each returned Trajectory equals
+    bit for bit the one its lane gives alone whenever the ensemble and the
+    lane alone take the same path.
     """
     if scheme not in _KERNELS:
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -719,7 +861,10 @@ def simulate_ensemble(model, inits, scheme, T_final, dt, surface=None, rng=None,
         rec["vec"][0] = vec_rec
     hits = [[] for _ in range(B)]
     steps_done = np.zeros(B, dtype=int)
-    if scheme == "ehrenfest" and model._float_forms is not None and B <= _FLOAT_LANES:
+    few = B <= _FLOAT_LANES
+    chain_force = (_float_force(model, force)
+                   if few and scheme in ("langevin", "smoluchowski") else None)
+    if scheme == "ehrenfest" and model._float_forms is not None and few:
         amplitudes = rec["vec"].view(float)     # (R, B, 4): u0, v0, u1, v1
         for b in range(B):
             rows = [rec[key][:, b] for key in ("X", "p", "z")]
@@ -727,6 +872,19 @@ def simulate_ensemble(model, inits, scheme, T_final, dt, surface=None, rng=None,
             steps_done[b], hits[b] = _float_lane(
                 model, X[b], p[b], vec[b], z[b], t0[b], dt_lane[b], par["rate"][b],
                 n_steps[b], budget[b], surface, record_every, rows)
+    elif chain_force is not None:
+        langevin = scheme == "langevin"
+        for b in range(B):
+            steps_done[b], hits[b] = _float_chain(
+                scheme, chain_force, par["force"], model.L, float(X[b]), float(p[b]),
+                float(z[b]), float(t0[b]), float(dt_lane[b]),
+                float(par["c1"][b]) if langevin else None,
+                float(par["c2" if langevin else "kick"][b]), par["noise"].rngs[b],
+                int(n_steps[b]), float(budget[b]), surface, record_every,
+                [rec[key][:, b] for key in ("X", "p", "z")])
+            if vec is not None:
+                # the kernel carries a stochastic lane's vector unchanged
+                rec["vec"][1:steps_done[b] // record_every + 1, b] = vec[b]
     else:
         _lockstep(model, scheme, par, X, p, vec, z, t0, n_steps, budget, surface,
                   record_every, rec, hits, steps_done)

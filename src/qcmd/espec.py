@@ -11,7 +11,6 @@ solves an eigenproblem.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from . import model as model_mod
 from .errors import CrossingError
@@ -85,10 +84,18 @@ def eigendecompose_field(model, grid):
     # column keeps a nonnegative overlap with its sign-fixed predecessor
     lead = np.abs(vectors[0]).argmax(axis=0)
     overlaps = np.einsum("ijm,ijm->im", vectors[:-1], vectors[1:])
-    signs = np.empty(lambdas.shape)
-    signs[0] = np.where(vectors[0][lead, np.arange(model.d)] < 0.0, -1.0, 1.0)
-    for i in range(1, grid.size):
-        signs[i] = np.where(signs[i - 1] * overlaps[i - 1] < 0.0, -1.0, 1.0)
+    steps = np.empty(lambdas.shape)
+    steps[0] = np.where(vectors[0][lead, np.arange(model.d)] < 0.0, -1.0, 1.0)
+    steps[1:] = np.where(overlaps < 0.0, -1.0, 1.0)
+    # a column's sign is the product of its steps, restarted at +1 after an
+    # overlap that is exactly zero (or NaN), which fixes no sign; products of
+    # +-1 are exact, so dividing by the product up to the restart is too
+    signs = np.cumprod(steps, axis=0)
+    restart = np.zeros(lambdas.shape, dtype=bool)
+    restart[1:] = ~((overlaps < 0.0) | (overlaps > 0.0))
+    last = np.maximum.accumulate(
+        np.where(restart, np.arange(grid.size)[:, None], 0), axis=0)
+    signs *= np.where(last > 0, np.take_along_axis(signs, last, axis=0), 1.0)
     vectors *= signs[:, None, :]
     gaps = lambdas - lambdas[:, :1]
     return ElectronBasisField(model=model, grid=grid, lambdas=lambdas,
@@ -111,6 +118,8 @@ def detect_crossings(field, trajectory, c_min=1e-8, sigma_tol=1e-10, gap_tol=1e-
     with slope below ``c_min``, or two levels crossing within ``sigma_tol``
     of the same time, are flagged degenerate.
     """
+    from scipy.optimize import brentq, minimize_scalar  # scipy loads on first use
+
     model = field.model
     t = np.asarray(trajectory.t, dtype=float)
     X = np.asarray(trajectory.X, dtype=float).reshape(len(t), -1)[:, 0]

@@ -243,25 +243,30 @@ def gibbs_observable(model, g, T, n_grid=65, n_samples=20000, rng=None, seed=0):
 
 @dataclass(frozen=True)
 class CorrectedPotential:
-    """Ground surface plus the temperature-dependent gap-trace correction."""
+    """Ground surface plus the temperature-dependent gap-trace correction.
+
+    ``force`` evaluates it on arrays; ``dynamics`` runs a few-lane chain
+    with this force from ``model``, ``T`` and ``trace_coefficient`` over
+    Python floats instead, without calling it.
+    """
 
     grid: np.ndarray
     values: np.ndarray
     T: float
     trace_coefficient: float
     diagnostics: dict
-    _model: object = field(repr=False, default=None)
+    model: object = field(repr=False, default=None)
 
     def potential(self, X):
         """The corrected potential at one point (a float) or at stacked points."""
-        lam = model_mod.levels_and_slopes(self._model, X)[0]
+        lam = model_mod.levels_and_slopes(self.model, X)[0]
         gaps = lam[..., 1:] - lam[..., :1]
         value = lam[..., 0] + self.trace_coefficient * self.T * np.sum(np.log(gaps), axis=-1)
         return float(value) if np.ndim(value) == 0 else value
 
     def force(self, X):
         """Forces (B,) at the positions X (B,) of a lane ensemble, lane by lane."""
-        lam, slopes = model_mod.levels_and_slopes(self._model,
+        lam, slopes = model_mod.levels_and_slopes(self.model,
                                                   np.atleast_1d(np.asarray(X, dtype=float)))
         gaps = lam[:, 1:] - lam[:, :1]
         dgaps = slopes[:, 1:] - slopes[:, :1]
@@ -294,7 +299,7 @@ def corrected_potential(basis, T, trace_coefficient=0.5):
     }
     return CorrectedPotential(grid=basis.grid.copy(), values=values, T=float(T),
                               trace_coefficient=float(trace_coefficient),
-                              diagnostics=diag, _model=model)
+                              diagnostics=diag, model=model)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ hold everything needed for a bit-identical replay.
 
 import json
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, dataclass, field, asdict
 
 import numpy as np
 
@@ -98,7 +98,19 @@ class RunRecord:
 
     @classmethod
     def from_json(cls, text):
-        return cls(**json.loads(text))
+        data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError("a run record is a JSON object")
+        known = set(cls.__dataclass_fields__)
+        unknown = sorted(set(data) - known)
+        if unknown:
+            raise ValueError(f"unknown run record key(s) {unknown}")
+        missing = sorted(n for n, f in cls.__dataclass_fields__.items()
+                         if n not in data and f.default is MISSING
+                         and f.default_factory is MISSING)
+        if missing:
+            raise ValueError(f"run record lacks {missing}")
+        return cls(**data)
 
     def comparable(self):
         """The replay-stable payload (wall times excluded)."""
@@ -236,6 +248,8 @@ def converge(model, scheme, M_list, observables=None, e_ref=None, n_loops=8,
     """
     if scheme not in ("bo", "ehrenfest"):
         raise ValueError("convergence harness drives deterministic schemes only")
+    if n_loops < 1:
+        raise ValueError(f"n_loops must be >= 1, got {n_loops}")
     if observables is None:
         observables = default_observables(model.L)
     # smooth continuation of the adiabatic levels: the ground branch may close

@@ -34,7 +34,7 @@ __all__ = [
     "list_families",
 ]
 
-TWO_PI = 2.0 * np.pi
+TWO_PI = 2.0 * math.pi
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
@@ -101,6 +101,13 @@ class ModelSystem:
     just below L continues on level seam[j] just above 0 (the identity but
     for ``two_level_cross``, whose two levels cross there).
 
+    ``_float_levels`` is every family's per-point closed form over Python
+    floats of its levels and their slopes: x -> d pairs (lambda_n, dlambda_n
+    / dX) in ascending order, each float from the operations of ``_levels``
+    in their order, so that the first slope is also the bits of
+    ``ground_slope``.  ``_float_ground_slope`` is x -> that slope alone, in
+    the operations of ``_ground_slope`` (None: from ``_float_levels``).
+
     ``_float_forms`` is set by the two traceless two-level families, whose V
     and dV/dX are both [[alpha, beta], [beta, -alpha]]: a pair of per-point
     closed forms over Python floats, x -> (rho, cos theta, sin theta) of
@@ -125,11 +132,13 @@ class ModelSystem:
     _levels: callable = field(repr=False)
     _vectors: callable = field(repr=False)
     _propagator: callable = field(repr=False)
+    _float_levels: callable = field(repr=False)
     gap_floor: float
     seam: tuple
     _derivative: callable = field(repr=False, default=None)
     _second_derivative: callable = field(repr=False, default=None)
     _ground_slope: callable = field(repr=False, default=None)
+    _float_ground_slope: callable = field(repr=False, default=None)
     _float_forms: tuple = field(repr=False, default=None)
     involutions: tuple = field(repr=False, compare=False, default=(None, None))
 
@@ -151,7 +160,7 @@ def _sym2(a, b, c):
     return out
 
 
-def _reflection(polar):
+def _reflection(polar, rho_floats):
     """Levels, eigenvectors and propagator of a 2 x 2 V = rho R(theta).
 
     R(theta) = [[cos theta, sin theta], [sin theta, -cos theta]] has the
@@ -159,8 +168,9 @@ def _reflection(polar):
     cos theta/2) for -1 (Golub & Van Loan, Matrix Computations, sec. 8.5),
     so with a signed rho the sorted levels are -|rho| and |rho|, their
     vectors swap where rho < 0, and exp(-i a V) = cos(a rho) I - i sin(a rho) R.
-    ``polar`` maps an array X to (rho, d rho/dX, theta).  Returns the
-    family's ``_levels``, ``_vectors`` and ``_propagator``.
+    ``polar`` maps an array X to (rho, d rho/dX, theta), and ``rho_floats``
+    a float x to the same (rho, d rho/dX) over Python floats.  Returns the
+    family's ``_levels``, ``_vectors``, ``_propagator`` and ``_float_levels``.
     """
 
     def levels(X):
@@ -168,6 +178,12 @@ def _reflection(polar):
         r = np.abs(rho)
         slope = np.sign(rho) * drho
         return np.stack((-r, r), axis=1), np.stack((-slope, slope), axis=1)
+
+    def levels_floats(x):
+        rho, drho = rho_floats(x)
+        r = abs(rho)
+        slope = ((rho > 0.0) - (rho < 0.0)) * drho      # np.sign(rho) * drho
+        return (-r, -slope), (r, slope)
 
     def vectors(X):
         rho, _, theta = polar(X)
@@ -188,7 +204,8 @@ def _reflection(polar):
         out[:, 0, 1, 1] = out[:, 1, 0, 1] = -b
         return out.view(complex)[..., 0]
 
-    return dict(_levels=levels, _vectors=vectors, _propagator=propagator)
+    return dict(_levels=levels, _vectors=vectors, _propagator=propagator,
+                _float_levels=levels_floats)
 
 
 def _spectral_propagator(levels, vectors):
@@ -216,6 +233,7 @@ def _free(params, L, d):
     return dict(_fields=lambda X: (zeros(X, 1, 1), zeros(X, 1, 1)),
                 _second_derivative=lambda X: zeros(X, 1, 1),
                 _levels=lambda X: (zeros(X, 1), zeros(X, 1)), _vectors=_unit_vectors,
+                _float_levels=lambda x: ((0.0, 0.0),),
                 gap_floor=np.inf, involutions=(np.eye(1), None))
 
 
@@ -238,10 +256,14 @@ def _scalar_cos(params, L, d):
         wX = w * X
         return (a * np.cos(wX))[:, None], (-a * w * np.sin(wX))[:, None]
 
+    def levels_floats(x):
+        wx = w * x
+        return (a * math.cos(wx), -a * w * math.sin(wx)),
+
     # even in X; V(X + L/2) = -V(X) has no level involution
     return dict(_fields=fields, _derivative=derivative, _second_derivative=d2pot,
-                _levels=levels, _vectors=_unit_vectors, gap_floor=np.inf,
-                involutions=(np.eye(1), None))
+                _levels=levels, _vectors=_unit_vectors, _float_levels=levels_floats,
+                gap_floor=np.inf, involutions=(np.eye(1), None))
 
 
 def _two_level_gap(params, L, d):
@@ -276,6 +298,11 @@ def _two_level_gap(params, L, d):
         rho = math.hypot(c, delta)
         return rho, c / rho, delta / rho
 
+    def rho_floats(x):
+        c = math.cos(x)
+        rho = math.hypot(c, delta)
+        return rho, -c * math.sin(x) / rho
+
     def derivative_floats(x):
         return -math.sin(x), 0.0
 
@@ -283,7 +310,7 @@ def _two_level_gap(params, L, d):
     # cos(X + pi) = -cos X swaps the diagonal: V(X + pi) = sx V(X) sx
     return dict(_fields=fields, _derivative=derivative, _second_derivative=d2pot,
                 gap_floor=2.0 * delta, _float_forms=(polar_floats, derivative_floats),
-                involutions=(np.eye(2), _SIGMA_X), **_reflection(polar))
+                involutions=(np.eye(2), _SIGMA_X), **_reflection(polar, rho_floats))
 
 
 def _two_level_cross(params, L, d):
@@ -317,6 +344,10 @@ def _two_level_cross(params, L, d):
         s = math.sin(half)
         return 2.0 * s, math.cos(half), s
 
+    def rho_floats(x):
+        half = x / 2.0
+        return 2.0 * math.sin(half), math.cos(half)
+
     def derivative_floats(x):
         return math.cos(x), math.sin(x)
 
@@ -325,7 +356,7 @@ def _two_level_cross(params, L, d):
     return dict(_fields=fields, _derivative=derivative, _second_derivative=d2pot,
                 gap_floor=0.0, seam=(1, 0),
                 _float_forms=(polar_floats, derivative_floats),
-                involutions=(_SIGMA_X, None), **_reflection(polar))
+                involutions=(_SIGMA_X, None), **_reflection(polar, rho_floats))
 
 
 def _multi_level(params, L, d):
@@ -362,6 +393,18 @@ def _multi_level(params, L, d):
         # column 0 of the slopes of ``levels``, without the other levels
         return rate[0] * np.sin(w * X)
 
+    # (g_n, eps_n, rate_n) as Python floats, for the float forms
+    table = list(zip(g.tolist(), eps.tolist(), rate.tolist()))
+    rate0 = table[0][2]
+
+    def levels_floats(x):
+        wx = w * x
+        c, s = math.cos(wx), math.sin(wx)
+        return [((a0 * c + gn) + en * c, r * s) for gn, en, r in table]
+
+    def ground_slope_floats(x):
+        return rate0 * math.sin(w * x)
+
     def rotation(s):
         """Q = exp(rot sin(w X) A) for the column s of sin(w X)."""
         return ((U * np.exp(rot * s * omega)[:, None, :]) @ U_inv).real
@@ -385,6 +428,7 @@ def _multi_level(params, L, d):
     # lambda_1 - lambda_0 = g_1 + eps_1 cos(w X); P = diag(+-1) alternating
     # flips A (P A P = -A), so P Q(X) P = Q(-X) and V(-X) = P V(X) P
     return dict(_fields=fields, _levels=levels, _ground_slope=ground_slope,
+                _float_levels=levels_floats, _float_ground_slope=ground_slope_floats,
                 _vectors=lambda X: rotation(np.sin(w * X)[:, None]),
                 gap_floor=g[1] - abs(eps[1]),
                 involutions=(np.diag((-1.0) ** np.arange(d)), None))

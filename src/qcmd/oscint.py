@@ -8,8 +8,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
-from scipy.optimize import brentq
 
 from .errors import ResolutionError
 from ._util import periodic_integral
@@ -45,6 +43,8 @@ class OscillatoryIntegrand:
     @classmethod
     def from_samples(cls, s, Q_samples, f_samples, M, spline_order=5):
         """Tabulated phase/amplitude; splines of order >= 4 keep two smooth derivatives."""
+        from scipy.interpolate import make_interp_spline  # scipy loads on first use
+
         if spline_order < 4:
             raise ValueError("tabulated integrands need spline order >= 4")
         Qs = make_interp_spline(s, Q_samples, k=spline_order)
@@ -115,6 +115,8 @@ def oscillatory_quadrature(itg, steps=None):
 
 
 def _critical_points(itg, n_scan=2048):
+    from scipy.optimize import brentq  # scipy loads on first use
+
     a, b = itg.interval
     if itg.dQ is None:
         raise ValueError("stationary phase needs the phase derivative dQ")
@@ -245,6 +247,8 @@ def mode_overlap(field_a, field_b, g, M, p_floor=1e-8):
     Classified as "no critical point" when |p_b - p_a| stays above ``p_floor``,
     else the critical points are located and reported.
     """
+    from scipy.interpolate import make_interp_spline  # scipy loads on first use
+
     if field_a.grid.shape != field_b.grid.shape or not np.allclose(field_a.grid, field_b.grid):
         raise ValueError("fields must share a common grid")
     grid = field_a.grid

@@ -39,7 +39,6 @@ collocation operator, applied by FFT.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import model as model_mod
 from .errors import ResolutionError
@@ -312,6 +311,8 @@ def _cluster_vectors(band, energies, scale):
     inside the block; the Ritz vectors nearest the shift are returned in
     ascending order of their Ritz values.
     """
+    import scipy.linalg  # scipy loads on first use
+
     b = band.shape[0] - 1
     N = band.shape[1]
     c = len(energies)
@@ -384,6 +385,8 @@ def eigensolve_near(H, E_target, count=1):
     inverse-iteration block, so exactly degenerate partners come out
     orthogonal (partners in different blocks have disjoint supports).
     """
+    import scipy.linalg  # scipy loads on first use
+
     if count < 1:
         raise ValueError("count must be >= 1")
     N = H.n_grid * H.d

@@ -10,8 +10,6 @@ rho^(1/2) psi exp(i sqrt(M) theta) is assembled on a reference grid.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 
 from . import dynamics, espec
 from . import model as model_mod
@@ -81,6 +79,8 @@ def quantized_energy_from_profiles(profiles, L, k, M, index_offset=0.0):
     Bracketed root finding to relative 1e-12; fails when the requested index
     puts the energy at or below the barrier top.
     """
+    from scipy.optimize import brentq  # scipy loads on first use
+
     if not (np.isfinite(M) and M >= 1.0):
         raise ValueError(f"mass M must be finite and >= 1, got {M}")
     profiles = np.atleast_2d(np.asarray(profiles, dtype=float))
@@ -161,6 +161,8 @@ def field_from_energy(model, E, M, n_grid=1024, k=None):
 def _ehrenfest_effective_potential(model, E0, M):
     """One Ehrenfest loop from the launch point; returns periodic splines of
     V_hat_0(X) and psi_hat(X)."""
+    from scipy.interpolate import CubicSpline  # scipy loads on first use
+
     X0 = espec.loop_branches(model).launch
     lam0_start = espec.eigen_at(model, X0)[0][0]
     p0 = np.sqrt(2.0 * (E0 - lam0_start))

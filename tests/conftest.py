@@ -1,3 +1,4 @@
+import math
 import sys
 
 import numpy as np
@@ -18,3 +19,14 @@ def eigensolver_calls(monkeypatch):
 
         monkeypatch.setattr(owner, "eigh", recorded)
     return calls
+
+
+@pytest.fixture(scope="session")
+def sines_agree():
+    """Whether math.sin and math.cos give numpy's bits on this host, on a
+    sample of arguments; the float loops of ``dynamics`` are bitwise equal
+    to the lockstep kernel only where they do."""
+    x = np.random.default_rng(0).uniform(-200.0, 200.0, 100_000)
+    xs = x.tolist()
+    return (np.array_equal(np.sin(x), [math.sin(v) for v in xs])
+            and np.array_equal(np.cos(x), [math.cos(v) for v in xs]))

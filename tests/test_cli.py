@@ -288,3 +288,36 @@ def test_nonfinite_config_value_exits_one(tmp_path, capsys, key, value, message)
     assert cli.main(["model", "show", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["model", "show"],
+    ["model", "show", "--config", "missing.json"],
+    ["spectrum", "--config", "missing.json", "--out", "spec.csv"],
+    ["spectrum", "--config", "CONFIG", "--out", "no/such/dir/spec.csv"],
+    ["plotdata", "missing.json", "--out", "rates.csv"],
+    ["plotdata", "CONFIG", "--out", "rates.csv"],
+    ["plotdata", "LIST", "--out", "rates.csv"],
+])
+def test_bad_files_and_missing_options_exit_one(tmp_path, cos_config, capsys, monkeypatch,
+                                                argv):
+    # CONFIG is a model config, not a run record; LIST is JSON but no object
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "list.json").write_text("[1, 2]")
+    argv = [{"CONFIG": cos_config, "LIST": "list.json"}.get(a, a) for a in argv]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_plotdata_names_what_a_record_lacks(tmp_path, capsys):
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps({"scheme": "bo", "alpha": 1.0}))
+    assert cli.main(["plotdata", str(path), "--out", str(tmp_path / "rates.csv")]) == 1
+    assert "run record lacks ['M_list', 'config'" in capsys.readouterr().err
+
+
+def test_converge_rejects_zero_loops(tmp_path, gap_config, capsys):
+    assert cli.main(["converge", "--config", gap_config, "--scheme", "bo", "--M", "64",
+                     "--loops", "0", "--out", str(tmp_path / "run.json")]) == 1
+    assert "n_loops must be >= 1" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -389,6 +390,8 @@ def _criterion_11_model():
 
 
 def test_block_noise_matches_step_by_step_draws(monkeypatch):
+    # the lockstep kernel's noise; the float chains are held to it below
+    monkeypatch.setattr(dynamics, "_FLOAT_LANES", 0)
     eq = _criterion_11_model()
     corr = gibbs.corrected_potential(espec.eigendecompose_field(eq, periodic_grid(eq.L, 129)),
                                      0.08, trace_coefficient=1.0)
@@ -424,7 +427,9 @@ def test_block_noise_matches_step_by_step_draws(monkeypatch):
     assert blocks[-1][0][0].t.size == 3001
 
 
-def test_repeated_stochastic_steps_match_simulate():
+def test_repeated_stochastic_steps_match_simulate(monkeypatch):
+    # the step functions drive the lockstep kernel, which simulate takes here
+    monkeypatch.setattr(dynamics, "_FLOAT_LANES", 0)
     eq = _criterion_11_model()
     init, n, dt = dynamics.PhaseState.make(1.0, 0.2), 300, 0.1
     for scheme in ("smoluchowski", "langevin"):
@@ -727,6 +732,217 @@ def test_repeated_ehrenfest_steps_match_simulate(spec):
         assert st.X[0] == traj.X[i, 0] and st.p[0] == traj.p[i, 0]
         assert st.z == traj.z[i] and st.t == traj.t[i]
         assert np.array_equal(st.phi, traj.phi[i])
+
+
+# --------------------------------- Langevin and Smoluchowski float chains
+
+STOCHASTIC = [ModelSpec(family="free", T=0.3),
+              ModelSpec(family="scalar_cos", params={"a": 0.3}, T=0.3),
+              ModelSpec(family="two_level_gap", params={"delta": 0.25}, d=2, T=0.3),
+              ModelSpec(family="two_level_cross", d=2, T=0.1),
+              ModelSpec(family="multi_level", d=3, T=0.08,
+                        params={"a0": 0.1, "gaps": [[0.8, 0.12], [1.6, 0.16]], "rot": 0.3})]
+
+
+def _corrected(m, coefficient):
+    """The corrected potential of m; built directly where the grid of
+    ``corrected_potential`` has no gap (d = 1) or meets the crossing at X = 0."""
+    if m.family in ("two_level_gap", "multi_level"):
+        basis = espec.eigendecompose_field(m, periodic_grid(m.L, 129))
+        return gibbs.corrected_potential(basis, m.T, trace_coefficient=coefficient)
+    return gibbs.CorrectedPotential(grid=None, values=None, T=m.T,
+                                    trace_coefficient=coefficient, diagnostics={}, model=m)
+
+
+def _chain_lanes(m, B, branch=False):
+    # around X = pi, the bottom of the ground level of two_level_cross, far
+    # from its crossing at X = 0; with ``branch`` (d > 1) each lane carries
+    # its ground vector, which the energies read
+    lanes = []
+    for k in range(B):
+        X0 = np.pi + 0.9 * np.sin(1.3 * k)
+        phi = espec.eigen_at(m, X0)[1][:, 0].astype(complex) if branch else None
+        lanes.append(dynamics.PhaseState.make(X0, 0.4 * np.cos(k), phi=phi))
+    return lanes
+
+
+def _chains_agree(a, b, exact, tol=1e-12):
+    """Bitwise, or within tol where math and numpy may round differently."""
+    if exact:
+        _same_trajectory(a, b)
+        return
+    assert np.array_equal(a.t, b.t) and a.meta == b.meta
+    for key in ("X", "p", "z", "H"):
+        assert np.abs(getattr(a, key) - getattr(b, key)).max(initial=0.0) < tol, key
+    assert [h.X for h in a.hits] == [h.X for h in b.hits]
+    for h, g in zip(a.hits, b.hits):
+        assert max(abs(h.tau - g.tau), abs(h.p - g.p), abs(h.theta - g.theta)) < tol
+
+
+@pytest.mark.parametrize("scheme", ["smoluchowski", "langevin"])
+@pytest.mark.parametrize("spec", STOCHASTIC, ids=lambda spec: spec.family)
+def test_float_chains_match_the_lockstep_kernel(monkeypatch, sines_agree, spec, scheme):
+    m = build_model(spec)
+    B, dt = dynamics._FLOAT_LANES, 0.02
+    # no step, one step, and across a noise block; the rest shorter
+    n_steps = [0, 1, 4097] + [60 + 41 * k for k in range(B - 3)]
+    # two_level_gap's float levels round hypot as math does, the others'
+    # differ from numpy's only where the sines do; on two_level_gap the
+    # chains differ by at most 2.2e-16 (measured), far inside _chains_agree's 1e-12
+    exact = sines_agree and spec.family != "two_level_gap"
+    forces = [None] + [_corrected(m, c).force for c in (0.5, 1.0)]
+    hit_runs = {"surface": np.pi, "max_hits": [None, 1, 3, 2] + [None, 1] * ((B - 4) // 2)}
+    for force in forces:
+        for surface in ({}, hit_runs):
+            inits = _chain_lanes(m, B, branch=bool(surface) and m.d > 1)
+            kw = dict(T_final=[n * dt for n in n_steps], dt=dt, T=spec.T, K=1.0, force=force,
+                      record_every=3, **surface)
+            runs = []
+            for lanes in (dynamics._FLOAT_LANES, 0):
+                monkeypatch.setattr(dynamics, "_FLOAT_LANES", lanes)
+                rngs = [stream_rng(5, k) for k in range(B)]
+                runs.append((dynamics.simulate_ensemble(m, inits, scheme, rng=rngs, **kw), rngs))
+            monkeypatch.undo()
+            (floats, float_rngs), (lockstep, lockstep_rngs) = runs
+            for a, b, ra, rb in zip(floats, lockstep, float_rngs, lockstep_rngs):
+                _chains_agree(a, b, exact)
+                _same_stream_state(ra, rb)
+            if not surface:
+                assert [t.t.size for t in floats][:3] == [1, 1, 1366]
+            else:
+                # some lane spends its hit budget before its steps
+                assert any(h and len(t.hits) == h and t.t.size < n // 3 + 1 for t, h, n
+                           in zip(floats, hit_runs["max_hits"], n_steps))
+
+
+def test_float_chains_alone_and_on_each_side_of_the_cut_off(monkeypatch, sines_agree):
+    m = build_model(STOCHASTIC[-1])
+    corr = _corrected(m, 1.0)
+    B = dynamics._FLOAT_LANES + 1
+    inits = _chain_lanes(m, B)
+    kw = dict(T_final=[20.0 + 3.0 * k for k in range(B)], dt=0.05, T=m.T, K=1.0,
+              force=corr.force, surface=np.pi, max_hits=[None, 2] * (B // 2) + [None])
+    calls = []
+    lockstep = dynamics._lockstep
+    monkeypatch.setattr(dynamics, "_lockstep", lambda *args: calls.append(1) or lockstep(*args))
+    for scheme in ("smoluchowski", "langevin"):
+        def run(lanes):
+            return dynamics.simulate_ensemble(
+                m, inits[lanes], scheme, rng=[stream_rng(8, k) for k in range(B)][lanes],
+                **{k: v[lanes] if isinstance(v, list) else v for k, v in kw.items()})
+
+        below = run(slice(0, B - 1))
+        assert not calls
+        above = run(slice(0, B))
+        assert len(calls) == 1
+        for b in range(B):
+            alone = run(slice(b, b + 1))[0]
+            # a lane alone runs on floats: bitwise below the cut-off, and
+            # where the sines agree also above it
+            if b < B - 1:
+                _same_trajectory(alone, below[b])
+            _chains_agree(alone, above[b], sines_agree)
+        assert len(calls) == 1
+        calls.clear()
+
+
+def test_float_chains_take_only_the_forces_they_know(monkeypatch):
+    m = build_model(STOCHASTIC[-1])
+    calls = []
+    force = gibbs.CorrectedPotential.force
+
+    @functools.wraps(force)
+    def traced(self, X):
+        calls.append(1)
+        return force(self, X)
+
+    # wrapped on the class, as a tracer installs it
+    monkeypatch.setattr(gibbs.CorrectedPotential, "force", traced)
+    corr = _corrected(m, 1.0)
+    other = _corrected(build_model(STOCHASTIC[-1]), 1.0)
+    lockstep_calls = []
+    lockstep = dynamics._lockstep
+    monkeypatch.setattr(dynamics, "_lockstep",
+                        lambda *args: lockstep_calls.append(1) or lockstep(*args))
+
+    def run(force):
+        return dynamics.simulate(m, dynamics.PhaseState.make(2.0, 0.0), "langevin",
+                                 T_final=5.0, dt=0.05, rng=stream_rng(3), T=m.T, K=1.0,
+                                 force=force)
+
+    on_floats = run(corr.force)
+    assert not calls and not lockstep_calls
+    # a plain callable, or a corrected potential of another model, stays on
+    # the lockstep kernel
+    for kernel_force in (lambda x: corr.force(x), other.force):
+        _same_trajectory(run(kernel_force), on_floats)
+        assert calls and lockstep_calls
+        calls.clear()
+        lockstep_calls.clear()
+
+
+@pytest.mark.parametrize("spec", STOCHASTIC[2:] + [ModelSpec(
+    family="multi_level", d=5, T=0.2,
+    params={"a0": -0.3, "gaps": [[0.5, 0.2], [1.1, -0.3], [1.9, 0.4], [2.6, 0.1]], "rot": 0.8})],
+    ids=lambda spec: f"{spec.family}-{spec.d}")
+def test_float_forces_match_the_array_forces(sines_agree, spec):
+    m = build_model(spec)
+    xs = np.random.default_rng(4).uniform(-2.0 * m.L, 3.0 * m.L, 2001)
+    xs = xs[np.abs(np.sin(0.5 * xs)) > 1e-3] if spec.family == "two_level_cross" else xs
+    exact = sines_agree and spec.family != "two_level_gap"
+    for force, array_force in [(None, lambda x: dynamics._ground_force(m, x))] + [
+            (c.force, c.force) for c in (_corrected(m, 0.5), _corrected(m, 1.0))]:
+        floats = np.array([dynamics._float_force(m, force)(x) for x in xs.tolist()])
+        # the gap trace of d = 5 sums four terms, left to right as numpy does
+        if exact:
+            assert np.array_equal(floats, array_force(xs))
+        else:
+            assert np.abs(floats - array_force(xs)).max() < 1e-12
+
+
+def test_float_chains_keep_the_guards(monkeypatch):
+    cross = build_model(STOCHASTIC[3])
+    gap = build_model(STOCHASTIC[2])
+
+    def poisoned(X):
+        lam, slopes = gap._levels(X)
+        return lam, np.where((X < 0.9)[:, None], np.nan, slopes)
+
+    def poisoned_floats(x):
+        pairs = gap._float_levels(x)
+        return tuple((level, np.nan if x < 0.9 else slope) for level, slope in pairs)
+
+    # the ground force of two_level_gap reads column 0 of the levels
+    nan_gap = dataclasses.replace(gap, _levels=poisoned, _float_levels=poisoned_floats)
+    multi = build_model(STOCHASTIC[4])
+    messages = []
+    for lanes in (dynamics._FLOAT_LANES, 0):
+        monkeypatch.setattr(dynamics, "_FLOAT_LANES", lanes)
+        found = []
+        for scheme in ("smoluchowski", "langevin"):
+            # the crossing at X = 0, in one lane of three
+            inits = [dynamics.PhaseState.make(x, 0.0) for x in (1.0, 0.0, 2.0)]
+            with pytest.raises(CrossingError, match="degenerate") as err:
+                dynamics.simulate_ensemble(cross, inits, scheme, T_final=1.0, dt=0.01,
+                                           rng=[stream_rng(0, k) for k in range(3)], T=0.1)
+            found.append(str(err.value))
+            # a NaN force left of X = 0.9, which the lane drifts into
+            with pytest.raises(RuntimeError, match="non-finite state") as err:
+                dynamics.simulate(nan_gap, dynamics.PhaseState.make(1.0, 0.0), scheme,
+                                  T_final=1.0, dt=0.01, rng=stream_rng(0), T=0.0, K=1.0)
+            found.append(str(err.value))
+        # a Langevin position that overflows to inf, where the end kick
+        # reads the kernel's force (math.cos(inf) would raise)
+        with np.errstate(all="ignore"), pytest.raises(RuntimeError) as err:
+            dynamics.simulate(multi, dynamics.PhaseState.make(1.0, 1.0), "langevin",
+                              T_final=1e160, dt=1e160, rng=stream_rng(0), T=0.0, K=1.0)
+        found.append(str(err.value))
+        messages.append(found)
+    assert messages[0] == messages[1]
+    # Smoluchowski steps X by the NaN force, Langevin ends its step with it
+    assert "X = [nan], p = [0.]" in messages[0][1]
+    assert "p = [nan]" in messages[0][3]
+    assert "X = [inf], p = [nan]" in messages[0][4]
 
 
 def test_simulate_rejects_bad_step_inputs():

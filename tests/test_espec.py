@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,59 @@ def test_reconstruction_from_eigenpairs():
         V = sum(f.lambdas[i, n] * np.outer(f.vectors[i, :, n], f.vectors[i, :, n])
                 for n in range(m.d))
         assert np.abs(V - mm.evaluate_potential(m, x)).max() <= 1e-10
+
+
+def _loop_signs(model, grid):
+    """The sign fixing of eigendecompose_field as a loop over the grid points,
+    kept as the reference for the cumulative product."""
+    vectors = espec.eigen_at(model, grid)[1]
+    lead = np.abs(vectors[0]).argmax(axis=0)
+    overlaps = np.einsum("ijm,ijm->im", vectors[:-1], vectors[1:])
+    signs = np.empty((grid.size, model.d))
+    signs[0] = np.where(vectors[0][lead, np.arange(model.d)] < 0.0, -1.0, 1.0)
+    for i in range(1, grid.size):
+        signs[i] = np.where(signs[i - 1] * overlaps[i - 1] < 0.0, -1.0, 1.0)
+    return vectors * signs[:, None, :]
+
+
+@pytest.mark.parametrize("spec", [
+    ModelSpec(family="free"), ModelSpec(family="scalar_cos", params={"a": 0.3}),
+    ModelSpec(family="two_level_gap", params={"delta": 0.25}, d=2),
+    ModelSpec(family="two_level_cross", d=2),
+    ModelSpec(family="multi_level", d=3, params={"a0": 0.1, "gaps": [[0.8, 0.12], [1.6, 0.16]],
+                                                 "rot": 1.7})])
+def test_sign_fixing_matches_the_loop(spec):
+    m = build_model(spec)
+    for n in (1, 2, 8, 129, 4096):
+        grid = periodic_grid(m.L, n)
+        assert np.array_equal(espec.eigendecompose_field(m, grid).vectors, _loop_signs(m, grid))
+    if spec.family == "multi_level":
+        # on 8 points the middle column turns by more than a right angle
+        # between neighbours, so the loop flips it
+        vectors = espec.eigen_at(m, periodic_grid(m.L, 8))[1]
+        assert (np.einsum("ijm,ijm->im", vectors[:-1], vectors[1:]) < 0.0).any()
+
+
+def test_sign_fixing_restarts_at_a_zero_overlap():
+    m = gap_model()
+    vectors = m._vectors
+
+    def broken(X):
+        V = vectors(X).copy()
+        V[2, :, 0] *= -1.0           # the loop flips point 2 back ...
+        V[3, :, 0] = 0.0             # ... but a zero overlap fixes no sign
+        V[5, :, 1] = np.nan          # nor does a NaN one
+        V[6, :, 0] *= -1.0
+        return V
+
+    zeroed = dataclasses.replace(m, _vectors=broken)
+    grid = periodic_grid(m.L, 12)
+    field = espec.eigendecompose_field(zeroed, grid)
+    assert np.array_equal(field.vectors, _loop_signs(zeroed, grid), equal_nan=True)
+    # so the column restarts at +1 after point 3, where a product of every
+    # step would carry point 2's flip on
+    assert np.array_equal(field.vectors[2, :, 0], vectors(grid)[2, :, 0])
+    assert np.array_equal(field.vectors[4, :, 0], vectors(grid)[4, :, 0])
 
 
 def test_detect_gap():

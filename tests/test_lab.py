@@ -83,6 +83,13 @@ def test_replay_refuses_custom_observables():
         lab.replay(rec)
 
 
+@pytest.mark.parametrize("n_loops", [0, -1])
+def test_converge_rejects_loop_counts_below_one(n_loops):
+    m = build_model(ModelSpec(family="two_level_gap", params={"delta": 0.25}, d=2))
+    with pytest.raises(ValueError, match="n_loops must be >= 1"):
+        lab.converge(m, "bo", [64.0], n_loops=n_loops)
+
+
 def test_record_without_options_replays_with_defaults():
     m = build_model(ModelSpec(family="two_level_gap", params={"delta": 0.25}, d=2))
     rec = lab.converge(m, "bo", [64.0], n_loops=1)

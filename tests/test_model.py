@@ -252,6 +252,36 @@ def test_gap_floor_is_a_lower_bound(family, params, d):
     assert m.gap_floor <= (lam[:, 1] - lam[:, 0]).min()
 
 
+@pytest.mark.parametrize("family, params, d", [
+    ("free", {}, 1),
+    ("scalar_cos", {"a": 0.3}, 1),
+    ("two_level_gap", {"delta": 0.25}, 2),
+    ("two_level_cross", {}, 2),
+    ("multi_level", {"a0": 0.1, "gaps": [[0.8, 0.12], [1.6, 0.16]], "rot": 0.3}, 3),
+    ("multi_level", {"a0": -0.4, "gaps": [[0.5, -0.3], [1.2, 0.1], [2.0, 0.2]],
+                     "rot": 1.0}, 4),
+])
+def test_float_levels_match_the_array_forms(sines_agree, family, params, d):
+    m = make(family, params, d=d)
+    # through X = 0 and X = 2 pi, the crossing of two_level_cross
+    xs = np.r_[np.random.default_rng(2).uniform(-3.0 * m.L, 4.0 * m.L, 4097), 0.0, m.L]
+    lam, slopes = model.levels_and_slopes(m, xs)
+    pairs = np.array([m._float_levels(x) for x in xs.tolist()])
+    assert pairs.shape == (xs.size, d, 2)
+    ground = np.array([m._float_ground_slope(x) for x in xs.tolist()]
+                      if m._float_ground_slope is not None else pairs[:, 0, 1])
+    # the same operations in the same order: numpy's bits where math rounds
+    # sin and cos as numpy does; math.hypot (two_level_gap) rounds on its own
+    if sines_agree and family != "two_level_gap":
+        assert np.array_equal(pairs[:, :, 0], lam) and np.array_equal(pairs[:, :, 1], slopes)
+        assert np.array_equal(ground, model.ground_slope(m, xs))
+    else:
+        assert np.abs(pairs[:, :, 0] - lam).max() <= 4e-16
+        assert np.abs(pairs[:, :, 1] - slopes).max() <= 4e-16
+        assert np.abs(ground - model.ground_slope(m, xs)).max() <= 4e-16
+    assert all(type(v) is float for pair in m._float_levels(1.0) for v in pair)
+
+
 def test_spec_round_trip_lossless():
     spec = ModelSpec(family="multi_level", params={"a0": 0.25, "gaps": [[1.0, 0.05], [2.5, 0.0625]], "rot": 0.125},
                      L=2 * np.pi, d=3, M=(64.0, 256.0), T=0.05, K=2.0,
