@@ -622,10 +622,7 @@ def _float_force(model, force):
     levels = model._float_levels
     if force is None:
         if model.gap_floor > _SAFE_GAP_FLOOR:
-            slope = model._float_ground_slope
-            if slope is None:
-                return lambda x: -levels(x)[0][1]
-            return lambda x: -slope(x)
+            return lambda x: -levels(x)[0][1]
 
         def ground(x):
             (l0, s0), (l1, _), *_ = levels(x)
@@ -806,8 +803,8 @@ def simulate_ensemble(model, inits, scheme, T_final, dt, surface=None, rng=None,
     appended each time a lane crosses {X = surface mod L} in the positive
     direction; the crossing is located inside the drift substep, where the
     position is linear in time.  A lane retires when its steps or its hit
-    budget run out.  Every recorded state's energy is evaluated after the
-    loop.
+    budget (``max_hits``: None for none, else at least 1) run out.  Every
+    recorded state's energy is evaluated after the loop.
 
     The lanes run in lockstep through the scheme's kernel, except in an
     ensemble of at most ``_FLOAT_LANES`` lanes that is Ehrenfest on a
@@ -837,6 +834,8 @@ def simulate_ensemble(model, inits, scheme, T_final, dt, surface=None, rng=None,
     n_steps = np.floor(T_lane / dt_lane + 1e-9).astype(int)
     per_lane_hits = max_hits if isinstance(max_hits, (list, tuple)) else [max_hits] * B
     budget = np.array([np.inf if h is None else h for h in per_lane_hits], dtype=float)
+    if not (budget >= 1.0).all():
+        raise ValueError(f"max_hits must be None or at least 1, got {max_hits}")
     par = _lane_params(model, scheme, B, dt_lane, M=M, T=T, K=K, force=force, rng=rng,
                        c_step=c_step, n_steps=n_steps, budget=budget)
     X = np.array([s.X[0] for s in inits], dtype=float)

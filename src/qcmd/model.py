@@ -105,8 +105,7 @@ class ModelSystem:
     floats of its levels and their slopes: x -> d pairs (lambda_n, dlambda_n
     / dX) in ascending order, each float from the operations of ``_levels``
     in their order, so that the first slope is also the bits of
-    ``ground_slope``.  ``_float_ground_slope`` is x -> that slope alone, in
-    the operations of ``_ground_slope`` (None: from ``_float_levels``).
+    ``ground_slope``.
 
     ``_float_forms`` is set by the two traceless two-level families, whose V
     and dV/dX are both [[alpha, beta], [beta, -alpha]]: a pair of per-point
@@ -138,7 +137,6 @@ class ModelSystem:
     _derivative: callable = field(repr=False, default=None)
     _second_derivative: callable = field(repr=False, default=None)
     _ground_slope: callable = field(repr=False, default=None)
-    _float_ground_slope: callable = field(repr=False, default=None)
     _float_forms: tuple = field(repr=False, default=None)
     involutions: tuple = field(repr=False, compare=False, default=(None, None))
 
@@ -299,6 +297,7 @@ def _two_level_gap(params, L, d):
         return rho, c / rho, delta / rho
 
     def rho_floats(x):
+        # d rho/dX in the operations of ``polar``, not from polar_floats
         c = math.cos(x)
         rho = math.hypot(c, delta)
         return rho, -c * math.sin(x) / rho
@@ -344,10 +343,6 @@ def _two_level_cross(params, L, d):
         s = math.sin(half)
         return 2.0 * s, math.cos(half), s
 
-    def rho_floats(x):
-        half = x / 2.0
-        return 2.0 * math.sin(half), math.cos(half)
-
     def derivative_floats(x):
         return math.cos(x), math.sin(x)
 
@@ -356,7 +351,8 @@ def _two_level_cross(params, L, d):
     return dict(_fields=fields, _derivative=derivative, _second_derivative=d2pot,
                 gap_floor=0.0, seam=(1, 0),
                 _float_forms=(polar_floats, derivative_floats),
-                involutions=(_SIGMA_X, None), **_reflection(polar, rho_floats))
+                involutions=(_SIGMA_X, None),
+                **_reflection(polar, lambda x: polar_floats(x)[:2]))
 
 
 def _multi_level(params, L, d):
@@ -393,17 +389,13 @@ def _multi_level(params, L, d):
         # column 0 of the slopes of ``levels``, without the other levels
         return rate[0] * np.sin(w * X)
 
-    # (g_n, eps_n, rate_n) as Python floats, for the float forms
+    # (g_n, eps_n, rate_n) as Python floats, for the float form
     table = list(zip(g.tolist(), eps.tolist(), rate.tolist()))
-    rate0 = table[0][2]
 
     def levels_floats(x):
         wx = w * x
         c, s = math.cos(wx), math.sin(wx)
         return [((a0 * c + gn) + en * c, r * s) for gn, en, r in table]
-
-    def ground_slope_floats(x):
-        return rate0 * math.sin(w * x)
 
     def rotation(s):
         """Q = exp(rot sin(w X) A) for the column s of sin(w X)."""
@@ -428,7 +420,7 @@ def _multi_level(params, L, d):
     # lambda_1 - lambda_0 = g_1 + eps_1 cos(w X); P = diag(+-1) alternating
     # flips A (P A P = -A), so P Q(X) P = Q(-X) and V(-X) = P V(X) P
     return dict(_fields=fields, _levels=levels, _ground_slope=ground_slope,
-                _float_levels=levels_floats, _float_ground_slope=ground_slope_floats,
+                _float_levels=levels_floats,
                 _vectors=lambda X: rotation(np.sin(w * X)[:, None]),
                 gap_floor=g[1] - abs(eps[1]),
                 involutions=(np.diag((-1.0) ** np.arange(d)), None))

@@ -427,9 +427,9 @@ def test_block_noise_matches_step_by_step_draws(monkeypatch):
     assert blocks[-1][0][0].t.size == 3001
 
 
-def test_repeated_stochastic_steps_match_simulate(monkeypatch):
-    # the step functions drive the lockstep kernel, which simulate takes here
-    monkeypatch.setattr(dynamics, "_FLOAT_LANES", 0)
+def test_repeated_stochastic_steps_match_simulate(sines_agree):
+    # the step functions drive the lockstep kernel and this one-lane simulate
+    # the float loop, so the two paths are held to each other here
     eq = _criterion_11_model()
     init, n, dt = dynamics.PhaseState.make(1.0, 0.2), 300, 0.1
     for scheme in ("smoluchowski", "langevin"):
@@ -442,7 +442,11 @@ def test_repeated_stochastic_steps_match_simulate(monkeypatch):
                 st = dynamics.step_smoluchowski(eq, st, dt, 0.08, step_rng)
             else:
                 st = dynamics.step_langevin(eq, st, dt, 0.08, 1.0, step_rng)
-            assert (st.X[0], st.p[0], st.z) == (traj.X[i, 0], traj.p[i, 0], traj.z[i])
+            got, want = (st.X[0], st.p[0], st.z), (traj.X[i, 0], traj.p[i, 0], traj.z[i])
+            if sines_agree:
+                assert got == want
+            else:
+                assert max(abs(a - b) for a, b in zip(got, want)) < 1e-12
         _same_stream_state(run_rng, step_rng)
 
 
@@ -970,6 +974,20 @@ def test_simulate_rejects_bad_step_inputs():
                           dt=1e-3)
     assert dynamics.simulate(m, init, "bo", T_final=0.1, dt=1e-3, M=0.5).meta["M"] == 0.5
     assert dynamics.simulate(m, init, "ehrenfest", T_final=0.0, dt=1e-3, M=M).t.size == 1
+
+
+def test_simulate_rejects_hit_budgets_below_one():
+    m = gap_model()
+    init = dynamics.PhaseState.make(0.0, 1.0)
+    for scheme in ("bo", "smoluchowski", "langevin"):
+        kw = {} if scheme == "bo" else {"T": 0.1}
+        for max_hits in (0, -1, 0.5, np.nan, [1, 0]):
+            rngs = None if scheme == "bo" else [stream_rng(0), stream_rng(1)]
+            with pytest.raises(ValueError, match="max_hits"):
+                dynamics.simulate_ensemble(m, [init, init], scheme, T_final=1.0, dt=0.1,
+                                           surface=1.0, max_hits=max_hits, rng=rngs, **kw)
+    assert len(dynamics.simulate(m, init, "bo", T_final=3.0, dt=0.1, surface=1.0,
+                                 max_hits=1).hits) == 1
 
 
 # ------------------------------------------------------------ time_average
