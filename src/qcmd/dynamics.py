@@ -38,6 +38,7 @@ the lockstep kernel, which is the reference the float loops are tested
 against.
 """
 
+import mmap
 from dataclasses import dataclass, field
 from math import cos, inf, isfinite, sin
 
@@ -71,6 +72,9 @@ DEFAULT_C_STEP = 0.1
 _ENERGY_CHUNK = 4096
 # noise values a lane of known step count draws from its stream at once
 _NOISE_BLOCK = 4096
+# records of at least this many bytes get an anonymous mapping of their own
+# (``_record``)
+_MAPPED_RECORD_BYTES = 1 << 20
 # Ensembles of at most this many lanes run lane after lane over Python
 # floats (``_float_lane``, ``_float_chain``), wider ones in lockstep.
 # Measured on a 2-core host.  Ehrenfest on both two-level families (M =
@@ -716,6 +720,23 @@ def _float_chain(scheme, force, array_force, L, X, p, z, t, dt, c1, kick, rng, n
     return i, hits
 
 
+def _record(shape, dtype=float):
+    """An uninitialized record array of the given shape.
+
+    One of at least ``_MAPPED_RECORD_BYTES`` is backed by an anonymous
+    mapping of its own, not by malloc: its pages are touched only as rows
+    are written and return to the system when the last view of it goes.
+    From the heap, a freed record would instead raise malloc's mmap and trim
+    thresholds, so that the next records land on the heap and whether their
+    pages are released would depend on the layout of everything else there.
+    """
+    dtype = np.dtype(dtype)
+    nbytes = int(np.prod(shape)) * dtype.itemsize
+    if nbytes < _MAPPED_RECORD_BYTES:
+        return np.empty(shape, dtype)
+    return np.frombuffer(mmap.mmap(-1, nbytes), dtype=dtype).reshape(shape)
+
+
 def _lockstep(model, scheme, par, X, p, vec, z, t, n_steps, budget, surface,
               record_every, rec, hits, steps_done):
     """Drive the lanes' kernel steps in lockstep, retiring each lane when its
@@ -853,10 +874,10 @@ def simulate_ensemble(model, inits, scheme, T_final, dt, surface=None, rng=None,
     # (the rows for T_final are allocated, a hit budget may stop far earlier);
     # the times are rebuilt after the loop
     R = int((n_steps // record_every).max(initial=0)) + 1
-    rec = {"X": np.empty((R, B)), "p": np.empty((R, B)), "z": np.empty((R, B))}
+    rec = {"X": _record((R, B)), "p": _record((R, B)), "z": _record((R, B))}
     rec["X"][0], rec["p"][0], rec["z"][0] = X, p, z
     if vec is not None:
-        rec["vec"] = np.empty((R, B, model.d), dtype=vec.dtype)
+        rec["vec"] = _record((R, B, model.d), vec.dtype)
         rec["vec"][0] = vec_rec
     hits = [[] for _ in range(B)]
     steps_done = np.zeros(B, dtype=int)

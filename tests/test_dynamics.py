@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import mmap
 
 import numpy as np
 import pytest
@@ -293,6 +294,43 @@ def test_ehrenfest_lanes_bitwise_alone_and_in_ensemble():
     # the budgets and step counts retire the lanes at different iterations
     assert [len(t.hits) for t in out] == [0, 1, 2]
     assert len({t.t.size for t in out}) == 3
+
+
+def _mapped(a):
+    while isinstance(a, np.ndarray):
+        a = a.base
+    return isinstance(a, memoryview) and isinstance(a.obj, mmap.mmap)
+
+
+def test_large_records_get_their_own_mapping():
+    big = dynamics._record((dynamics._MAPPED_RECORD_BYTES // 16, 2))
+    assert _mapped(big) and big.flags.writeable and big.dtype == float
+    big[-1] = 1.5
+    assert big[-1].tolist() == [1.5, 1.5]
+    small = dynamics._record((4, 3, 2), complex)
+    assert not _mapped(small) and small.shape == (4, 3, 2) and small.dtype == complex
+
+
+@pytest.mark.parametrize("scheme", ["ehrenfest", "langevin"])
+def test_trajectories_do_not_depend_on_where_records_live(monkeypatch, scheme):
+    m = gap_model()
+    if scheme == "ehrenfest":
+        inits = [dynamics.PhaseState.make(X0, 1.2, phi=dynamics.initial_electron_state(
+            m, X0, 1.2, 1024.0)) for X0 in (0.5, 2.0, 4.0)]
+        kw = {"M": 1024.0, "dt": 1e-3, "T_final": [2.0, 3.0, 1.0], "max_hits": [None, 1, 1]}
+    else:
+        # 17 lanes: the lockstep kernel
+        inits = [dynamics.PhaseState.make(0.3 * b, 0.5) for b in range(17)]
+        kw = {"T": 0.5, "K": 1.0, "dt": 0.01, "T_final": 20.0, "max_hits": 2}
+    runs = []
+    for limit in (0, np.inf):
+        monkeypatch.setattr(dynamics, "_MAPPED_RECORD_BYTES", limit)
+        rngs = [stream_rng(7, b) for b in range(len(inits))]
+        out = dynamics.simulate_ensemble(m, inits, scheme, surface=1.0, rng=rngs, **kw)
+        assert all(_mapped(t.X) == (limit == 0) for t in out)
+        runs.append(out)
+    for a, b in zip(*runs):
+        _same_trajectory(a, b)
 
 
 def test_bo_lanes_bitwise_alone_and_in_ensemble():
