@@ -243,7 +243,10 @@ def _cmd_converge(args):
                           n_loops=args.loops)
     with open(args.out, "w") as handle:
         handle.write(record.to_json())
-    print(f"wrote {args.out}: alpha = {record.alpha:.3f} +/- {record.alpha_stderr:.3f}")
+    if record.alpha is None:
+        print(f"wrote {args.out}: no rate fitted (it needs at least 3 masses)")
+    else:
+        print(f"wrote {args.out}: alpha = {record.alpha:.3f} +/- {record.alpha_stderr:.3f}")
     return 0
 
 
@@ -251,8 +254,10 @@ def _cmd_plotdata(args):
     with open(args.record) as handle:
         record = lab.RunRecord.from_json(handle.read())
     header = ["M", "error", "fit"]
+    # the fit column stays empty when the record has no fitted rate
     rows = [[e["M"], e["error"],
-             float(np.exp(record.intercept) * e["M"] ** (-record.alpha))]
+             "" if record.alpha is None
+             else float(np.exp(record.intercept) * e["M"] ** (-record.alpha))]
             for e in record.per_M]
     _write_csv(args.out, header, rows)
     print(f"wrote {args.out}")

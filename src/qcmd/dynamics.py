@@ -18,16 +18,19 @@ new one.
 
 Ehrenfest, Langevin and Smoluchowski have a second path.  At a few lanes
 each numpy call of the lockstep kernel costs mostly its fixed overhead, so
-an ensemble of at most ``_FLOAT_LANES`` lanes runs its lanes one after
-another as loops over Python floats, from the families' per-point float
-closed forms:
+an ensemble of at most ``_FLOAT_LANES`` lanes runs each lane on its own as
+a loop over Python floats, from the families' per-point float closed forms:
 
 - Ehrenfest on one of the two traceless two-level families
-  (``_float_lane``), from the propagator and dV/dX;
+  (``_float_lane``), from the propagator and dV/dX.  The lanes run side by
+  side in forked workers (``_util.fork_map``: up to two processes per CPU,
+  none for less work than two forks), which write the records, shared
+  mappings then, in place;
 - Langevin and Smoluchowski on every family (``_float_chain``), when the
   force is the ground force (``force=None``) or the bound ``force`` of a
   ``gibbs.CorrectedPotential`` on the same model, from the levels and their
-  slopes.
+  slopes.  These lanes run one after another in the caller, whose
+  generators they advance.
 
 The float loops keep the kernel's guards, hit detection, records and
 noise draws, and agree with it to rounding: bit for bit where ``math`` and
@@ -47,7 +50,7 @@ import numpy as np
 from . import espec
 from . import model as model_mod
 from .errors import CrossingError, HittingTimeError, ResolutionError
-from ._util import wrap
+from ._util import fork_map, fork_shares, wrap
 
 __all__ = [
     "PhaseState",
@@ -87,6 +90,10 @@ _MAPPED_RECORD_BYTES = 1 << 20
 # against 2.2, 1.9 and 1.5 us, and with the corrected force (whose float
 # form builds the d levels) 3.8-4.5 against 3.5-4.4, 3.0-3.8 and 2.3-3.2 us.
 _FLOAT_LANES = 16
+# what a float Ehrenfest lane-step costs, in seconds, to weigh a lane
+# against a fork (2-core host: 0.255 s for the 113k steps of the three
+# lanes of a gap-sweep round)
+_FLOAT_STEP_S = 2.3e-6
 # the squared amplitude norm an Ehrenfest step accepts
 _NORM_LOW, _NORM_HIGH = 1.0 - 1e-8, 1.0 + 1e-8
 # a family gap floor this far above the degeneracy tolerance (and far above
@@ -720,7 +727,7 @@ def _float_chain(scheme, force, array_force, L, X, p, z, t, dt, c1, kick, rng, n
     return i, hits
 
 
-def _record(shape, dtype=float):
+def _record(shape, dtype=float, shared=False):
     """An uninitialized record array of the given shape.
 
     One of at least ``_MAPPED_RECORD_BYTES`` is backed by an anonymous
@@ -729,10 +736,12 @@ def _record(shape, dtype=float):
     From the heap, a freed record would instead raise malloc's mmap and trim
     thresholds, so that the next records land on the heap and whether their
     pages are released would depend on the layout of everything else there.
+    A ``shared`` record, which forked workers write, is mapped whatever its
+    size: the mapping is shared with the children.
     """
     dtype = np.dtype(dtype)
     nbytes = int(np.prod(shape)) * dtype.itemsize
-    if nbytes < _MAPPED_RECORD_BYTES:
+    if nbytes < _MAPPED_RECORD_BYTES and not shared:
         return np.empty(shape, dtype)
     return np.frombuffer(mmap.mmap(-1, nbytes), dtype=dtype).reshape(shape)
 
@@ -830,11 +839,12 @@ def simulate_ensemble(model, inits, scheme, T_final, dt, surface=None, rng=None,
     The lanes run in lockstep through the scheme's kernel, except in an
     ensemble of at most ``_FLOAT_LANES`` lanes that is Ehrenfest on a
     two-level family, or Langevin or Smoluchowski with the ground force or
-    a ``gibbs.CorrectedPotential`` force on ``model``: its lanes run one
-    after another over Python floats (``_float_lane``, ``_float_chain``),
-    and the two paths agree to rounding.  Each returned Trajectory equals
-    bit for bit the one its lane gives alone whenever the ensemble and the
-    lane alone take the same path.
+    a ``gibbs.CorrectedPotential`` force on ``model``: its lanes run each on
+    its own over Python floats (``_float_lane``, ``_float_chain``), and the
+    two paths agree to rounding.  The float Ehrenfest lanes run in forked
+    workers when that pays, with the results and errors of the serial loop.
+    Each returned Trajectory equals bit for bit the one its lane gives
+    alone whenever the ensemble and the lane alone take the same path.
     """
     if scheme not in _KERNELS:
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -874,24 +884,33 @@ def simulate_ensemble(model, inits, scheme, T_final, dt, surface=None, rng=None,
     # (the rows for T_final are allocated, a hit budget may stop far earlier);
     # the times are rebuilt after the loop
     R = int((n_steps // record_every).max(initial=0)) + 1
-    rec = {"X": _record((R, B)), "p": _record((R, B)), "z": _record((R, B))}
+    few = B <= _FLOAT_LANES
+    float_lanes = scheme == "ehrenfest" and model._float_forms is not None and few
+    # the float Ehrenfest lanes run in forked workers when that pays
+    lane_cost = n_steps * _FLOAT_STEP_S
+    shared = float_lanes and len(fork_shares(lane_cost)) > 1
+    rec = {key: _record((R, B), shared=shared) for key in ("X", "p", "z")}
     rec["X"][0], rec["p"][0], rec["z"][0] = X, p, z
     if vec is not None:
-        rec["vec"] = _record((R, B, model.d), vec.dtype)
+        rec["vec"] = _record((R, B, model.d), vec.dtype, shared=shared)
         rec["vec"][0] = vec_rec
     hits = [[] for _ in range(B)]
     steps_done = np.zeros(B, dtype=int)
-    few = B <= _FLOAT_LANES
     chain_force = (_float_force(model, force)
                    if few and scheme in ("langevin", "smoluchowski") else None)
-    if scheme == "ehrenfest" and model._float_forms is not None and few:
+    if float_lanes:
         amplitudes = rec["vec"].view(float)     # (R, B, 4): u0, v0, u1, v1
-        for b in range(B):
+
+        def lane(b):
             rows = [rec[key][:, b] for key in ("X", "p", "z")]
             rows += [amplitudes[:, b, k] for k in range(4)]
-            steps_done[b], hits[b] = _float_lane(
+            return _float_lane(
                 model, X[b], p[b], vec[b], z[b], t0[b], dt_lane[b], par["rate"][b],
                 n_steps[b], budget[b], surface, record_every, rows)
+
+        done = fork_map(lane, range(B), lane_cost)
+        steps_done[:] = [n for n, _ in done]
+        hits = [lane_hits for _, lane_hits in done]
     elif chain_force is not None:
         langevin = scheme == "langevin"
         for b in range(B):

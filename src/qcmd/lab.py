@@ -14,6 +14,7 @@ import numpy as np
 
 from . import dynamics, espec, qref, wkb
 from . import model as model_mod
+from ._util import fork_map
 from .errors import CausticError
 
 __all__ = [
@@ -117,6 +118,12 @@ class RunRecord:
         data = asdict(self)
         data.pop("wall_times")
         return data
+
+
+# what a reference solve at M = 64 costs, in seconds, to weigh it against a
+# fork: 8.6-11.7 ms on the d = 1 and gapped families (2-core host), more
+# on the crossing one.  The cost grows with the grid, like sqrt(M).
+_SOLVE_S = 8.6e-3
 
 
 def _launch(model, scheme, E, M, X0, perp_correction=False):
@@ -238,10 +245,19 @@ def converge(model, scheme, M_list, observables=None, e_ref=None, n_loops=8,
     compared instead and the signed errors are averaged, which also cancels
     the oscillating component.  Returns a RunRecord with the fitted exponent.
 
-    The sweep runs in three phases: the references and caustic certificates
-    of every mass (the first failing mass raises CausticError), then every
-    (mass, state) trajectory as one lockstep ensemble, then the per-mass
-    errors, crossings and record entries.
+    The sweep runs in three phases.  First the references: every one not
+    in ``cache`` is solved, once per distinct key, side by side in forked
+    workers (``_util.fork_map``); then the cache is filled and the caustic
+    certificates are checked in mass order, so the first failing mass
+    raises CausticError.  Then every (mass, state) trajectory in one
+    ``dynamics.simulate_ensemble`` call, which runs a few Ehrenfest lanes
+    on two-level families in forked workers and wider ensembles in
+    lockstep.  Last, the per-mass errors, crossings and record entries.
+    Workers change no result bit.
+
+    An empty ``M_list``, or a mass that is not finite and >= 1, raises
+    ValueError before anything is solved.  With fewer than three masses no
+    rate is fitted: ``alpha``, ``alpha_stderr`` and ``intercept`` stay None.
 
     The sweep draws no random numbers: ``seed`` only labels the record, as
     its ``master_seed``, and does not change any result.
@@ -250,6 +266,12 @@ def converge(model, scheme, M_list, observables=None, e_ref=None, n_loops=8,
         raise ValueError("convergence harness drives deterministic schemes only")
     if n_loops < 1:
         raise ValueError(f"n_loops must be >= 1, got {n_loops}")
+    M_list = [float(M) for M in M_list]
+    if not M_list:
+        raise ValueError("M_list must hold at least one mass")
+    for M in M_list:
+        if not (np.isfinite(M) and M >= 1.0):
+            raise ValueError(f"mass M must be finite and >= 1, got {M}")
     if observables is None:
         observables = default_observables(model.L)
     # smooth continuation of the adiabatic levels: the ground branch may close
@@ -267,7 +289,7 @@ def converge(model, scheme, M_list, observables=None, e_ref=None, n_loops=8,
     if e_ref is None:
         e_ref = barrier + 0.5 * max(1.0, barrier - floor_lam)
     record = RunRecord(config=model.spec().to_json(), scheme=scheme,
-                       master_seed=seed, M_list=[float(m) for m in M_list],
+                       master_seed=seed, M_list=M_list,
                        e_ref=float(e_ref), n_loops=n_loops,
                        dt_rule="bo: 1e-3; ehrenfest: min(0.1/sqrt(M), 1e-3)",
                        per_M=[], observable_names=sorted(observables),
@@ -280,7 +302,9 @@ def converge(model, scheme, M_list, observables=None, e_ref=None, n_loops=8,
     clock = time.perf_counter
     t_start = clock()
 
-    def reference(M):
+    def reference_key(M):
+        """The cache key of mass M's reference, and the state count and
+        spread it solves for."""
         k_spread_M = k_spread
         count_M = count
         if energy_window is not None:
@@ -288,13 +312,32 @@ def converge(model, scheme, M_list, observables=None, e_ref=None, n_loops=8,
             k_spread_M = int(np.clip(round(energy_window / spacing), 4, 40))
             k_spread_M += k_spread_M % 2
             count_M = k_spread_M + 12
-        key = (model.spec().to_json(), float(M), float(e_ref), count_M,
+        key = (model.spec().to_json(), M, float(e_ref), count_M,
                k_spread_M, doublet_average, n_grid_cap, observable_key)
+        return key, count_M, k_spread_M
+
+    def solve(job):
+        M, count_M, k_spread_M = job
+        return _matched_eigenstates(model, M, e_ref, loop_mu, floor_lam, observables,
+                                    count_M, k_spread_M, doublet_average, n_grid_cap,
+                                    index_offset=index_offset)
+
+    # every reference not cached yet, once per key, side by side in workers;
+    # then the cache entries and certificates in mass order
+    keys = [reference_key(M) for M in M_list]
+    jobs = {}
+    for M, (key, count_M, k_spread_M) in zip(M_list, keys):
+        if key not in cache and key not in jobs:
+            jobs[key] = (M, count_M, k_spread_M)
+    if jobs:
+        # the solves' scipy modules, loaded once here rather than in each worker
+        import scipy.linalg, scipy.optimize  # noqa: F401
+    cost = [_SOLVE_S * np.sqrt(M / 64.0) for M, _, _ in jobs.values()]
+    solved = dict(zip(jobs, fork_map(solve, jobs.values(), cost)))
+    quanta = []
+    for M, (key, _, _) in zip(M_list, keys):
         if key not in cache:
-            cache[key] = _matched_eigenstates(model, M, e_ref, loop_mu, floor_lam,
-                                              observables, count_M, k_spread_M,
-                                              doublet_average, n_grid_cap,
-                                              index_offset=index_offset)
+            cache[key] = solved[key]
         quantum = cache[key]
         # caustic certificate at each matched energy, on every loop surface
         for sel in quantum["states"]:
@@ -302,9 +345,7 @@ def converge(model, scheme, M_list, observables=None, e_ref=None, n_loops=8,
                         for x in branch.grid[2.0 * (sel["E_q"] - mu_j) <= wkb.EPS_CAUSTIC]]
             if caustics:
                 raise CausticError(f"caustics at M = {M}: {caustics}")
-        return quantum
-
-    quanta = [reference(M) for M in M_list]
+        quanta.append(quantum)
     t_reference = clock()
 
     # one lane per (mass, state)
@@ -317,7 +358,7 @@ def converge(model, scheme, M_list, observables=None, e_ref=None, n_loops=8,
         model, [init for init, _ in launches], scheme,
         T_final=[4.0 * n_hits * (model.L / init.p[0]) for init, _ in launches],
         dt=[dt for _, dt in launches], surface=X0,
-        M=[float(M_list[cell]) for cell, _ in lanes], max_hits=n_hits)
+        M=[M_list[cell] for cell, _ in lanes], max_hits=n_hits)
     t_integrate = clock()
 
     basis_probe = espec.eigendecompose_field(

@@ -1,9 +1,43 @@
 import math
+import os
 import sys
 
 import numpy as np
 import pytest
 import scipy.linalg
+
+
+@pytest.fixture(autouse=True)
+def no_child_outlives_the_test():
+    """Fail a test that leaves a child process behind, running or unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    state = "still running" if pid == 0 else f"{pid} exited but was not reaped"
+    pytest.fail(f"a child process outlived the test: {state}")
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """``workers(cpus)`` takes the host to have ``cpus`` CPUs and returns the
+    list that counts the ``os.fork`` calls from then on."""
+    from qcmd import _util
+
+    forks = []
+
+    def counted(_fork=os.fork):
+        forks.append(None)
+        return _fork()
+
+    def take(cpus):
+        monkeypatch.setattr(_util, "_cpu_count", lambda: cpus)
+        forks.clear()
+        return forks
+
+    monkeypatch.setattr(os, "fork", counted)
+    return take
 
 
 @pytest.fixture

@@ -259,6 +259,27 @@ def test_converge_and_plotdata(tmp_path, gap_config):
     assert len(rows) == 3
 
 
+def test_converge_and_plotdata_with_two_masses(tmp_path, capsys, gap_config):
+    run = str(tmp_path / "run.json")
+    assert cli.main(["converge", "--config", gap_config, "--scheme", "bo",
+                     "--M", "64,256", "--loops", "1", "--out", run]) == 0
+    assert "no rate fitted (it needs at least 3 masses)" in capsys.readouterr().out
+    rates = str(tmp_path / "rates.csv")
+    assert cli.main(["plotdata", run, "--out", rates]) == 0
+    header, rows = read_csv(rates)
+    assert header == ["M", "error", "fit"]
+    assert [row[0] for row in rows] == ["64.0", "256.0"]
+    assert [row[2] for row in rows] == ["", ""]
+
+
+def test_converge_rejects_a_nan_mass(tmp_path, capsys, gap_config):
+    run = tmp_path / "run.json"
+    assert cli.main(["converge", "--config", gap_config, "--scheme", "bo",
+                     "--M", "nan,1024", "--out", str(run)]) == 1
+    assert "mass M must be finite and >= 1, got nan" in capsys.readouterr().err
+    assert not run.exists()
+
+
 def test_failed_certificate_exit_code(tmp_path, cos_config):
     # an energy window forced below the barrier trips the caustic certificate
     out = str(tmp_path / "bad.csv")

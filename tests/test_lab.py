@@ -146,3 +146,43 @@ def test_shared_reference_cache_keys_grid_cap_and_observables():
     moved = lab.converge(m, "bo", [256.0], n_loops=1, observables=shifted, cache=cache)
     for name in shifted:
         assert abs(moved.per_M[0]["quantum"][name] - full.per_M[0]["quantum"][name] - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("masses, message", [
+    ([], "M_list must hold at least one mass"),
+    ([float("nan"), 1024.0], "mass M must be finite and >= 1, got nan"),
+    ([64.0, float("inf")], "mass M must be finite and >= 1, got inf"),
+    ([64.0, 0.5], "mass M must be finite and >= 1, got 0.5")])
+def test_converge_rejects_bad_mass_lists_before_any_solve(monkeypatch, masses, message):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a reference was solved")
+
+    monkeypatch.setattr(lab, "_matched_eigenstates", no_solve)
+    with pytest.raises(ValueError, match=message):
+        lab.converge(build_model(ModelSpec(family="free")), "bo", masses)
+
+
+@pytest.mark.parametrize("family, scheme, options", [
+    ("two_level_gap", "ehrenfest", {"k_spread": 2}),
+    ("two_level_cross", "ehrenfest", {"energy_window": 0.7}),
+    ("two_level_cross", "bo", {"energy_window": 0.7})])
+def test_forked_sweep_equals_one_worker_bitwise(workers, family, scheme, options):
+    params = {"delta": 0.25} if family == "two_level_gap" else {}
+    m = build_model(ModelSpec(family=family, params=params, d=2))
+    # one observables object: cache keys hold the functions
+    options = dict(options, observables=lab.default_observables(m.L))
+    records, caches = [], []
+    for cpus in (1, 2):
+        forks = workers(cpus)
+        cache = {}
+        # a duplicated mass is solved once
+        rec = lab.converge(m, scheme, [64.0, 256.0, 64.0], n_loops=1, cache=cache, **options)
+        assert len(cache) == 2
+        assert bool(forks) == (cpus == 2)
+        # a reused cache solves nothing
+        again = lab.converge(m, scheme, [256.0, 64.0], n_loops=1, cache=cache, **options)
+        assert len(cache) == 2
+        records.append((rec.comparable(), again.comparable()))
+        caches.append(cache)
+    assert records[0] == records[1]
+    assert caches[0] == caches[1]
