@@ -22,15 +22,16 @@ an ensemble of at most ``_FLOAT_LANES`` lanes runs each lane on its own as
 a loop over Python floats, from the families' per-point float closed forms:
 
 - Ehrenfest on one of the two traceless two-level families
-  (``_float_lane``), from the propagator and dV/dX.  The lanes run side by
-  side in forked workers (``_util.fork_map``: up to two processes per CPU,
-  none for less work than two forks), which write the records, shared
-  mappings then, in place;
+  (``_float_lane``), from the propagator and dV/dX; ``_float_ehrenfest``
+  tells whether an ensemble takes this path, for ``lab.converge`` too,
+  which runs the lanes of such a sweep one mass a worker;
 - Langevin and Smoluchowski on every family (``_float_chain``), when the
   force is the ground force (``force=None``) or the bound ``force`` of a
   ``gibbs.CorrectedPotential`` on the same model, from the levels and their
-  slopes.  These lanes run one after another in the caller, whose
-  generators they advance.
+  slopes.
+
+The float lanes run one after another in the caller; this module starts
+no process.
 
 The float loops keep the kernel's guards, hit detection, records and
 noise draws, and agree with it to rounding: bit for bit where ``math`` and
@@ -43,14 +44,14 @@ against.
 
 import mmap
 from dataclasses import dataclass, field
-from math import cos, inf, isfinite, sin
+from math import cos, inf, isfinite, nan, sin
 
 import numpy as np
 
 from . import espec
 from . import model as model_mod
 from .errors import CrossingError, HittingTimeError, ResolutionError
-from ._util import fork_map, fork_shares, wrap
+from ._util import wrap
 
 __all__ = [
     "PhaseState",
@@ -90,10 +91,6 @@ _MAPPED_RECORD_BYTES = 1 << 20
 # against 2.2, 1.9 and 1.5 us, and with the corrected force (whose float
 # form builds the d levels) 3.8-4.5 against 3.5-4.4, 3.0-3.8 and 2.3-3.2 us.
 _FLOAT_LANES = 16
-# what a float Ehrenfest lane-step costs, in seconds, to weigh a lane
-# against a fork (2-core host: 0.255 s for the 113k steps of the three
-# lanes of a gap-sweep round)
-_FLOAT_STEP_S = 2.3e-6
 # the squared amplitude norm an Ehrenfest step accepts
 _NORM_LOW, _NORM_HIGH = 1.0 - 1e-8, 1.0 + 1e-8
 # a family gap floor this far above the degeneracy tolerance (and far above
@@ -582,39 +579,54 @@ def _float_lane(model, X, p, phi, z, t, dt, rate, n_steps, budget, surface,
     if surface is not None:
         target, lo, hi = map(float, _next_surface(surface, L, X))
     i = 0
-    for i in range(1, int(n_steps) + 1):
+    try:
+        for i in range(1, int(n_steps) + 1):
+            if not _NORM_LOW <= norm <= _NORM_HIGH:
+                raise ValueError("electron amplitude must be normalized to 1e-8")
+            p_half = p + half * F
+            X1 = X + dt * p_half
+            rho, cos_theta, sin_theta = polar(X + half * p_half)
+            arg = rate * rho
+            c, s = cos(arg), sin(arg)
+            a, b = s * cos_theta, s * sin_theta
+            u0, v0, u1, v1 = (c * u0 + (a * v0 + b * v1), c * v0 - (a * u0 + b * u1),
+                              c * u1 + (b * v0 - a * v1), c * v1 - (b * u0 - a * u1))
+            a, b = slope(X1)
+            n0, n1 = u0 * u0 + v0 * v0, u1 * u1 + v1 * v1
+            F = -(a * (n0 - n1) + 2.0 * b * (u0 * u1 + v0 * v1))
+            norm = n0 + n1
+            p1 = p_half + half * F
+            z1 = z + sixth * (p * p + 4.0 * (p_half * p_half) + p1 * p1)
+            t1 = t + dt
+            if not (isfinite(X1) and isfinite(p1)):
+                raise _nonfinite(t1, X1, p1)
+            spent = False
+            if not lo <= X1 <= hi:
+                hit, target, lo, hi = _band_exit(surface, L, X, X1, t, dt, z, z1, target, hits)
+                n_hit += hit
+                spent = n_hit >= budget
+            X, p, z, t = X1, p1, z1, t1
+            if i % record_every == 0:
+                j = i // record_every
+                rec_X[j], rec_p[j], rec_z[j] = X, p, z
+                rec_u0[j], rec_v0[j], rec_u1[j], rec_v1[j] = u0, v0, u1, v1
+            if spent:
+                break
+    except ValueError:
         if not _NORM_LOW <= norm <= _NORM_HIGH:
-            raise ValueError("electron amplitude must be normalized to 1e-8")
-        p_half = p + half * F
-        X1 = X + dt * p_half
-        rho, cos_theta, sin_theta = polar(X + half * p_half)
-        arg = rate * rho
-        c, s = cos(arg), sin(arg)
-        a, b = s * cos_theta, s * sin_theta
-        u0, v0, u1, v1 = (c * u0 + (a * v0 + b * v1), c * v0 - (a * u0 + b * u1),
-                          c * u1 + (b * v0 - a * v1), c * v1 - (b * u0 - a * u1))
-        a, b = slope(X1)
-        n0, n1 = u0 * u0 + v0 * v0, u1 * u1 + v1 * v1
-        F = -(a * (n0 - n1) + 2.0 * b * (u0 * u1 + v0 * v1))
-        norm = n0 + n1
-        p1 = p_half + half * F
-        z1 = z + sixth * (p * p + 4.0 * (p_half * p_half) + p1 * p1)
-        t1 = t + dt
-        if not (isfinite(X1) and isfinite(p1)):
-            raise _nonfinite(t1, X1, p1)
-        spent = False
-        if not lo <= X1 <= hi:
-            hit, target, lo, hi = _band_exit(surface, L, X, X1, t, dt, z, z1, target, hits)
-            n_hit += hit
-            spent = n_hit >= budget
-        X, p, z, t = X1, p1, z1, t1
-        if i % record_every == 0:
-            j = i // record_every
-            rec_X[j], rec_p[j], rec_z[j] = X, p, z
-            rec_u0[j], rec_v0[j], rec_u1[j], rec_v1[j] = u0, v0, u1, v1
-        if spent:
-            break
+            raise
+        # math.cos and math.sin refuse the infinite drift midpoint or end
+        # point of a step whose position overflows, where the kernel's numpy
+        # calls give NaN forces and so a NaN momentum
+        raise _nonfinite(t + dt, X + dt * (p + half * F), nan) from None
     return i, hits
+
+
+def _float_ehrenfest(model, scheme, n_lanes):
+    """Whether an ensemble of ``n_lanes`` lanes runs as float Ehrenfest
+    lanes (``_float_lane``): Ehrenfest on a two-level family, at most
+    ``_FLOAT_LANES`` lanes."""
+    return scheme == "ehrenfest" and model._float_forms is not None and n_lanes <= _FLOAT_LANES
 
 
 def _float_force(model, force):
@@ -727,7 +739,7 @@ def _float_chain(scheme, force, array_force, L, X, p, z, t, dt, c1, kick, rng, n
     return i, hits
 
 
-def _record(shape, dtype=float, shared=False):
+def _record(shape, dtype=float):
     """An uninitialized record array of the given shape.
 
     One of at least ``_MAPPED_RECORD_BYTES`` is backed by an anonymous
@@ -736,12 +748,10 @@ def _record(shape, dtype=float, shared=False):
     From the heap, a freed record would instead raise malloc's mmap and trim
     thresholds, so that the next records land on the heap and whether their
     pages are released would depend on the layout of everything else there.
-    A ``shared`` record, which forked workers write, is mapped whatever its
-    size: the mapping is shared with the children.
     """
     dtype = np.dtype(dtype)
     nbytes = int(np.prod(shape)) * dtype.itemsize
-    if nbytes < _MAPPED_RECORD_BYTES and not shared:
+    if nbytes < _MAPPED_RECORD_BYTES:
         return np.empty(shape, dtype)
     return np.frombuffer(mmap.mmap(-1, nbytes), dtype=dtype).reshape(shape)
 
@@ -841,10 +851,10 @@ def simulate_ensemble(model, inits, scheme, T_final, dt, surface=None, rng=None,
     two-level family, or Langevin or Smoluchowski with the ground force or
     a ``gibbs.CorrectedPotential`` force on ``model``: its lanes run each on
     its own over Python floats (``_float_lane``, ``_float_chain``), and the
-    two paths agree to rounding.  The float Ehrenfest lanes run in forked
-    workers when that pays, with the results and errors of the serial loop.
-    Each returned Trajectory equals bit for bit the one its lane gives
-    alone whenever the ensemble and the lane alone take the same path.
+    two paths agree to rounding.  Each returned Trajectory equals bit for
+    bit the one its lane gives alone whenever the ensemble and the lane
+    alone take the same path.  The lanes run in the caller, and the error
+    of the lowest failing lane is raised.
     """
     if scheme not in _KERNELS:
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -884,33 +894,23 @@ def simulate_ensemble(model, inits, scheme, T_final, dt, surface=None, rng=None,
     # (the rows for T_final are allocated, a hit budget may stop far earlier);
     # the times are rebuilt after the loop
     R = int((n_steps // record_every).max(initial=0)) + 1
-    few = B <= _FLOAT_LANES
-    float_lanes = scheme == "ehrenfest" and model._float_forms is not None and few
-    # the float Ehrenfest lanes run in forked workers when that pays
-    lane_cost = n_steps * _FLOAT_STEP_S
-    shared = float_lanes and len(fork_shares(lane_cost)) > 1
-    rec = {key: _record((R, B), shared=shared) for key in ("X", "p", "z")}
+    rec = {key: _record((R, B)) for key in ("X", "p", "z")}
     rec["X"][0], rec["p"][0], rec["z"][0] = X, p, z
     if vec is not None:
-        rec["vec"] = _record((R, B, model.d), vec.dtype, shared=shared)
+        rec["vec"] = _record((R, B, model.d), vec.dtype)
         rec["vec"][0] = vec_rec
     hits = [[] for _ in range(B)]
     steps_done = np.zeros(B, dtype=int)
     chain_force = (_float_force(model, force)
-                   if few and scheme in ("langevin", "smoluchowski") else None)
-    if float_lanes:
+                   if B <= _FLOAT_LANES and scheme in ("langevin", "smoluchowski") else None)
+    if _float_ehrenfest(model, scheme, B):
         amplitudes = rec["vec"].view(float)     # (R, B, 4): u0, v0, u1, v1
-
-        def lane(b):
+        for b in range(B):
             rows = [rec[key][:, b] for key in ("X", "p", "z")]
             rows += [amplitudes[:, b, k] for k in range(4)]
-            return _float_lane(
+            steps_done[b], hits[b] = _float_lane(
                 model, X[b], p[b], vec[b], z[b], t0[b], dt_lane[b], par["rate"][b],
                 n_steps[b], budget[b], surface, record_every, rows)
-
-        done = fork_map(lane, range(B), lane_cost)
-        steps_done[:] = [n for n, _ in done]
-        hits = [lane_hits for _, lane_hits in done]
     elif chain_force is not None:
         langevin = scheme == "langevin"
         for b in range(B):

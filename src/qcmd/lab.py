@@ -121,9 +121,12 @@ class RunRecord:
 
 
 # what a reference solve at M = 64 costs, in seconds, to weigh it against a
-# fork: 8.6-11.7 ms on the d = 1 and gapped families (2-core host), more
-# on the crossing one.  The cost grows with the grid, like sqrt(M).
-_SOLVE_S = 8.6e-3
+# fork: 3.5-4.4 ms on the d = 1 and gapped families (2-core host), 17 ms on
+# the crossing one.  The cost grows with the grid, about like sqrt(M).
+_SOLVE_S = 4.4e-3
+# what a float Ehrenfest lane-step costs, in seconds (2-core host: 0.255 s
+# for the 113k steps of the three lanes of a gap-sweep round)
+_LANE_STEP_S = 2.3e-6
 
 
 def _launch(model, scheme, E, M, X0, perp_correction=False):
@@ -184,6 +187,10 @@ def _matched_eigenstates(model, M, e_ref, loop_mu, floor_lam, observables,
     similarity of their density to the loop density sum over branches of 1/p;
     interleaved states of other character (trapped wells, other loops) are
     thereby excluded.  Near-degenerate partners of the winner are averaged.
+    The candidates are picked from the window's eigenvalues
+    (``qref.eigenvalues_near``), and only they get vectors
+    (``qref.eigenpairs``); a vector does not depend on which other levels
+    get one, so the match is that over every pair of the window.
     """
     L = model.L
     k0 = wkb.quantization_index(loop_mu, L, e_ref, M, index_offset=index_offset)
@@ -199,18 +206,28 @@ def _matched_eigenstates(model, M, e_ref, loop_mu, floor_lam, observables,
     H = qref.assemble_hamiltonian(model, M, n_grid,
                                   e_max=None if n_grid_cap else e_kin)
     E_mid = 0.5 * (min(E_list) + max(E_list))
-    pairs = qref.eigensolve_near(H, E_mid, count=count + 6 * (k_spread - 1))
+    window = qref.eigenvalues_near(H, E_mid, count=count + 6 * (k_spread - 1))
+    levels = window.E.tolist()
+    # the candidates of each state from the eigenvalues alone; vectors only
+    # for the levels that are one
+    candidates, spacings = [], []
+    for E_bs in E_list:
+        spacing = wkb.level_spacing(loop_mu, L, E_bs, M)
+        cand = [i for i, E in enumerate(levels) if abs(E - E_bs) <= 0.6 * spacing]
+        if not cand:
+            cand = sorted(range(len(levels)), key=lambda i: abs(levels[i] - E_bs))[:2]
+        candidates.append(cand)
+        spacings.append(spacing)
+    wanted = sorted(set().union(*candidates))
+    pair_of = dict(zip(wanted, qref.eigenpairs(H, window, wanted)))
     branch_fine = espec.smooth_branches(model, H.grid)
     cycle_fine = branch_fine.cycle_of(0)
     states = []
-    for k, E_bs in zip(k_list, E_list):
-        spacing = wkb.level_spacing(loop_mu, L, E_bs, M)
+    for k, E_bs, spacing, cand in zip(k_list, E_list, spacings, candidates):
         with np.errstate(invalid="ignore"):
             rho_cl = np.sum(1.0 / np.sqrt(np.maximum(
                 2.0 * (E_bs - branch_fine.mu[:, cycle_fine]), 1e-12)), axis=1)
-        cand = [p for p in pairs if abs(p.E - E_bs) <= 0.6 * spacing]
-        if not cand:
-            cand = sorted(pairs, key=lambda p: abs(p.E - E_bs))[:2]
+        cand = [pair_of[i] for i in cand]
         sims = [_lowpass_similarity(p.density, rho_cl) for p in cand]
         best = int(np.argmax(sims))
         cluster = [cand[best]]
@@ -245,15 +262,25 @@ def converge(model, scheme, M_list, observables=None, e_ref=None, n_loops=8,
     compared instead and the signed errors are averaged, which also cancels
     the oscillating component.  Returns a RunRecord with the fitted exponent.
 
-    The sweep runs in three phases.  First the references: every one not
-    in ``cache`` is solved, once per distinct key, side by side in forked
-    workers (``_util.fork_map``); then the cache is filled and the caustic
-    certificates are checked in mass order, so the first failing mass
-    raises CausticError.  Then every (mass, state) trajectory in one
-    ``dynamics.simulate_ensemble`` call, which runs a few Ehrenfest lanes
-    on two-level families in forked workers and wider ensembles in
-    lockstep.  Last, the per-mass errors, crossings and record entries.
-    Workers change no result bit.
+    The work is shared among forked workers (``_util.fork_map``), once per
+    distinct cache key: a repeated mass reuses its key's reference and
+    entry.  A sweep whose lanes take the float Ehrenfest path
+    (``dynamics._float_ehrenfest``: Ehrenfest on a two-level family, at most
+    ``dynamics._FLOAT_LANES`` (mass, state) lanes in all, a count known
+    before any solve) runs one worker per mass.  The worker solves the
+    mass's reference unless it is cached, checks its caustic certificates,
+    integrates its lanes (``dynamics.simulate_ensemble`` on them alone) and
+    computes its record entry.  Every other sweep (Born-Oppenheimer, wider
+    Ehrenfest ensembles) runs in phases: the references not cached, side
+    by side in workers; the certificates in mass order; every lane of the
+    sweep as one lockstep ensemble; the entries.  Workers change no result
+    bit.  A failing sweep raises the error of its lowest failing mass (in
+    the phased order, within the first phase that fails), as one worker
+    would, and leaves ``cache`` unfilled: the cache gets its new
+    references only once every mass has its entry.  ``wall_times`` holds
+    the seconds of the reference, trajectory and error stages, each timed
+    in the process that ran it and summed over masses, and the ``sweep``
+    wall time.
 
     An empty ``M_list``, or a mass that is not finite and >= 1, raises
     ValueError before anything is solved.  With fewer than three masses no
@@ -262,6 +289,8 @@ def converge(model, scheme, M_list, observables=None, e_ref=None, n_loops=8,
     The sweep draws no random numbers: ``seed`` only labels the record, as
     its ``master_seed``, and does not change any result.
     """
+    clock = time.perf_counter
+    t_start = clock()
     if scheme not in ("bo", "ehrenfest"):
         raise ValueError("convergence harness drives deterministic schemes only")
     if n_loops < 1:
@@ -299,12 +328,11 @@ def converge(model, scheme, M_list, observables=None, e_ref=None, n_loops=8,
     cache = {} if cache is None else cache
     # observables by name and function object: the quantum values depend on both
     observable_key = tuple(sorted(observables.items(), key=lambda item: item[0]))
-    clock = time.perf_counter
-    t_start = clock()
+    n_hits = n_loops * len(cycle)
 
     def reference_key(M):
-        """The cache key of mass M's reference, and the state count and
-        spread it solves for."""
+        """Mass M's job: the cache key of its reference, M, and the state
+        count and spread the reference solves for."""
         k_spread_M = k_spread
         count_M = count
         if energy_window is not None:
@@ -314,61 +342,47 @@ def converge(model, scheme, M_list, observables=None, e_ref=None, n_loops=8,
             count_M = k_spread_M + 12
         key = (model.spec().to_json(), M, float(e_ref), count_M,
                k_spread_M, doublet_average, n_grid_cap, observable_key)
-        return key, count_M, k_spread_M
+        return key, M, count_M, k_spread_M
 
-    def solve(job):
-        M, count_M, k_spread_M = job
-        return _matched_eigenstates(model, M, e_ref, loop_mu, floor_lam, observables,
-                                    count_M, k_spread_M, doublet_average, n_grid_cap,
-                                    index_offset=index_offset)
+    def reference(job):
+        """A job's reference, from the cache or solved, and the seconds it took."""
+        key, M, count_M, k_spread_M = job
+        if key in cache:
+            return cache[key], 0.0
+        t0 = clock()
+        quantum = _matched_eigenstates(model, M, e_ref, loop_mu, floor_lam, observables,
+                                       count_M, k_spread_M, doublet_average, n_grid_cap,
+                                       index_offset=index_offset)
+        return quantum, clock() - t0
 
-    # every reference not cached yet, once per key, side by side in workers;
-    # then the cache entries and certificates in mass order
-    keys = [reference_key(M) for M in M_list]
-    jobs = {}
-    for M, (key, count_M, k_spread_M) in zip(M_list, keys):
-        if key not in cache and key not in jobs:
-            jobs[key] = (M, count_M, k_spread_M)
-    if jobs:
-        # the solves' scipy modules, loaded once here rather than in each worker
-        import scipy.linalg, scipy.optimize  # noqa: F401
-    cost = [_SOLVE_S * np.sqrt(M / 64.0) for M, _, _ in jobs.values()]
-    solved = dict(zip(jobs, fork_map(solve, jobs.values(), cost)))
-    quanta = []
-    for M, (key, _, _) in zip(M_list, keys):
-        if key not in cache:
-            cache[key] = solved[key]
-        quantum = cache[key]
-        # caustic certificate at each matched energy, on every loop surface
+    def certify(M, quantum):
+        """The caustic certificate at each matched energy, on every loop surface."""
         for sel in quantum["states"]:
             caustics = [float(x) for mu_j in loop_mu
                         for x in branch.grid[2.0 * (sel["E_q"] - mu_j) <= wkb.EPS_CAUSTIC]]
             if caustics:
                 raise CausticError(f"caustics at M = {M}: {caustics}")
-        quanta.append(quantum)
-    t_reference = clock()
 
-    # one lane per (mass, state)
-    n_hits = n_loops * len(cycle)
-    lanes = [(cell, sel) for cell, quantum in enumerate(quanta)
-             for sel in quantum["states"]]
-    launches = [_launch(model, scheme, sel["E_q"], M_list[cell], X0, perp_correction)
-                for cell, sel in lanes]
-    trajectories = dynamics.simulate_ensemble(
-        model, [init for init, _ in launches], scheme,
-        T_final=[4.0 * n_hits * (model.L / init.p[0]) for init, _ in launches],
-        dt=[dt for _, dt in launches], surface=X0,
-        M=[M_list[cell] for cell, _ in lanes], max_hits=n_hits)
-    t_integrate = clock()
+    def integrate(cells):
+        """The trajectories of every (mass, state) lane of the (M, reference)
+        cells, as one ensemble."""
+        lanes = [(M, sel) for M, quantum in cells for sel in quantum["states"]]
+        launches = [_launch(model, scheme, sel["E_q"], M, X0, perp_correction)
+                    for M, sel in lanes]
+        return dynamics.simulate_ensemble(
+            model, [init for init, _ in launches], scheme,
+            T_final=[4.0 * n_hits * (model.L / init.p[0]) for init, _ in launches],
+            dt=[dt for _, dt in launches], surface=X0,
+            M=[M for M, _ in lanes], max_hits=n_hits)
 
     basis_probe = espec.eigendecompose_field(
         model, np.linspace(0.0, model.L * (1 - 1e-12), 65))
-    for cell, (M, quantum) in enumerate(zip(M_list, quanta)):
+
+    def entry(M, quantum, trajectories):
+        """Mass M's record entry, from its reference and its states' trajectories."""
         per_k_errors = []
         crossings = []
-        for (lane_cell, sel), traj in zip(lanes, trajectories):
-            if lane_cell != cell:
-                continue
+        for sel, traj in zip(quantum["states"], trajectories):
             c_obs, c_scatter = _loop_observables(traj, observables, n_hits,
                                                  cycle_len=len(cycle))
             if model.d > 1 and not crossings:
@@ -403,7 +417,7 @@ def converge(model, scheme, M_list, observables=None, e_ref=None, n_loops=8,
             sigma_top = spread_sigma[top]
         else:
             sigma_top = float(np.mean([s[top] for _, s in per_k_errors]))
-        record.per_M.append({
+        return {
             "M": float(M), "k": quantum["k"], "E_bs": quantum["E_bs"],
             "n_grid": quantum["n_grid"],
             "E_q": quantum["states"][0]["E_q"],
@@ -414,10 +428,68 @@ def converge(model, scheme, M_list, observables=None, e_ref=None, n_loops=8,
             "error_sigma": sigma_top, "scatter": c_sigmas,
             "k_spread": len(quantum["states"]),
             "caustics": [], "crossings": crossings,
-        })
-    record.wall_times = {"references": t_reference - t_start,
-                         "trajectories": t_integrate - t_reference,
-                         "errors": clock() - t_integrate}
+        }
+
+    # what a job costs, in seconds, to weigh it against a fork
+    def solve_cost(job):
+        """Its reference solve, none when cached."""
+        key, M, _, _ = job
+        return 0.0 if key in cache else _SOLVE_S * np.sqrt(M / 64.0)
+
+    def cell_cost(job):
+        """Its solve and its float lanes, each about n_hits loops at the
+        speed of e_ref over the lowest level."""
+        _, M, _, k_spread_M = job
+        dt = min(dynamics.DEFAULT_C_STEP / np.sqrt(M), 1e-3)
+        steps = n_hits * model.L / np.sqrt(2.0 * max(e_ref - floor_lam, 1e-12)) / dt
+        return solve_cost(job) + k_spread_M * steps * _LANE_STEP_S
+
+    per_mass = [reference_key(M) for M in M_list]
+    jobs = {}           # every distinct key, with the first mass that has it
+    for job in per_mass:
+        jobs.setdefault(job[0], job)
+    if any(key not in cache for key in jobs):
+        # the solves' scipy modules, loaded once here rather than in each worker
+        import scipy.linalg, scipy.optimize  # noqa: F401
+    if dynamics._float_ehrenfest(model, scheme, sum(job[3] for job in per_mass)):
+        # one worker per mass: reference, certificate, lanes and entry
+        def cell(job):
+            M = job[1]
+            quantum, t_solve = reference(job)
+            t0 = clock()
+            certify(M, quantum)
+            t1 = clock()
+            trajectories = integrate([(M, quantum)])
+            t2 = clock()
+            return (quantum, entry(M, quantum, trajectories),
+                    (t_solve + t1 - t0, t2 - t1, clock() - t2))
+
+        done = dict(zip(jobs, fork_map(cell, jobs.values(), map(cell_cost, jobs.values()))))
+        quanta = {key: quantum for key, (quantum, _, _) in done.items()}
+        entries = [done[key][1] for key, *_ in per_mass]
+        stages = np.sum([seconds for _, _, seconds in done.values()], axis=0)
+    else:
+        # in lockstep: every reference, side by side in workers, then the
+        # certificates in mass order, all lanes as one ensemble, the entries
+        todo = [job for key, job in jobs.items() if key not in cache]
+        solved = dict(zip((key for key, *_ in todo),
+                          fork_map(reference, todo, map(solve_cost, todo))))
+        quanta = {key: cache[key] if key in cache else solved[key][0] for key in jobs}
+        cells = [(M, quanta[key]) for key, M, _, _ in per_mass]
+        t0 = clock()
+        for M, quantum in cells:
+            certify(M, quantum)
+        t1 = clock()
+        trajectories = iter(integrate(cells))
+        t2 = clock()
+        entries = [entry(M, quantum, [next(trajectories) for _ in quantum["states"]])
+                   for M, quantum in cells]
+        stages = (sum(seconds for _, seconds in solved.values()) + t1 - t0, t2 - t1,
+                  clock() - t2)
+    for key, quantum in quanta.items():
+        cache.setdefault(key, quantum)
+    record.per_M = entries
+    record.wall_times = dict(zip(("references", "trajectories", "errors"), map(float, stages)))
     floor = 1e-9
     points = [(e["M"], max(e["error"], floor)) for e in record.per_M]
     record.floor_limited = all(e["error"] < 100.0 * floor for e in record.per_M)
@@ -433,6 +505,7 @@ def converge(model, scheme, M_list, observables=None, e_ref=None, n_loops=8,
         y = np.log([e for _, e in points])
         resid = y - (-alpha * x + intercept)
         record.pre_asymptotic = bool(np.max(np.abs(resid)) > 0.7)
+    record.wall_times["sweep"] = clock() - t_start
     return record
 
 

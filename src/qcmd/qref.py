@@ -29,11 +29,14 @@ interleaved order.
 
 This is an exact orthogonal similarity transform of the collocation
 operator, not a Galerkin truncation; only Fourier coefficients at the
-rounding level of the FFT are dropped.  Eigenvalues come from a windowed
-banded solve (LAPACK ``dsbevx``) of each block, eigenvectors from block
-inverse iteration on each near-degenerate cluster within a block, and
-every returned pair is certified by its residual against the full
-collocation operator, applied by FFT.
+rounding level of the FFT are dropped.  The solve comes in two steps.
+``eigenvalues_near`` takes the eigenvalues from a windowed banded solve
+(LAPACK ``dsbevx``) of each block; ``eigenpairs`` then takes eigenvectors
+for the levels a caller chooses from them, by block inverse iteration on
+each near-degenerate cluster within a block that holds a chosen level,
+and certifies every returned pair by its residual against the full
+collocation operator, applied by FFT.  ``eigensolve_near`` chooses every
+level of the window.
 """
 
 from dataclasses import dataclass
@@ -49,6 +52,9 @@ __all__ = [
     "QuantumEigenpair",
     "required_grid",
     "assemble_hamiltonian",
+    "LevelWindow",
+    "eigenvalues_near",
+    "eigenpairs",
     "eigensolve_near",
     "density_from_state",
     "observable",
@@ -56,6 +62,9 @@ __all__ = [
 ]
 
 _RESIDUAL_TOL = 1e-8
+# eigenvalues of one block closer than this fraction of the operator scale
+# share one inverse-iteration cluster
+_CLUSTER_TOL = 1e-6
 # Fourier coefficients of V below this fraction of the largest are FFT
 # rounding noise of exact zeros; dropping them keeps the band tight
 _COEF_TOL = 1e-15
@@ -374,16 +383,29 @@ def _block_band(matrix, lo, hi):
     return matrix[max(0, b - (hi - lo - 1)):, lo:hi]
 
 
-def eigensolve_near(H, E_target, count=1):
-    """The ``count`` eigenpairs nearest E_target, sorted by |E - E_target|.
+@dataclass(frozen=True)
+class LevelWindow:
+    """The ``count`` eigenvalues of H nearest a target, before any vector.
+
+    ``E`` holds them sorted by |E - E_target|, ties to the lower level.
+    ``clusters`` groups the positions in ``E`` into the inverse-iteration
+    clusters of ``eigenpairs``: (block of H, positions in ascending energy)
+    for each run of levels of one block closer than ``_CLUSTER_TOL`` of
+    ``scale``, the operator scale.
+    """
+
+    E: np.ndarray            # (count,)
+    clusters: tuple          # ((block, (position, ...)), ...)
+    scale: float
+
+
+def eigenvalues_near(H, E_target, count=1):
+    """The window of the ``count`` eigenvalues nearest E_target.
 
     Uses a window solve of each block of H, sized from the semiclassical
     level density, that widens until the blocks together hold enough levels,
     so near-degenerate traveling-wave doublets are both returned (the chosen
-    levels depend neither on the window nor on the blocks); eigenvalues of
-    one block closer than 1e-6 of the operator scale share one
-    inverse-iteration block, so exactly degenerate partners come out
-    orthogonal (partners in different blocks have disjoint supports).
+    levels depend neither on the window nor on the blocks).
     """
     import scipy.linalg  # scipy loads on first use
 
@@ -414,23 +436,52 @@ def eigensolve_near(H, E_target, count=1):
     ascending = np.argsort(vals, kind="stable")
     vals, owner = vals[ascending], owner[ascending]
     order = np.argsort(np.abs(vals - E_target), kind="stable")[:count]
+    position = np.empty(vals.size, dtype=int)
+    position[order] = np.arange(count)
     chosen = np.sort(order)
-    vectors = {}
-    for k, ((lo, hi), band) in enumerate(zip(H.blocks, bands)):
+    clusters = []
+    for k in range(len(H.blocks)):
         mine = chosen[owner[chosen] == k]
-        if not mine.size:
+        split = np.flatnonzero(np.diff(vals[mine]) > _CLUSTER_TOL * scale) + 1
+        clusters += [(k, tuple(position[group].tolist()))
+                     for group in np.split(mine, split) if group.size]
+    return LevelWindow(E=vals[order], clusters=tuple(clusters), scale=scale)
+
+
+def eigenpairs(H, window, levels):
+    """The eigenpairs of the given positions of ``window``, in that order.
+
+    Vectors come from block inverse iteration on each cluster of the window
+    that holds one of the levels, the whole cluster at once, so exactly
+    degenerate partners come out orthogonal (partners in different blocks
+    have disjoint supports) and a level's vector does not depend on which
+    other levels are asked for.  Each returned pair is certified by its
+    residual against the full collocation operator.
+    """
+    levels = [int(i) for i in levels]
+    wanted = set(levels)
+    N = H.n_grid * H.d
+    vectors = {}
+    for k, members in window.clusters:
+        if wanted.isdisjoint(members):
             continue
-        split = np.flatnonzero(np.diff(vals[mine]) > 1e-6 * scale) + 1
-        for group in np.split(mine, split):
-            vecs = np.zeros((N, group.size))
-            vecs[lo:hi] = _cluster_vectors(band, vals[group], scale)
-            vectors.update(zip(group.tolist(), vecs.T))
-    pairs = [_make_pair(H, vals[i], vectors[i]) for i in order]
+        lo, hi = H.blocks[k]
+        vecs = np.zeros((N, len(members)))
+        vecs[lo:hi] = _cluster_vectors(_block_band(H.matrix, lo, hi),
+                                       window.E[list(members)], window.scale)
+        vectors.update(zip(members, vecs.T))
+    pairs = [_make_pair(H, window.E[i], vectors[i]) for i in levels]
     for pair in pairs:
         if pair.residual > _RESIDUAL_TOL:
             raise RuntimeError(
                 f"eigen-residual {pair.residual:.3e} exceeds {_RESIDUAL_TOL}")
     return pairs
+
+
+def eigensolve_near(H, E_target, count=1):
+    """The ``count`` eigenpairs nearest E_target, sorted by |E - E_target|:
+    ``eigenpairs`` of every level of ``eigenvalues_near``."""
+    return eigenpairs(H, eigenvalues_near(H, E_target, count), range(count))
 
 
 def density_from_state(pair):

@@ -1,4 +1,5 @@
 import math
+import mmap
 import os
 import sys
 
@@ -19,21 +20,39 @@ def no_child_outlives_the_test():
     pytest.fail(f"a child process outlived the test: {state}")
 
 
+class _Forks(list):
+    """The ``os.fork`` calls of the test's process; ``nested`` tells whether
+    a forked child forked again."""
+
+    def __init__(self):
+        super().__init__()
+        self.flag = mmap.mmap(-1, 1)        # shared with the children
+
+    @property
+    def nested(self):
+        return self.flag[0] == 1
+
+
 @pytest.fixture
 def workers(monkeypatch):
     """``workers(cpus)`` takes the host to have ``cpus`` CPUs and returns the
-    list that counts the ``os.fork`` calls from then on."""
+    ``_Forks`` that count the ``os.fork`` calls from then on."""
     from qcmd import _util
 
-    forks = []
+    caller = os.getpid()
+    forks = _Forks()
 
     def counted(_fork=os.fork):
-        forks.append(None)
+        if os.getpid() == caller:
+            forks.append(None)
+        else:
+            forks.flag[0] = 1
         return _fork()
 
     def take(cpus):
         monkeypatch.setattr(_util, "_cpu_count", lambda: cpus)
         forks.clear()
+        forks.flag[0] = 0
         return forks
 
     monkeypatch.setattr(os, "fork", counted)

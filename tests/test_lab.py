@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qcmd import ModelSpec, build_model, lab
+from qcmd import ModelSpec, build_model, espec, lab, qref, wkb
 
 
 def test_fit_rate_exact_power_laws():
@@ -162,27 +162,174 @@ def test_converge_rejects_bad_mass_lists_before_any_solve(monkeypatch, masses, m
         lab.converge(build_model(ModelSpec(family="free")), "bo", masses)
 
 
-@pytest.mark.parametrize("family, scheme, options", [
-    ("two_level_gap", "ehrenfest", {"k_spread": 2}),
-    ("two_level_cross", "ehrenfest", {"energy_window": 0.7}),
-    ("two_level_cross", "bo", {"energy_window": 0.7})])
-def test_forked_sweep_equals_one_worker_bitwise(workers, family, scheme, options):
+@pytest.mark.parametrize("family, scheme, options, masses", [
+    # one worker per mass: 6 and 16 float lanes
+    pytest.param("two_level_gap", "ehrenfest", {"k_spread": 2}, (256.0, 1024.0),
+                 id="two_level_gap-ehrenfest-options0"),
+    pytest.param("two_level_cross", "ehrenfest", {"energy_window": 0.7}, (64.0, 256.0),
+                 id="two_level_cross-ehrenfest-options1"),
+    # the lockstep phases: Born-Oppenheimer, and 34 Ehrenfest lanes
+    pytest.param("two_level_cross", "bo", {"energy_window": 0.7}, (256.0, 1024.0),
+                 id="two_level_cross-bo-options2"),
+    pytest.param("two_level_cross", "ehrenfest", {"energy_window": 0.7}, (256.0, 1024.0),
+                 id="two_level_cross-ehrenfest-lockstep")])
+def test_forked_sweep_equals_one_worker_bitwise(workers, family, scheme, options, masses):
     params = {"delta": 0.25} if family == "two_level_gap" else {}
     m = build_model(ModelSpec(family=family, params=params, d=2))
     # one observables object: cache keys hold the functions
     options = dict(options, observables=lab.default_observables(m.L))
+    light, heavy = masses
     records, caches = [], []
     for cpus in (1, 2):
         forks = workers(cpus)
         cache = {}
         # a duplicated mass is solved once
-        rec = lab.converge(m, scheme, [64.0, 256.0, 64.0], n_loops=1, cache=cache, **options)
+        rec = lab.converge(m, scheme, [light, heavy, light], n_loops=1, cache=cache,
+                           **options)
         assert len(cache) == 2
-        assert bool(forks) == (cpus == 2)
+        # one process a distinct mass (the caller is one), and workers fork
+        # no workers of their own
+        assert len(forks) == (cpus - 1) * (len(cache) - 1)
+        assert not forks.nested
+        # stage times summed over the processes, and the sweep's wall time
+        assert sorted(rec.wall_times) == ["errors", "references", "sweep", "trajectories"]
+        assert min(rec.wall_times.values()) >= 0.0 and "wall_times" not in rec.comparable()
         # a reused cache solves nothing
-        again = lab.converge(m, scheme, [256.0, 64.0], n_loops=1, cache=cache, **options)
+        again = lab.converge(m, scheme, [heavy, light], n_loops=1, cache=cache, **options)
         assert len(cache) == 2
+        assert not forks.nested
         records.append((rec.comparable(), again.comparable()))
         caches.append(cache)
     assert records[0] == records[1]
     assert caches[0] == caches[1]
+
+
+@pytest.mark.parametrize("scheme, bad", [
+    ("ehrenfest", {1: "norm"}), ("ehrenfest", {1: "norm", 2: "caustic"}),
+    ("ehrenfest", {1: "caustic", 2: "norm"}), ("ehrenfest", {0: "norm"}),
+    ("bo", {1: "caustic", 2: "caustic"})])
+def test_forked_sweep_raises_the_lowest_failing_mass_error(monkeypatch, workers, scheme, bad):
+    # the serial run raises the lowest failing mass's error, and so does a
+    # forked one, whichever process runs which mass; a failing sweep fills
+    # no cache entry
+    m = build_model(ModelSpec(family="two_level_gap", params={"delta": 0.25}, d=2))
+    masses = [64.0, 256.0, 1024.0]
+    kinds = {masses[i]: kind for i, kind in bad.items()}
+    solve, launch = lab._matched_eigenstates, lab._launch
+
+    def matched(model, M, e_ref, loop_mu, *args, **kwargs):
+        quantum = solve(model, M, e_ref, loop_mu, *args, **kwargs)
+        if kinds.get(M) == "caustic":
+            # a matched energy at the top of the loop's levels
+            quantum["states"][0]["E_q"] = float(np.max(loop_mu))
+        return quantum
+
+    def launched(model, scheme, E, M, *args, **kwargs):
+        init, dt = launch(model, scheme, E, M, *args, **kwargs)
+        if kinds.get(M) == "norm":
+            init = type(init).make(init.X, init.p, phi=1.01 * init.phi)
+        return init, dt
+
+    monkeypatch.setattr(lab, "_matched_eigenstates", matched)
+    monkeypatch.setattr(lab, "_launch", launched)
+    errors = []
+    for cpus in (1, 2):
+        forks = workers(cpus)
+        cache = {}
+        with pytest.raises((ValueError, lab.CausticError)) as caught:
+            lab.converge(m, scheme, masses, n_loops=1, cache=cache)
+        assert bool(forks) == (cpus == 2)
+        assert cache == {}
+        errors.append((type(caught.value), str(caught.value)))
+    assert errors[0] == errors[1]
+    with pytest.raises((ValueError, lab.CausticError)) as alone:
+        lab.converge(m, scheme, [masses[min(bad)]], n_loops=1)
+    assert errors[1] == (type(alone.value), str(alone.value))
+
+
+def _match_over_every_pair(model, M, e_ref, loop_mu, floor_lam, observables, count,
+                           k_spread, doublet_average, n_grid_cap, index_offset):
+    """The match of ``lab._matched_eigenstates`` over every pair of
+    ``qref.eigensolve_near``, and the energies of the candidates."""
+    L = model.L
+    k0 = wkb.quantization_index(loop_mu, L, e_ref, M, index_offset=index_offset)
+    k_list = [k0 + j for j in range(k_spread)]
+    E_list = [wkb.quantized_energy_from_profiles(loop_mu, L, k, M, index_offset=index_offset)
+              for k in k_list]
+    e_kin = max(E_list) - floor_lam
+    n_grid = 1 << int(np.ceil(np.log2(qref.required_grid(L, e_kin, M))))
+    if n_grid_cap is not None:
+        n_grid = min(n_grid, n_grid_cap)
+    H = qref.assemble_hamiltonian(model, M, n_grid, e_max=None if n_grid_cap else e_kin)
+    pairs = qref.eigensolve_near(H, 0.5 * (min(E_list) + max(E_list)),
+                                 count=count + 6 * (k_spread - 1))
+    branch = espec.smooth_branches(model, H.grid)
+    states, candidates = [], set()
+    for k, E_bs in zip(k_list, E_list):
+        spacing = wkb.level_spacing(loop_mu, L, E_bs, M)
+        with np.errstate(invalid="ignore"):
+            rho_cl = np.sum(1.0 / np.sqrt(np.maximum(
+                2.0 * (E_bs - branch.mu[:, branch.cycle_of(0)]), 1e-12)), axis=1)
+        cand = [p for p in pairs if abs(p.E - E_bs) <= 0.6 * spacing]
+        if not cand:
+            cand = sorted(pairs, key=lambda p: abs(p.E - E_bs))[:2]
+        candidates.update(p.E for p in cand)
+        sims = [lab._lowpass_similarity(p.density, rho_cl) for p in cand]
+        best = int(np.argmax(sims))
+        cluster = [cand[best]] + [
+            p for j, p in enumerate(cand)
+            if doublet_average and j != best and sims[j] >= 0.995 * sims[best]
+            and abs(p.E - cand[best].E) < 0.05 * spacing]
+        states.append({"k": int(k), "E_bs": float(E_bs),
+                       "E_q": float(np.mean([p.E for p in cluster])),
+                       "n_cluster": len(cluster), "similarity": float(sims[best]),
+                       "quantum": {name: float(np.mean([qref.observable(p.density, g, H.grid)
+                                                        for p in cluster]))
+                                   for name, g in observables.items()}})
+    return ({"k": int(k0), "E_bs": float(E_list[0]), "n_grid": int(n_grid),
+             "states": states}, candidates)
+
+
+@pytest.mark.parametrize("family, M, options, cluster_tol", [
+    ("two_level_gap", 256.0, {"k_spread": 2}, None),
+    ("two_level_cross", 256.0, {"energy_window": 0.7}, None),
+    # clusters wide enough that a candidate's holds a level that is none
+    ("two_level_gap", 256.0, {}, 2e-3)])
+def test_matching_on_candidate_vectors_equals_matching_on_every_pair(
+        monkeypatch, family, M, options, cluster_tol):
+    m = build_model(ModelSpec(family=family, params={"delta": 0.25} if family ==
+                              "two_level_gap" else {}, d=2))
+    if cluster_tol is not None:
+        monkeypatch.setattr(qref, "_CLUSTER_TOL", cluster_tol)
+    # the arguments converge passes
+    branch = espec.loop_branches(m)
+    cycle = branch.cycle_of(0)
+    loop_mu = branch.mu[:, cycle].T
+    floor_lam = float(branch.mu.min())
+    e_ref = float(loop_mu.max()) + 0.5 * max(1.0, float(loop_mu.max()) - floor_lam)
+    count, k_spread = 16, options.get("k_spread", 1)
+    if "energy_window" in options:
+        k_spread = int(np.clip(round(options["energy_window"] / wkb.level_spacing(
+            loop_mu, m.L, e_ref, M)), 4, 40))
+        k_spread += k_spread % 2
+        count = k_spread + 12
+    args = (m, M, e_ref, loop_mu, floor_lam, lab.default_observables(m.L), count,
+            k_spread, True, None)
+    offset = 0.25 * branch.crossing_passes(cycle)
+    clusters = []
+    solve = qref._cluster_vectors
+
+    def recorded(band, energies, scale):
+        clusters.append(set(energies.tolist()))
+        return solve(band, energies, scale)
+
+    monkeypatch.setattr(qref, "_cluster_vectors", recorded)
+    matched = lab._matched_eigenstates(*args, index_offset=offset)
+    solved = clusters[:]
+    expected, candidates = _match_over_every_pair(*args, index_offset=offset)
+    assert matched == expected
+    # vectors only for the clusters that hold a candidate
+    assert all(cluster & candidates for cluster in solved)
+    assert len(solved) < len(clusters) - len(solved)
+    if cluster_tol is not None:
+        assert any(cluster - candidates for cluster in solved)
