@@ -58,14 +58,10 @@ def wrap(x, L):
     return np.mod(x, L)
 
 
-# what forking, exiting and reaping one child costs, in seconds: 8-10 ms
-# for a 94 MB process on a 2-core host, 2.7 ms of it in ``os.fork``
-FORK_S = 1e-2
 # At most this many processes a CPU: time-sharing evens out shares of
-# unequal cost, and each process costs a fork.  Float Ehrenfest lanes of
-# equal length on a 2-core host: 3 lanes took 0.145 s in 2 shares and
-# 0.102 s in 3; 16 lanes of 20k steps 0.58 s in 2, 0.54 s in 4 and 0.69 s
-# in 16.
+# unequal cost.  Float Ehrenfest lanes of equal length on a 2-core host:
+# 3 lanes took 0.145 s in 2 shares and 0.102 s in 3; 16 lanes of 20k steps
+# 0.58 s in 2, 0.54 s in 4 and 0.69 s in 16.
 _PROCESSES_PER_CPU = 2
 
 
@@ -76,34 +72,28 @@ def _cpu_count():
     return len(os.sched_getaffinity(0))
 
 
-def fork_shares(cost):
-    """Split items of the given estimated costs (seconds) into shares of
-    consecutive items, one share per process, in item order.
+def fork_shares(n_items):
+    """Split ``n_items`` items into shares of consecutive items, one share
+    per process, in item order.
 
     A single share means the items run serially in the caller: one CPU, or
-    less work than two forks.  Otherwise the shares are of about equal
-    cost, as many as there are items, but no more than the work counted in
-    forks (``FORK_S``) and ``_PROCESSES_PER_CPU`` a CPU: each item gets a
-    process of its own unless the items are many or cheap.
+    a single item.  Otherwise each item gets a process of its own, up to
+    ``_PROCESSES_PER_CPU`` processes a CPU; more items than that are split
+    into that many shares, the earlier ones one item larger.
     """
-    cost = [float(c) for c in cost]
-    total = sum(cost)
     cpus = _cpu_count()
-    n = min(len(cost), int(total / FORK_S), _PROCESSES_PER_CPU * cpus) if cpus > 1 else 1
+    n = min(n_items, _PROCESSES_PER_CPU * cpus) if cpus > 1 else 1
     if n < 2:
-        return [list(range(len(cost)))]
-    shares = [[] for _ in range(n)]
-    done = 0.0
-    for i, c in enumerate(cost):
-        shares[min(n - 1, int((done + 0.5 * c) * n / total))].append(i)
-        done += c
-    return [share for share in shares if share]
+        return [list(range(n_items))]
+    return [share.tolist() for share in np.array_split(np.arange(n_items), n)]
 
 
-def fork_map(run, items, cost):
-    """``[run(item) for item in items]``, with the shares of ``fork_shares``
-    run side by side: the first in the caller, each other one in a forked
-    child that sends back its results by pickle.
+def fork_map(run, items):
+    """``[run(item) for item in items]``, with the shares that
+    ``fork_shares`` makes of the item count run side by side: the first in
+    the caller, each other one in a forked child that sends back its
+    results by pickle.  Items are not weighed: the shares differ by one
+    item at most.
 
     Results and errors are those of the serial loop: when items raise, the
     lowest one's error is raised.  A child reports only through its pipe, so
@@ -112,7 +102,7 @@ def fork_map(run, items, cost):
     the call returns or raises.
     """
     items = list(items)
-    shares = fork_shares(cost)
+    shares = fork_shares(len(items))
     if len(shares) == 1:
         return [run(item) for item in items]
     children = []           # (pid, read end) of children not yet reaped

@@ -844,7 +844,9 @@ def simulate_ensemble(model, inits, scheme, T_final, dt, surface=None, rng=None,
     direction; the crossing is located inside the drift substep, where the
     position is linear in time.  A lane retires when its steps or its hit
     budget (``max_hits``: None for none, else at least 1) run out.  Every
-    recorded state's energy is evaluated after the loop.
+    recorded state's energy is evaluated after the loop.  A ``record_every``
+    that is not an integer >= 1, or a ``surface`` that is neither None nor
+    finite, raises ValueError before any step.
 
     The lanes run in lockstep through the scheme's kernel, except in an
     ensemble of at most ``_FLOAT_LANES`` lanes that is Ehrenfest on a
@@ -858,6 +860,10 @@ def simulate_ensemble(model, inits, scheme, T_final, dt, surface=None, rng=None,
     """
     if scheme not in _KERNELS:
         raise ValueError(f"unknown scheme {scheme!r}")
+    if not (isinstance(record_every, (int, np.integer)) and record_every >= 1):
+        raise ValueError(f"record_every must be an integer >= 1, got {record_every!r}")
+    if surface is not None and not np.isfinite(surface):
+        raise ValueError(f"surface must be None or finite, got {surface}")
     inits = list(inits)
     B = len(inits)
     if scheme == "ehrenfest" and any(s.phi is None for s in inits):

@@ -120,15 +120,6 @@ class RunRecord:
         return data
 
 
-# what a reference solve at M = 64 costs, in seconds, to weigh it against a
-# fork: 3.5-4.4 ms on the d = 1 and gapped families (2-core host), 17 ms on
-# the crossing one.  The cost grows with the grid, about like sqrt(M).
-_SOLVE_S = 4.4e-3
-# what a float Ehrenfest lane-step costs, in seconds (2-core host: 0.255 s
-# for the 113k steps of the three lanes of a gap-sweep round)
-_LANE_STEP_S = 2.3e-6
-
-
 def _launch(model, scheme, E, M, X0, perp_correction=False):
     """Initial state at energy E on the launch surface X0, and the step size
     of the record's ``dt_rule``."""
@@ -273,17 +264,21 @@ def converge(model, scheme, M_list, observables=None, e_ref=None, n_loops=8,
     computes its record entry.  Every other sweep (Born-Oppenheimer, wider
     Ehrenfest ensembles) runs in phases: the references not cached, side
     by side in workers; the certificates in mass order; every lane of the
-    sweep as one lockstep ensemble; the entries.  Workers change no result
-    bit.  A failing sweep raises the error of its lowest failing mass (in
-    the phased order, within the first phase that fails), as one worker
-    would, and leaves ``cache`` unfilled: the cache gets its new
+    sweep as one lockstep ensemble; the entries.  The items, masses or
+    references, are shared out by count (``_util.fork_shares``): each gets
+    a process of its own, up to two processes a CPU.  Workers change no
+    result bit.  A failing sweep raises the error of its lowest failing
+    mass (in the phased order, within the first phase that fails), as one
+    worker would, and leaves ``cache`` unfilled: the cache gets its new
     references only once every mass has its entry.  ``wall_times`` holds
     the seconds of the reference, trajectory and error stages, each timed
     in the process that ran it and summed over masses, and the ``sweep``
     wall time.
 
-    An empty ``M_list``, or a mass that is not finite and >= 1, raises
-    ValueError before anything is solved.  With fewer than three masses no
+    An empty ``M_list``, a mass that is not finite and >= 1, ``k_spread``,
+    ``count`` or ``n_grid_cap`` below 1, an ``energy_window`` that is not
+    finite and > 0, or a non-finite ``e_ref`` raises ValueError before
+    anything is solved or forked.  With fewer than three masses no
     rate is fitted: ``alpha``, ``alpha_stderr`` and ``intercept`` stay None.
 
     The sweep draws no random numbers: ``seed`` only labels the record, as
@@ -301,6 +296,16 @@ def converge(model, scheme, M_list, observables=None, e_ref=None, n_loops=8,
     for M in M_list:
         if not (np.isfinite(M) and M >= 1.0):
             raise ValueError(f"mass M must be finite and >= 1, got {M}")
+    if not k_spread >= 1:
+        raise ValueError(f"k_spread must be >= 1, got {k_spread}")
+    if not count >= 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    if n_grid_cap is not None and not n_grid_cap >= 1:
+        raise ValueError(f"n_grid_cap must be >= 1, got {n_grid_cap}")
+    if energy_window is not None and not (np.isfinite(energy_window) and energy_window > 0.0):
+        raise ValueError(f"energy_window must be finite and > 0, got {energy_window}")
+    if e_ref is not None and not np.isfinite(e_ref):
+        raise ValueError(f"e_ref must be finite, got {e_ref}")
     if observables is None:
         observables = default_observables(model.L)
     # smooth continuation of the adiabatic levels: the ground branch may close
@@ -430,20 +435,6 @@ def converge(model, scheme, M_list, observables=None, e_ref=None, n_loops=8,
             "caustics": [], "crossings": crossings,
         }
 
-    # what a job costs, in seconds, to weigh it against a fork
-    def solve_cost(job):
-        """Its reference solve, none when cached."""
-        key, M, _, _ = job
-        return 0.0 if key in cache else _SOLVE_S * np.sqrt(M / 64.0)
-
-    def cell_cost(job):
-        """Its solve and its float lanes, each about n_hits loops at the
-        speed of e_ref over the lowest level."""
-        _, M, _, k_spread_M = job
-        dt = min(dynamics.DEFAULT_C_STEP / np.sqrt(M), 1e-3)
-        steps = n_hits * model.L / np.sqrt(2.0 * max(e_ref - floor_lam, 1e-12)) / dt
-        return solve_cost(job) + k_spread_M * steps * _LANE_STEP_S
-
     per_mass = [reference_key(M) for M in M_list]
     jobs = {}           # every distinct key, with the first mass that has it
     for job in per_mass:
@@ -464,7 +455,7 @@ def converge(model, scheme, M_list, observables=None, e_ref=None, n_loops=8,
             return (quantum, entry(M, quantum, trajectories),
                     (t_solve + t1 - t0, t2 - t1, clock() - t2))
 
-        done = dict(zip(jobs, fork_map(cell, jobs.values(), map(cell_cost, jobs.values()))))
+        done = dict(zip(jobs, fork_map(cell, jobs.values())))
         quanta = {key: quantum for key, (quantum, _, _) in done.items()}
         entries = [done[key][1] for key, *_ in per_mass]
         stages = np.sum([seconds for _, _, seconds in done.values()], axis=0)
@@ -473,7 +464,7 @@ def converge(model, scheme, M_list, observables=None, e_ref=None, n_loops=8,
         # certificates in mass order, all lanes as one ensemble, the entries
         todo = [job for key, job in jobs.items() if key not in cache]
         solved = dict(zip((key for key, *_ in todo),
-                          fork_map(reference, todo, map(solve_cost, todo))))
+                          fork_map(reference, todo)))
         quanta = {key: cache[key] if key in cache else solved[key][0] for key in jobs}
         cells = [(M, quanta[key]) for key, M, _, _ in per_mass]
         t0 = clock()

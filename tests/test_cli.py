@@ -109,6 +109,18 @@ def test_run_ehrenfest_rejects_bad_step_inputs(tmp_path, gap_config, capsys, opt
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scheme, value", [("smoluchowski", "nan"), ("bo", "inf"),
+                                           ("ehrenfest", "-inf")])
+def test_run_rejects_a_surface_that_is_not_finite(tmp_path, gap_config, capsys, scheme, value):
+    out = tmp_path / "traj.csv"
+    assert cli.main(["run", "--config", gap_config, "--scheme", scheme, "--M", "256",
+                     "--dt", "0.005", "--tfinal", "1.0", "--energy", "0.5",
+                     f"--surface={value}", "--out", str(out)]) == 1
+    assert f"surface must be None or finite, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_wkb_csv(tmp_path, cos_config):
     out = str(tmp_path / "wkb.csv")
     assert cli.main(["wkb", "--config", cos_config, "--M", "256", "--k", "12",

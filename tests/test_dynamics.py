@@ -1044,6 +1044,36 @@ def test_simulate_rejects_hit_budgets_below_one():
                                  max_hits=1).hits) == 1
 
 
+@pytest.mark.parametrize("path", ["float", "lockstep"])
+@pytest.mark.parametrize("option, name", [
+    ({"record_every": 0}, "record_every"), ({"record_every": -2}, "record_every"),
+    ({"record_every": 2.5}, "record_every"), ({"record_every": 2.0}, "record_every"),
+    ({"surface": np.nan}, "surface"), ({"surface": np.inf}, "surface"),
+    ({"surface": -np.inf}, "surface")])
+def test_simulate_rejects_bad_record_steps_and_surfaces(monkeypatch, path, option, name):
+    m = gap_model()
+    M = 1024.0
+    phi = dynamics.initial_electron_state(m, 0.0, 1.0, M)
+    runs = [("ehrenfest", dynamics.PhaseState.make(0.0, 1.0, phi=phi), {"M": M}),
+            ("smoluchowski", dynamics.PhaseState.make(0.0, 0.0), {"T": 0.1})]
+    if path == "lockstep":
+        monkeypatch.setattr(dynamics, "_FLOAT_LANES", 0)
+    good = [dynamics.simulate(m, init, scheme, T_final=0.1, dt=1e-3, surface=np.float64(0.05),
+                              record_every=np.int64(2), rng=stream_rng(0), **kw)
+            for scheme, init, kw in runs]
+    assert [t.t.size for t in good] == [51, 51]
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a lane was stepped")
+
+    for driver in ("_float_lane", "_float_chain", "_lockstep"):
+        monkeypatch.setattr(dynamics, driver, no_step)
+    for scheme, init, kw in runs:
+        with pytest.raises(ValueError, match=name):
+            dynamics.simulate_ensemble(m, [init, init], scheme, T_final=0.1, dt=1e-3,
+                                       rng=[stream_rng(0), stream_rng(1)], **kw, **option)
+
+
 # ------------------------------------------------------------ time_average
 
 def test_time_average_constant_is_exact():

@@ -148,18 +148,40 @@ def test_shared_reference_cache_keys_grid_cap_and_observables():
         assert abs(moved.per_M[0]["quantum"][name] - full.per_M[0]["quantum"][name] - 1.0) < 1e-9
 
 
-@pytest.mark.parametrize("masses, message", [
-    ([], "M_list must hold at least one mass"),
-    ([float("nan"), 1024.0], "mass M must be finite and >= 1, got nan"),
-    ([64.0, float("inf")], "mass M must be finite and >= 1, got inf"),
-    ([64.0, 0.5], "mass M must be finite and >= 1, got 0.5")])
-def test_converge_rejects_bad_mass_lists_before_any_solve(monkeypatch, masses, message):
+@pytest.mark.parametrize("masses, options, message", [
+    pytest.param([], {}, "M_list must hold at least one mass",
+                 id="masses0-M_list must hold at least one mass"),
+    pytest.param([float("nan"), 1024.0], {}, "mass M must be finite and >= 1, got nan",
+                 id="masses1-mass M must be finite and >= 1, got nan"),
+    pytest.param([64.0, float("inf")], {}, "mass M must be finite and >= 1, got inf",
+                 id="masses2-mass M must be finite and >= 1, got inf"),
+    pytest.param([64.0, 0.5], {}, "mass M must be finite and >= 1, got 0.5",
+                 id="masses3-mass M must be finite and >= 1, got 0.5"),
+    pytest.param([64.0], {"k_spread": 0}, "k_spread must be >= 1, got 0", id="k_spread-0"),
+    pytest.param([64.0], {"count": 0}, "count must be >= 1, got 0", id="count-0"),
+    pytest.param([64.0], {"count": -3}, "count must be >= 1, got -3", id="count-neg"),
+    pytest.param([64.0], {"energy_window": float("nan")},
+                 "energy_window must be finite and > 0, got nan", id="energy_window-nan"),
+    pytest.param([64.0], {"energy_window": float("inf")},
+                 "energy_window must be finite and > 0, got inf", id="energy_window-inf"),
+    pytest.param([64.0], {"energy_window": 0.0},
+                 "energy_window must be finite and > 0, got 0.0", id="energy_window-0"),
+    pytest.param([64.0], {"energy_window": -1.0},
+                 "energy_window must be finite and > 0, got -1.0", id="energy_window-neg"),
+    pytest.param([64.0], {"e_ref": float("nan")}, "e_ref must be finite, got nan",
+                 id="e_ref-nan"),
+    pytest.param([64.0], {"e_ref": float("-inf")}, "e_ref must be finite, got -inf",
+                 id="e_ref-inf"),
+    pytest.param([64.0], {"n_grid_cap": 0}, "n_grid_cap must be >= 1, got 0",
+                 id="n_grid_cap-0")])
+def test_converge_rejects_bad_mass_lists_before_any_solve(monkeypatch, masses, options,
+                                                         message):
     def no_solve(*args, **kwargs):
         raise AssertionError("a reference was solved")
 
     monkeypatch.setattr(lab, "_matched_eigenstates", no_solve)
     with pytest.raises(ValueError, match=message):
-        lab.converge(build_model(ModelSpec(family="free")), "bo", masses)
+        lab.converge(build_model(ModelSpec(family="free")), "bo", masses, **options)
 
 
 @pytest.mark.parametrize("family, scheme, options, masses", [
@@ -169,7 +191,7 @@ def test_converge_rejects_bad_mass_lists_before_any_solve(monkeypatch, masses, m
     pytest.param("two_level_cross", "ehrenfest", {"energy_window": 0.7}, (64.0, 256.0),
                  id="two_level_cross-ehrenfest-options1"),
     # the lockstep phases: Born-Oppenheimer, and 34 Ehrenfest lanes
-    pytest.param("two_level_cross", "bo", {"energy_window": 0.7}, (256.0, 1024.0),
+    pytest.param("two_level_cross", "bo", {"energy_window": 0.7}, (64.0, 256.0),
                  id="two_level_cross-bo-options2"),
     pytest.param("two_level_cross", "ehrenfest", {"energy_window": 0.7}, (256.0, 1024.0),
                  id="two_level_cross-ehrenfest-lockstep")])
