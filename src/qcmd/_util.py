@@ -1,9 +1,12 @@
-"""Small helpers: RNG streams, periodic-grid calculus, and a fork map."""
+"""Small helpers: RNG streams, periodic-grid calculus, a bracketed root
+solve, and a fork map."""
 
 import os
 import pickle
 import signal
+import sys
 from contextlib import suppress
+from math import nan
 
 import numpy as np
 
@@ -56,6 +59,75 @@ def periodic_antiderivative(values, L):
 def wrap(x, L):
     """Map coordinates into [0, L)."""
     return np.mod(x, L)
+
+
+_RTOL = 4.0 * sys.float_info.epsilon
+
+
+def brentq(f, xa, xb, xtol=2e-12, rtol=_RTOL, maxiter=100):
+    """A root of f in [xa, xb], where f(xa) and f(xb) have opposite signs.
+
+    Brent's method (Brent, *Algorithms for Minimization without Derivatives*,
+    1973) as scipy.optimize.brentq runs it, step for step after scipy's C
+    ``brentq``: the same iterates, so the same root, without loading
+    scipy.optimize.  The root returned lies within about ``xtol + rtol |x|``
+    of a sign change of f.  Raises ValueError when f has one sign at both
+    ends or gives a NaN, and RuntimeError when ``maxiter`` iterations do not
+    converge.
+    """
+    if xtol <= 0.0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < _RTOL:
+        raise ValueError(f"rtol too small ({rtol:g} < {_RTOL:g})")
+    xtol, rtol = float(xtol), float(rtol)
+
+    def value(x):
+        fx = float(f(x))
+        if fx != fx:
+            raise ValueError(f"the function value at x={x} is NaN; solver cannot continue")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = nan
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:        # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:                   # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                # the C code's quotient is then infinite or NaN, which fails
+                # the test below and so bisects
+                pass
+        if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+            spre, scur = scur, stry     # a good short step
+        else:
+            spre = scur = sbis          # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"failed to converge after {maxiter} iterations, value is {xcur}")
 
 
 # At most this many processes a CPU: time-sharing evens out shares of

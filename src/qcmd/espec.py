@@ -14,7 +14,7 @@ import numpy as np
 
 from . import model as model_mod
 from .errors import CrossingError
-from ._util import periodic_grid
+from ._util import brentq, periodic_grid
 
 __all__ = [
     "ElectronBasisField",
@@ -116,11 +116,12 @@ def detect_crossings(field, trajectory, c_min=1e-8, sigma_tol=1e-10, gap_tol=1e-
     refined by bisection on the sign of the gap's time derivative (the gap is
     |smooth| at a crossing, so the slope changes sign exactly at it).  Events
     with slope below ``c_min``, or two levels crossing within ``sigma_tol``
-    of the same time, are flagged degenerate.
+    of the same time, are flagged degenerate.  A model whose gap floor
+    exceeds ``gap_tol`` has no crossing, and no level is evaluated.
     """
-    from scipy.optimize import brentq, minimize_scalar  # scipy loads on first use
-
     model = field.model
+    if model.gap_floor > gap_tol:
+        return []
     t = np.asarray(trajectory.t, dtype=float)
     X = np.asarray(trajectory.X, dtype=float).reshape(len(t), -1)[:, 0]
 
@@ -148,6 +149,8 @@ def detect_crossings(field, trajectory, c_min=1e-8, sigma_tol=1e-10, gap_tol=1e-
                 if slope_sign(lo) < 0.0 < slope_sign(hi):
                     sigma = brentq(slope_sign, lo, hi, xtol=1e-13)
                 else:
+                    from scipy.optimize import minimize_scalar  # scipy loads on first use
+
                     res = minimize_scalar(lambda s: gap_at(s, level),
                                           bounds=(lo, hi), method="bounded",
                                           options={"xatol": 1e-13})

@@ -141,11 +141,10 @@ def _loop_observables(traj, observables, n_hits, cycle_len=1):
     through a crossing closes only after visiting every branch of its cycle).
     """
     out, scatter = {}, {}
-    taus = np.array([traj.t[0]] + [h.tau for h in traj.hits])
-    circuit_dur = np.diff(taus)
     for name, g in observables.items():
-        out[name] = dynamics.loop_average(traj, g, n_hits)
-        per_circuit = np.asarray(dynamics.per_loop_averages(traj, g, n_hits))
+        # loop_average and per_loop_averages, from one evaluation of g
+        out[name], per_circuit, taus = dynamics._loop_averages(traj, g, n_hits)
+        circuit_dur = np.diff(taus)
         # aggregate circuits into full periods, duration-weighted
         periods = []
         for j in range(len(per_circuit) // cycle_len):
@@ -440,8 +439,9 @@ def converge(model, scheme, M_list, observables=None, e_ref=None, n_loops=8,
     for job in per_mass:
         jobs.setdefault(job[0], job)
     if any(key not in cache for key in jobs):
-        # the solves' scipy modules, loaded once here rather than in each worker
-        import scipy.linalg, scipy.optimize  # noqa: F401
+        # the reference solves' scipy.linalg, loaded once here rather than in
+        # each worker; the energies' root solves need no scipy module
+        import scipy.linalg  # noqa: F401
     if dynamics._float_ehrenfest(model, scheme, sum(job[3] for job in per_mass)):
         # one worker per mass: reference, certificate, lanes and entry
         def cell(job):

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ResolutionError
-from ._util import periodic_integral
+from ._util import brentq, periodic_integral
 
 __all__ = [
     "OscillatoryIntegrand",
@@ -115,8 +115,6 @@ def oscillatory_quadrature(itg, steps=None):
 
 
 def _critical_points(itg, n_scan=2048):
-    from scipy.optimize import brentq  # scipy loads on first use
-
     a, b = itg.interval
     if itg.dQ is None:
         raise ValueError("stationary phase needs the phase derivative dQ")

@@ -14,7 +14,7 @@ import numpy as np
 from . import dynamics, espec
 from . import model as model_mod
 from .errors import CausticError
-from ._util import periodic_antiderivative, periodic_grid, periodic_integral
+from ._util import brentq, periodic_antiderivative, periodic_grid, periodic_integral
 
 __all__ = [
     "WkbField",
@@ -79,8 +79,6 @@ def quantized_energy_from_profiles(profiles, L, k, M, index_offset=0.0):
     Bracketed root finding to relative 1e-12; fails when the requested index
     puts the energy at or below the barrier top.
     """
-    from scipy.optimize import brentq  # scipy loads on first use
-
     if not (np.isfinite(M) and M >= 1.0):
         raise ValueError(f"mass M must be finite and >= 1, got {M}")
     profiles = np.atleast_2d(np.asarray(profiles, dtype=float))
@@ -97,7 +95,7 @@ def quantized_energy_from_profiles(profiles, L, k, M, index_offset=0.0):
     E_hi = barrier + 1.0
     while residual(E_hi) < 0.0:
         E_hi = barrier + 2.0 * (E_hi - barrier)
-    return float(brentq(residual, E_lo, E_hi, xtol=1e-14, rtol=1e-15, maxiter=200))
+    return brentq(residual, E_lo, E_hi, xtol=1e-14, rtol=1e-15, maxiter=200)
 
 
 def quantization_index(profiles, L, E, M, index_offset=0.0):

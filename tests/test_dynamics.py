@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from qcmd import ModelSpec, build_model, dynamics, espec, gibbs, model, wkb
 from qcmd.errors import CrossingError, HittingTimeError, ResolutionError
-from qcmd._util import periodic_grid, stream_rng
+from qcmd._util import periodic_grid, stream_rng, wrap
 
 
 def free_model():
@@ -1106,6 +1106,37 @@ def test_time_average_matches_wkb_density_quadrature():
     assert traj.hits
     mean = dynamics.loop_average(traj, g)
     assert abs(mean - target) < 1e-5
+
+
+def masked_average(t, gx, lo, hi):
+    """The loop integral cut with a full-record mask, as the reference."""
+    inside = (t >= lo) & (t <= hi)
+    tt, gg = t[inside], gx[inside]
+    if tt[0] > lo:
+        tt = np.insert(tt, 0, lo)
+        gg = np.insert(gg, 0, np.interp(lo, t, gx))
+    if tt[-1] < hi:
+        tt = np.append(tt, hi)
+        gg = np.append(gg, np.interp(hi, t, gx))
+    return float(np.trapezoid(gg, tt) / (hi - lo))
+
+
+@pytest.mark.parametrize("record_every", [1, 3])
+def test_loop_averages_cut_by_searchsorted_equal_masked_cuts(record_every):
+    m = cos_model(0.1)
+    traj = dynamics.simulate(m, dynamics.PhaseState.make(0.5, 1.3), "bo", T_final=30.0,
+                             dt=1e-3, surface=0.5, record_every=record_every)
+    assert len(traj.hits) > 4
+    g = lambda x: np.cos(2 * np.pi * x / m.L)
+    gx = g(wrap(traj.X[:, 0], m.L))
+    taus = [traj.t[0]] + [h.tau for h in traj.hits]
+    for n in (1, 3, None):
+        ends = taus if n is None else taus[:n + 1]
+        assert dynamics.loop_average(traj, g, n) == masked_average(traj.t, gx, ends[0], ends[-1])
+        assert dynamics.per_loop_averages(traj, g, n) == [
+            masked_average(traj.t, gx, lo, hi) for lo, hi in zip(ends, ends[1:])]
+    with pytest.raises(ValueError, match="n_loops"):
+        dynamics.loop_average(traj, g, 0)
 
 
 # ------------------------------------------------- hitting_value_function

@@ -164,13 +164,21 @@ def _cross_trajectory(t_final):
     return m, dynamics.simulate(m, init, "bo", T_final=t_final, dt=1e-3)
 
 
-def test_detect_crossings_gap_family_empty():
+def test_detect_crossings_gap_family_empty(monkeypatch):
     m = gap_model()
     init = dynamics.PhaseState.make(0.0, 1.5,
                                     phi=espec.eigen_at(m, 0.0)[1][:, 0].astype(complex))
     traj = dynamics.simulate(m, init, "bo", T_final=10.0, dt=1e-3)
     f = espec.eigendecompose_field(m, periodic_grid(m.L, 64))
+    calls = []
+    levels = mm.levels_and_slopes
+    monkeypatch.setattr(mm, "levels_and_slopes", lambda *a: calls.append(a) or levels(*a))
+    # the gap floor 2 delta rules out every crossing before any level is read
     assert espec.detect_crossings(f, traj) == []
+    assert calls == []
+    # a gap tolerance above the floor makes the path searched
+    espec.detect_crossings(f, traj, gap_tol=1.0)
+    assert calls
 
 
 def test_detect_crossings_single_and_double_pass():

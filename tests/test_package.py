@@ -39,9 +39,39 @@ def test_stochastic_runs_load_no_scipy():
         gibbs.gibbs_observable(m, np.cos, 0.08, n_samples=1000, rng=stream_rng(11))
         print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
     """)
+    assert run_fresh(script) == "[]"
+
+
+def test_mass_sweeps_load_no_scipy_optimize():
+    # the energies' root solves run in the package, and crossing detection
+    # loads scipy.optimize only for its minimize_scalar fallback; with the
+    # module made unimportable, loading it in the caller or in a forked
+    # worker would fail the sweep
+    script = textwrap.dedent("""
+        import os
+        import sys
+        sys.modules["scipy.optimize"] = None
+        from qcmd import ModelSpec, _util, build_model, lab
+
+        _util._cpu_count = lambda: 2
+        forks, fork = [], os.fork
+        os.fork = lambda: forks.append(None) or fork()
+        gap = build_model(ModelSpec(family="two_level_gap", params={"delta": 0.25}, d=2))
+        lab.converge(gap, "ehrenfest", [256.0, 1024.0], n_loops=1, k_spread=1)
+        cross = build_model(ModelSpec(family="two_level_cross", d=2))
+        rec = lab.converge(cross, "bo", [64.0, 256.0], n_loops=1, energy_window=0.7)
+        assert rec.per_M[0]["crossings"]
+        print(len(forks))
+    """)
+    assert run_fresh(script) == "2"
+
+
+def run_fresh(script):
+    """The last line that ``script`` prints in a fresh interpreter that
+    imports this qcmd."""
     src = str(Path(qcmd.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env=env, check=True)
-    assert out.stdout.split("\n")[-2] == "[]"
+    return out.stdout.split("\n")[-2]

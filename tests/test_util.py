@@ -1,10 +1,13 @@
+import math
 import os
 import signal
 import time
 
+import numpy as np
 import pytest
+from scipy.optimize import brentq as scipy_brentq
 
-from qcmd import _util
+from qcmd import ModelSpec, _util, build_model, wkb
 from qcmd.errors import ResolutionError
 
 
@@ -96,3 +99,74 @@ def test_an_error_in_the_callers_share_stops_the_children(forks):
         _util.fork_map(slow, range(3))
     assert time.perf_counter() - start < 30.0
     assert len(forks) == 2
+
+
+# f(x) for an offset c; some brackets [a, b] give f one sign at both ends
+BRENT_FUNCTIONS = {
+    "sine": lambda c: lambda x: math.sin(3.0 * x) - c,
+    "cubic": lambda c: lambda x: (x - c) ** 3 + 0.1 * (x - c),
+    # numpy scalars, as sums over numpy arrays give them
+    "float64": lambda c: lambda x: np.exp(np.float64(x)) - 1.0 - c,
+    # values so small that the extrapolation divides by zero in C
+    "flat": lambda c: lambda x: 1e-300 * (x - c) * (1.0 + x * x),
+    "step": lambda c: lambda x: -1.0 if x < c else 1.0,
+}
+BRENT_OPTIONS = [{}, {"xtol": 1e-14, "rtol": 1e-15, "maxiter": 200}, {"xtol": 1e-5},
+                 {"xtol": 1e-13}, {"maxiter": 3}]
+
+
+def root_or_error(solve, f, a, b, **options):
+    try:
+        root = solve(f, a, b, **options)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc)
+    return type(root), root
+
+
+@pytest.mark.parametrize("name", sorted(BRENT_FUNCTIONS))
+def test_brentq_takes_scipys_steps(name):
+    rng = np.random.default_rng(16)
+    roots = 0
+    for i in range(300):
+        f = BRENT_FUNCTIONS[name](rng.uniform(-0.5, 0.5))
+        a, b = rng.uniform(-2.0, 2.0, 2)
+        options = BRENT_OPTIONS[i % len(BRENT_OPTIONS)]
+        ours = root_or_error(_util.brentq, f, a, b, **options)
+        assert ours == root_or_error(scipy_brentq, f, a, b, **options), (a, b, options)
+        roots += isinstance(ours, tuple)
+    assert roots > 60
+
+
+def test_brentq_bisects_where_the_extrapolation_divides_by_zero():
+    f = BRENT_FUNCTIONS["flat"](0.3)
+    assert root_or_error(_util.brentq, f, -1.0, 2.0) == (float, scipy_brentq(f, -1.0, 2.0))
+
+
+def test_quantized_energies_are_scipys_roots(monkeypatch):
+    same = []
+
+    def both(f, a, b, **options):
+        root = _util.brentq(f, a, b, **options)
+        same.append(root == scipy_brentq(f, a, b, **options))
+        return root
+
+    monkeypatch.setattr(wkb, "brentq", both)
+    m = build_model(ModelSpec(family="two_level_gap", params={"delta": 0.25}, d=2))
+    for M in (64.0, 1024.0, 65536.0):
+        wkb.quantized_energy(m, wkb.bohr_sommerfeld_index(m, 0.6, M), M)
+    assert same == [True] * 3
+
+
+@pytest.mark.parametrize("solve", [_util.brentq, scipy_brentq])
+def test_brentq_errors(solve):
+    def f(x):
+        return x * x - 2.0
+
+    with pytest.raises(ValueError, match="different signs"):
+        solve(f, 2.0, 3.0)
+    with pytest.raises(RuntimeError):
+        solve(f, 0.0, 2.0, maxiter=2)
+    with pytest.raises(ValueError, match="NaN"):
+        solve(lambda x: math.nan if x > 0.5 else -1.0, 0.0, 2.0)
+    with pytest.raises(ValueError, match="rtol too small"):
+        solve(f, 0.0, 2.0, rtol=1e-16)
