@@ -130,10 +130,11 @@ def brentq(f, xa, xb, xtol=2e-12, rtol=_RTOL, maxiter=100):
     raise RuntimeError(f"failed to converge after {maxiter} iterations, value is {xcur}")
 
 
-# At most this many processes a CPU: time-sharing evens out shares of
-# unequal cost.  Float Ehrenfest lanes of equal length on a 2-core host:
-# 3 lanes took 0.145 s in 2 shares and 0.102 s in 3; 16 lanes of 20k steps
-# 0.58 s in 2, 0.54 s in 4 and 0.69 s in 16.
+# At most this many worker processes a CPU (the caller of a forked map only
+# waits on them): time-sharing evens out shares of unequal cost.  Float
+# Ehrenfest lanes of equal length on a 2-core host: 3 lanes took 0.145 s in
+# 2 shares and 0.102 s in 3; 16 lanes of 20k steps 0.58 s in 2, 0.54 s in 4
+# and 0.69 s in 16.
 _PROCESSES_PER_CPU = 2
 
 
@@ -162,16 +163,19 @@ def fork_shares(n_items):
 
 def fork_map(run, items):
     """``[run(item) for item in items]``, with the shares that
-    ``fork_shares`` makes of the item count run side by side: the first in
-    the caller, each other one in a forked child that sends back its
-    results by pickle.  Items are not weighed: the shares differ by one
-    item at most.
+    ``fork_shares`` makes of the item count run side by side, each in a
+    forked child that sends back its results by pickle.  The caller runs no
+    item then: it forks, reads the results in share order and reaps its
+    children.  A single share (one CPU, or a single item) runs serially in
+    the caller, with no fork.  Items are not weighed: the shares differ by
+    one item at most.
 
     Results and errors are those of the serial loop: when items raise, the
-    lowest one's error is raised.  A child reports only through its pipe, so
-    anything else ``run`` changes stays in the child, except writes into
-    shared mappings (``mmap.mmap(-1, n)``).  Every child is reaped before
-    the call returns or raises.
+    lowest one's error is raised, and the children not yet read are killed.
+    A child reports only through its pipe, so anything else ``run`` changes
+    stays in the child, except writes into shared mappings
+    (``mmap.mmap(-1, n)``).  Every child is reaped before the call returns
+    or raises.
     """
     items = list(items)
     shares = fork_shares(len(items))
@@ -179,14 +183,14 @@ def fork_map(run, items):
         return [run(item) for item in items]
     children = []           # (pid, read end) of children not yet reaped
     try:
-        for share in shares[1:]:
+        for share in shares:
             read, write = os.pipe()
             pid = os.fork()
             if pid == 0:
                 _child(run, [items[i] for i in share], write)
             os.close(write)
             children.append((pid, read))
-        results = [run(items[i]) for i in shares[0]]
+        results = []
         while children:
             pid, read = children[0]
             with open(read, "rb", closefd=False) as pipe:

@@ -44,6 +44,7 @@ against.
 
 import mmap
 from dataclasses import dataclass, field
+from functools import partial
 from math import cos, inf, isfinite, nan, sin
 
 import numpy as np
@@ -353,16 +354,21 @@ def _next_surface(surface, L, X):
 
 
 def _per_lane(value, B):
+    if np.ndim(value) == 0:
+        return np.full(B, value, dtype=float)
     return np.array(np.broadcast_to(np.asarray(value, dtype=float), (B,)))
 
 
 def _lane_params(model, scheme, B, dt, M=None, T=None, K=None, force=None,
-                 rng=None, c_step=DEFAULT_C_STEP, n_steps=1, budget=np.inf):
+                 rng=None, c_step=DEFAULT_C_STEP, n_steps=None, budget=np.inf):
     """Per-lane constants of a kernel: step sizes, rotation rates, OU
     coefficients, noise sources and the force of the stochastic schemes.
 
     ``n_steps`` (the steps each lane runs) and ``budget`` (its hit budget,
-    inf for none) set how the noise of each lane is drawn."""
+    inf for none) set how the noise of each lane is drawn.  Without
+    ``n_steps`` the kernel takes one step of one lane, as the step functions
+    do, and draws its value straight from ``rng``: the value, and the
+    generator's state, of a ``_LaneNoise`` block of one."""
     dt = _per_lane(dt, B)
     par = {"dt": dt, "half": 0.5 * dt, "sixth": dt / 6.0}
     if scheme == "ehrenfest":
@@ -381,10 +387,13 @@ def _lane_params(model, scheme, B, dt, M=None, T=None, K=None, force=None,
         rngs = list(rng) if isinstance(rng, (list, tuple)) else [rng]
         if len(rngs) != B:
             raise ValueError(f"{B} lanes need {B} random generators, got {len(rngs)}")
-        streams = np.empty(B, dtype=object)
-        streams[:] = rngs
-        par["noise"] = _LaneNoise(streams, _per_lane(n_steps, B).astype(int),
-                                  np.isfinite(_per_lane(budget, B)))
+        if n_steps is None:
+            par["noise"] = partial(rngs[0].standard_normal, 1)
+        else:
+            streams = np.empty(B, dtype=object)
+            streams[:] = rngs
+            par["noise"] = _LaneNoise(streams, _per_lane(n_steps, B).astype(int),
+                                      np.isfinite(_per_lane(budget, B)))
         par["force"] = (force if force is not None
                         else lambda x: _ground_force(model, x))
         if scheme == "langevin":

@@ -124,11 +124,6 @@ def detect_crossings(field, trajectory, c_min=1e-8, sigma_tol=1e-10, gap_tol=1e-
         return []
     t = np.asarray(trajectory.t, dtype=float)
     X = np.asarray(trajectory.X, dtype=float).reshape(len(t), -1)[:, 0]
-
-    def gap_at(time, level):
-        lam = model_mod.levels_and_slopes(model, np.interp(time, t, X))[0]
-        return lam[level] - lam[0]
-
     events = []
     lam_path = model_mod.levels_and_slopes(model, X)[0]
     dt = np.median(np.diff(t)) if t.size > 1 else 0.0
@@ -141,9 +136,20 @@ def detect_crossings(field, trajectory, c_min=1e-8, sigma_tol=1e-10, gap_tol=1e-
                 continue
             lo, hi = t[i - 1], t[i + 1]
             h = max(1e-6 * (hi - lo), 1e-12)
+            hs = max(dt, 10.0 * h)
+            # the rows around every time read below, [lo - hs - h, hi + hs + h],
+            # and one more on each side: np.interp on them gives the bits of
+            # the whole record at a small part of its cost
+            rows = slice(max(np.searchsorted(t, lo - hs - h) - 1, 0),
+                         np.searchsorted(t, hi + hs + h, side="right") + 1)
+            t_near, X_near = t[rows], X[rows]
+
+            def gap_at(time):
+                lam = model_mod.levels_and_slopes(model, np.interp(time, t_near, X_near))[0]
+                return lam[level] - lam[0]
 
             def slope_sign(time):
-                return gap_at(time + h, level) - gap_at(time - h, level)
+                return gap_at(time + h) - gap_at(time - h)
 
             try:
                 if slope_sign(lo) < 0.0 < slope_sign(hi):
@@ -151,19 +157,16 @@ def detect_crossings(field, trajectory, c_min=1e-8, sigma_tol=1e-10, gap_tol=1e-
                 else:
                     from scipy.optimize import minimize_scalar  # scipy loads on first use
 
-                    res = minimize_scalar(lambda s: gap_at(s, level),
-                                          bounds=(lo, hi), method="bounded",
+                    res = minimize_scalar(gap_at, bounds=(lo, hi), method="bounded",
                                           options={"xatol": 1e-13})
                     sigma = float(res.x)
             except ValueError:
                 continue
-            g_min = gap_at(sigma, level)
-            if g_min > gap_tol:
+            if gap_at(sigma) > gap_tol:
                 continue
-            hs = max(dt, 10.0 * h)
-            slope = (gap_at(sigma - hs, level) + gap_at(sigma + hs, level)) / (2.0 * hs)
+            slope = (gap_at(sigma - hs) + gap_at(sigma + hs)) / (2.0 * hs)
             events.append(CrossingEvent(sigma=float(sigma),
-                                        X_sigma=float(np.interp(sigma, t, X)),
+                                        X_sigma=float(np.interp(sigma, t_near, X_near)),
                                         level=level, slope=float(slope),
                                         degenerate=bool(slope < c_min)))
     events.sort(key=lambda e: e.sigma)

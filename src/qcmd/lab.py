@@ -265,14 +265,15 @@ def converge(model, scheme, M_list, observables=None, e_ref=None, n_loops=8,
     by side in workers; the certificates in mass order; every lane of the
     sweep as one lockstep ensemble; the entries.  The items, masses or
     references, are shared out by count (``_util.fork_shares``): each gets
-    a process of its own, up to two processes a CPU.  Workers change no
-    result bit.  A failing sweep raises the error of its lowest failing
-    mass (in the phased order, within the first phase that fails), as one
-    worker would, and leaves ``cache`` unfilled: the cache gets its new
-    references only once every mass has its entry.  ``wall_times`` holds
-    the seconds of the reference, trajectory and error stages, each timed
-    in the process that ran it and summed over masses, and the ``sweep``
-    wall time.
+    a forked process of its own, up to two processes a CPU, and the caller
+    runs none of them; on one CPU, or with a single item, the caller runs
+    them itself.  Workers change no result bit.  A failing sweep raises the
+    error of its lowest failing mass (in the phased order, within the first
+    phase that fails), as one worker would, and leaves ``cache`` unfilled:
+    the cache gets its new references only once every mass has its entry.
+    ``wall_times`` holds the seconds of the reference, trajectory and error
+    stages, each timed in the process that ran it and summed over masses,
+    and the ``sweep`` wall time.
 
     An empty ``M_list``, a mass that is not finite and >= 1, ``k_spread``,
     ``count`` or ``n_grid_cap`` below 1, an ``energy_window`` that is not
@@ -439,8 +440,12 @@ def converge(model, scheme, M_list, observables=None, e_ref=None, n_loops=8,
     for job in per_mass:
         jobs.setdefault(job[0], job)
     if any(key not in cache for key in jobs):
-        # the reference solves' scipy.linalg, loaded once here rather than in
-        # each worker; the energies' root solves need no scipy module
+        # the reference solves' scipy.linalg, loaded here although the caller
+        # of a forked sweep solves nothing: the workers share the pages loaded
+        # before the fork, while loading it in each worker would cost each one
+        # about 25 MB RSS and 0.15-0.25 s a sweep (scipy 1.17's array API
+        # layer loads numpy.testing, numpy.f2py and numpy.ma); the energies'
+        # root solves need no scipy module
         import scipy.linalg  # noqa: F401
     if dynamics._float_ehrenfest(model, scheme, sum(job[3] for job in per_mass)):
         # one worker per mass: reference, certificate, lanes and entry

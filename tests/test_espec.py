@@ -1,4 +1,5 @@
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -198,6 +199,34 @@ def test_detect_crossings_single_and_double_pass():
     touches = sum(1 for i in range(1, len(g) - 1)
                   if g[i] <= g[i - 1] and g[i] <= g[i + 1] and g[i] < 1e-2)
     assert len(events2) == touches == 2
+
+
+def test_crossing_brackets_read_the_bits_of_the_whole_record(monkeypatch):
+    # each bracket is interpolated on the rows around it; interpolating on
+    # the whole record instead changes no bit, also for the brackets that
+    # reach past the first and the last row of a record cut close to its
+    # two crossings
+    m, traj = _cross_trajectory(5.0)
+    f = espec.eigendecompose_field(m, periodic_grid(m.L, 64))
+    g = np.diff(mm.levels_and_slopes(m, traj.X[:, 0])[0], axis=1)[:, 0]
+    first, last = np.flatnonzero((g[1:-1] <= g[:-2]) & (g[1:-1] <= g[2:])) + 1
+    cut = types.SimpleNamespace(t=traj.t[first - 1:last + 2], X=traj.X[first - 1:last + 2])
+    interp = np.interp
+    for record in (traj, cut):
+        sliced = espec.detect_crossings(f, record)
+        times, rows = [], []
+
+        def whole(x, xp, fp, t=record.t, X=record.X[:, 0]):
+            times.append(x)
+            rows.append(xp.size)
+            return interp(x, t, X)
+
+        monkeypatch.setattr(np, "interp", whole)
+        assert espec.detect_crossings(f, record) == sliced
+        monkeypatch.setattr(np, "interp", interp)
+        assert len(sliced) == 2 and max(rows) < record.t.size / 100
+    hs = np.median(np.diff(cut.t))
+    assert min(times) < cut.t[0] + hs and max(times) > cut.t[-1] - hs
 
 
 def test_ground_force_degenerate_raises():

@@ -1,7 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
-from qcmd import ModelSpec, build_model, espec, lab, qref, wkb
+from qcmd import ModelSpec, build_model, dynamics, espec, lab, qref, wkb
 
 
 def test_fit_rate_exact_power_laws():
@@ -209,9 +211,9 @@ def test_forked_sweep_equals_one_worker_bitwise(workers, family, scheme, options
         rec = lab.converge(m, scheme, [light, heavy, light], n_loops=1, cache=cache,
                            **options)
         assert len(cache) == 2
-        # one process a distinct mass (the caller is one), and workers fork
+        # a child a distinct mass, none run in the caller, and workers fork
         # no workers of their own
-        assert len(forks) == (cpus - 1) * (len(cache) - 1)
+        assert len(forks) == (len(cache) if cpus == 2 else 0)
         assert not forks.nested
         # stage times summed over the processes, and the sweep's wall time
         assert sorted(rec.wall_times) == ["errors", "references", "sweep", "trajectories"]
@@ -224,6 +226,37 @@ def test_forked_sweep_equals_one_worker_bitwise(workers, family, scheme, options
         caches.append(cache)
     assert records[0] == records[1]
     assert caches[0] == caches[1]
+
+
+class _RanInCaller(Exception):
+    pass
+
+
+def test_a_forked_float_ehrenfest_sweep_solves_and_integrates_nothing_in_the_caller(
+        monkeypatch, workers):
+    m = build_model(ModelSpec(family="two_level_gap", params={"delta": 0.25}, d=2))
+    caller = os.getpid()
+
+    def only_in_children(run):
+        def wrapped(*args, **kwargs):
+            if os.getpid() == caller:
+                raise _RanInCaller(run.__name__)
+            return run(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(lab, "_matched_eigenstates", only_in_children(lab._matched_eigenstates))
+    monkeypatch.setattr(dynamics, "simulate_ensemble",
+                        only_in_children(dynamics.simulate_ensemble))
+    masses = [64.0, 256.0, 1024.0]
+    forks = workers(2)
+    rec = lab.converge(m, "ehrenfest", masses, n_loops=1)
+    assert [e["M"] for e in rec.per_M] == masses and rec.alpha is not None
+    assert len(forks) == 3 and not forks.nested
+    # one CPU: the caller runs the sweep itself
+    forks = workers(1)
+    with pytest.raises(_RanInCaller, match="_matched_eigenstates"):
+        lab.converge(m, "ehrenfest", masses, n_loops=1)
+    assert forks == []
 
 
 @pytest.mark.parametrize("scheme, bad", [

@@ -63,7 +63,8 @@ def test_mass_sweeps_load_no_scipy_optimize():
         assert rec.per_M[0]["crossings"]
         print(len(forks))
     """)
-    assert run_fresh(script) == "2"
+    # a child for each mass of each sweep
+    assert run_fresh(script) == "4"
 
 
 def run_fresh(script):

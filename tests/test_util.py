@@ -41,9 +41,10 @@ def test_shares_are_consecutive_runs_of_items(monkeypatch):
 def test_fork_map_returns_results_in_item_order(forks):
     out = _util.fork_map(lambda i: (i, os.getpid()), range(3))
     assert [i for i, _ in out] == [0, 1, 2]
-    # the caller runs the first share
-    assert out[0][1] == os.getpid() and len({pid for _, pid in out}) == 3
-    assert len(forks) == 2
+    # each share runs in a child of its own, none in the caller
+    pids = {pid for _, pid in out}
+    assert len(pids) == 3 and os.getpid() not in pids
+    assert len(forks) == 3
 
 
 @pytest.mark.parametrize("cpus, n_items", [(1, 3), (2, 1)])
@@ -58,7 +59,7 @@ def test_a_childs_error_keeps_its_type_message_and_fields(forks):
     with pytest.raises(ResolutionError, match="grid too coarse for item 1") as caught:
         _util.fork_map(square_or_fail, range(3))
     assert caught.value.required == 64
-    assert len(forks) == 2
+    assert len(forks) == 3
 
 
 def test_the_lowest_items_error_wins(forks):
@@ -75,7 +76,7 @@ def test_the_lowest_items_error_wins_across_uneven_shares(forks):
     # shares [0, 1], [2, 3], [4], [5]: items 3 and 5 fail in two children
     with pytest.raises(ValueError, match="item 3"):
         _util.fork_map(fail_3_and_5, range(6))
-    assert len(forks) == 3
+    assert len(forks) == 4
 
 
 def test_a_child_that_dies_names_its_signal(forks):
@@ -88,17 +89,17 @@ def test_a_child_that_dies_names_its_signal(forks):
         _util.fork_map(die, range(3))
 
 
-def test_an_error_in_the_callers_share_stops_the_children(forks):
+def test_an_error_in_the_first_share_stops_the_other_children(forks):
     def slow(i):
         if i == 0:
-            raise KeyError("caller's item")
+            raise KeyError("first item")
         time.sleep(60.0)
 
     start = time.perf_counter()
-    with pytest.raises(KeyError, match="caller's item"):
+    with pytest.raises(KeyError, match="first item"):
         _util.fork_map(slow, range(3))
     assert time.perf_counter() - start < 30.0
-    assert len(forks) == 2
+    assert len(forks) == 3
 
 
 # f(x) for an offset c; some brackets [a, b] give f one sign at both ends
