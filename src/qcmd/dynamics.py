@@ -16,30 +16,38 @@ kernels in lockstep, ``simulate`` is its one-lane case, and the public step
 functions are pure one-lane wrappers: they take a PhaseState and return a
 new one.
 
-Ehrenfest, Langevin and Smoluchowski have a second path.  At a few lanes
-each numpy call of the lockstep kernel costs mostly its fixed overhead, so
-an ensemble of at most ``_FLOAT_LANES`` lanes runs each lane on its own as
-a loop over Python floats, from the families' per-point float closed forms:
+Every scheme has a second path.  At a few lanes each numpy call of the
+lockstep kernel costs mostly its fixed overhead, so a small ensemble runs
+each lane on its own as a loop over Python floats, from the families'
+per-point float closed forms:
 
 - Ehrenfest on one of the two traceless two-level families
-  (``_float_lane``), from the propagator and dV/dX; ``_float_ehrenfest``
-  tells whether an ensemble takes this path, for ``lab.converge`` too,
-  which runs the lanes of such a sweep one mass a worker;
+  (``_float_lane``), from the propagator and dV/dX, at most
+  ``_FLOAT_LANES`` lanes;
 - Langevin and Smoluchowski on every family (``_float_chain``), when the
   force is the ground force (``force=None``) or the bound ``force`` of a
   ``gibbs.CorrectedPotential`` on the same model, from the levels and their
-  slopes.
+  slopes, at most ``_FLOAT_LANES`` lanes;
+- Born-Oppenheimer (``_float_chain``'s Verlet arm): lanes without a branch
+  vector on every family, with the ground force, at most ``_FLOAT_LANES``
+  lanes; lanes with one on the two traceless two-level families, at most
+  ``_FLOAT_BO_LANES`` lanes, with the force -s rho' of the smooth branch s
+  rho, the sign s fixed at launch by the branch the vector picks
+  (Hellmann-Feynman: for V = rho R(theta) with a signed rho, -<v, dV v> =
+  -s rho').
 
 The float lanes run one after another in the caller; this module starts
 no process.
 
 The float loops keep the kernel's guards, hit detection, records and
 noise draws, and agree with it to rounding: bit for bit where ``math`` and
-numpy round sin, cos and hypot alike.  ``step_ehrenfest`` is a one-step
-``simulate`` and so takes the same path.  Wider ensembles, any other force
-callable, and Ehrenfest on ``multi_level`` and the d = 1 families stay on
-the lockstep kernel, which is the reference the float loops are tested
-against.
+numpy round sin, cos and hypot alike, except Born-Oppenheimer lanes with a
+branch vector, whose force the kernel takes from the eigenvector.
+``step_ehrenfest`` is a one-step ``simulate`` and so takes the same path;
+``step_bo`` drives the kernel.  Wider ensembles, any other force callable,
+Ehrenfest on ``multi_level`` and the d = 1 families, and Born-Oppenheimer
+lanes with branch vectors on ``multi_level`` stay on the lockstep kernel,
+which is the reference the float loops are tested against.
 """
 
 import mmap
@@ -80,7 +88,8 @@ _NOISE_BLOCK = 4096
 # records of at least this many bytes get an anonymous mapping of their own
 # (``_record``)
 _MAPPED_RECORD_BYTES = 1 << 20
-# Ensembles of at most this many lanes run lane after lane over Python
+# Ehrenfest, Langevin, Smoluchowski and ground-force Born-Oppenheimer
+# ensembles of at most this many lanes run lane after lane over Python
 # floats (``_float_lane``, ``_float_chain``), wider ones in lockstep.
 # Measured on a 2-core host.  Ehrenfest on both two-level families (M =
 # 1024, 4000 steps a lane): a float lane-step costs 3-4 us, a lockstep
@@ -91,7 +100,20 @@ _MAPPED_RECORD_BYTES = 1 << 20
 # Smoluchowski 1.1-1.2 against 1.2, 1.1 and 0.9 us, plain Langevin 1.3-1.5
 # against 2.2, 1.9 and 1.5 us, and with the corrected force (whose float
 # form builds the d levels) 3.8-4.5 against 3.5-4.4, 3.0-3.8 and 2.3-3.2 us.
+# Born-Oppenheimer without branch vectors (4000 steps a lane, best of 5),
+# float against lockstep per lane-step at 8, 16, 24 and 32 lanes:
+# two_level_gap 1.0 against 3.1, 1.6, 1.1 and 1.0 us, scalar_cos 0.7
+# against 1.7, 1.0, 0.7 and 0.6 us, and multi_level (d = 3) 1.3 against
+# 1.6, 0.9, 0.7 and 0.9 us.
 _FLOAT_LANES = 16
+# Born-Oppenheimer ensembles with branch vectors on the two traceless
+# two-level families of at most this many lanes run lane after lane over
+# Python floats (``_float_chain``), wider ones in lockstep.  Measured on a
+# 2-core host (4000 steps a lane, best of 5): a float lane-step costs
+# 0.8-1.0 us on both families, a lockstep one 6.5, 3.3, 2.4, 1.8, 1.5, 1.2
+# and 1.0 us at 8, 16, 24, 32, 48, 64 and 96 lanes, so the float lanes take
+# 0.75 times the lockstep's time at 64 lanes and about as long at 96.
+_FLOAT_BO_LANES = 64
 # the squared amplitude norm an Ehrenfest step accepts
 _NORM_LOW, _NORM_HIGH = 1.0 - 1e-8, 1.0 + 1e-8
 # a family gap floor this far above the degeneracy tolerance (and far above
@@ -574,7 +596,7 @@ def _float_lane(model, X, p, phi, z, t, dt, rate, n_steps, budget, surface,
     in less time than numpy's item assignment.  Returns the steps taken and
     the hits.
     """
-    polar, slope = model._float_forms
+    polar, slope = model._float_forms[:2]
     L = model.L
     X, p, z, t, dt, rate = map(float, (X, p, z, t, dt, rate))
     half, sixth = 0.5 * dt, dt / 6.0
@@ -633,13 +655,6 @@ def _float_lane(model, X, p, phi, z, t, dt, rate, n_steps, budget, surface,
     return i, hits
 
 
-def _float_ehrenfest(model, scheme, n_lanes):
-    """Whether an ensemble of ``n_lanes`` lanes runs as float Ehrenfest
-    lanes (``_float_lane``): Ehrenfest on a two-level family, at most
-    ``_FLOAT_LANES`` lanes."""
-    return scheme == "ehrenfest" and model._float_forms is not None and n_lanes <= _FLOAT_LANES
-
-
 def _float_force(model, force):
     """The force of a few-lane stochastic run as a function of one float
     position, or None when it has no float form.
@@ -688,25 +703,29 @@ def _float_force(model, force):
 
 def _float_chain(scheme, force, array_force, L, X, p, z, t, dt, c1, kick, rng, n_steps,
                  budget, surface, record_every, rows):
-    """One Langevin or Smoluchowski lane over Python floats.
+    """One Langevin, Smoluchowski or Born-Oppenheimer lane over Python floats.
 
-    The step of ``_langevin_step`` or ``_smoluchowski_step`` written out for
-    one lane, with ``force`` from ``_float_force``; ``kick`` scales the
-    noise, as c2 of the OU update (Langevin, whose c1 damps the momentum)
-    or as the Euler-Maruyama kick (Smoluchowski, c1 None).  The noise is
-    drawn as ``_LaneNoise`` draws it, in blocks of min(_NOISE_BLOCK, steps
-    left), or one value a step under a hit budget.  Guards, hit detection,
-    records and retirement are those of ``_lockstep``; a position that
-    turns non-finite takes its end-of-step force from ``array_force``, the
-    kernel's, so that the error reports the kernel's momentum.
+    The step of ``_langevin_step``, ``_smoluchowski_step`` or ``_bo_step``
+    written out for one lane, with the float ``force`` of ``_float_force``
+    or of a branch (``_chain_forces``); ``kick`` scales the noise, as c2 of
+    the OU update (Langevin, whose c1 damps the momentum) or as the
+    Euler-Maruyama kick (Smoluchowski, c1 None).  The noise is drawn as
+    ``_LaneNoise`` draws it, in blocks of min(_NOISE_BLOCK, steps left), or
+    one value a step under a hit budget; Born-Oppenheimer draws none (rng
+    None).  Guards, hit detection, records and retirement are those of
+    ``_lockstep``; a position that turns non-finite takes its end-of-step
+    force from ``array_force``, the kernel's, so that the error reports the
+    kernel's momentum.
 
     ``rows`` holds the lane's record columns X, p and z, each written in
     place from row 1 on, through a memoryview as in ``_float_lane``.
     Returns the steps taken and the hits.
     """
-    langevin = scheme == "langevin"
-    half = 0.5 * dt
-    if isfinite(budget):
+    langevin, bo = scheme == "langevin", scheme == "bo"
+    half, sixth = 0.5 * dt, dt / 6.0
+    if rng is None:
+        draw = None
+    elif isfinite(budget):
         draw = rng.standard_normal
     else:
         def blocks():
@@ -720,7 +739,7 @@ def _float_chain(scheme, force, array_force, L, X, p, z, t, dt, c1, kick, rng, n
     target, lo, hi = -inf, -inf, inf
     if surface is not None:
         target, lo, hi = map(float, _next_surface(surface, L, X))
-    F = force(X) if langevin and n_steps > 0 else None
+    F = force(X) if (langevin or bo) and n_steps > 0 else None
     i = 0
     for i in range(1, n_steps + 1):
         if langevin:
@@ -731,6 +750,12 @@ def _float_chain(scheme, force, array_force, L, X, p, z, t, dt, c1, kick, rng, n
             F = force(X1) if isfinite(X1) else float(array_force(np.array([X1]))[0])
             p1 = p1 + half * F
             z1 = z + half * (p * p + p1 * p1)
+        elif bo:
+            p_half = p + half * F
+            X1 = X + dt * p_half
+            F = force(X1) if isfinite(X1) else float(array_force(np.array([X1]))[0])
+            p1 = p_half + half * F
+            z1 = z + sixth * (p * p + 4.0 * (p_half * p_half) + p1 * p1)
         else:
             X1 = X + dt * force(X) + kick * draw()
             p1, z1 = p, z
@@ -749,6 +774,53 @@ def _float_chain(scheme, force, array_force, L, X, p, z, t, dt, c1, kick, rng, n
         if spent:
             break
     return i, hits
+
+
+def _branch_vectors(model, X, sign):
+    """The closed-form eigenvector of the smooth branch sign * rho at each X
+    (n,), on a traceless two-level family, as the rows of an (n, 2) array.
+
+    ``model._reflection`` puts the eigenvector (cos theta/2, sin theta/2) of
+    the eigenvalue rho (signed) on column 1 and (-sin theta/2, cos theta/2)
+    on column 0 where rho >= 0, and swaps them where rho < 0; so rho's
+    column is 1 where the columns' determinant is -1, and 0 where it is +1.
+    """
+    Q = model_mod.eigenvectors(model, X)
+    upper = Q[:, 0, 0] * Q[:, 1, 1] - Q[:, 0, 1] * Q[:, 1, 0] < 0.0
+    return Q[np.arange(X.size), :, (upper == (sign > 0.0)).astype(int)]
+
+
+def _chain_forces(model, scheme, force, X, vec):
+    """Per lane, the float force of ``_float_chain``, the kernel's force on
+    an array of positions, and the branch sign (None without a vector); or
+    None when the ensemble runs in lockstep.
+
+    Born-Oppenheimer lanes without a branch vector take the ground force, as
+    the stochastic chains do, and share their cut-off.  A lane with one
+    follows the branch s rho whose eigenvector the kernel's force
+    (``_bo_force``) picks at launch, with the force -s rho'.
+    """
+    B = X.size
+    if scheme == "bo" and vec is not None:
+        if B > _FLOAT_BO_LANES or model._float_forms is None:
+            return None
+        rho = model._float_forms[2]
+
+        def branch_force(sign):
+            minus_sign = -sign
+            return lambda x: minus_sign * rho(x)[1]
+
+        overlap = (_branch_vectors(model, X, 1.0) * _bo_force(model, X, vec)[1]).sum(axis=1)
+        signs = np.where(np.abs(overlap) > 0.5, 1.0, -1.0).tolist()
+        return [(branch_force(s), partial(_bo_start, model, None, b=vec[b:b + 1]), s)
+                for b, s in enumerate(signs)]
+    if scheme == "ehrenfest" or B > _FLOAT_LANES:
+        return None
+    if scheme == "bo":
+        force = None            # the Born-Oppenheimer kernel's ground force
+    chain = _float_force(model, force)
+    kernel = partial(_ground_force, model) if force is None else force
+    return None if chain is None else [(chain, kernel, None)] * B
 
 
 def _record(shape, dtype=float):
@@ -855,18 +927,21 @@ def simulate_ensemble(model, inits, scheme, T_final, dt, surface=None, rng=None,
     appended each time a lane crosses {X = surface mod L} in the positive
     direction; the crossing is located inside the drift substep, where the
     position is linear in time.  A lane retires when its steps or its hit
-    budget (``max_hits``: None for none, else at least 1) run out.  Every
-    recorded state's energy is evaluated after the loop.  A ``record_every``
-    that is not an integer >= 1, or a ``surface`` that is neither None nor
-    finite, raises ValueError before any step.
+    budget (``max_hits``: None for none, else an integer >= 1) run out.
+    Every recorded state's energy is evaluated after the loop.  A
+    ``record_every`` or a ``max_hits`` that is not an integer >= 1 (or None,
+    for ``max_hits``), or a ``surface`` that is neither None nor finite,
+    raises ValueError before any step.
 
     The lanes run in lockstep through the scheme's kernel, except in an
     ensemble of at most ``_FLOAT_LANES`` lanes that is Ehrenfest on a
     two-level family, or Langevin or Smoluchowski with the ground force or
-    a ``gibbs.CorrectedPotential`` force on ``model``: its lanes run each on
-    its own over Python floats (``_float_lane``, ``_float_chain``), and the
-    two paths agree to rounding.  Each returned Trajectory equals bit for
-    bit the one its lane gives alone whenever the ensemble and the lane
+    a ``gibbs.CorrectedPotential`` force on ``model``, or Born-Oppenheimer
+    without branch vectors, and in a Born-Oppenheimer ensemble of at most
+    ``_FLOAT_BO_LANES`` lanes with branch vectors on a two-level family: its
+    lanes run each on its own over Python floats (``_float_lane``,
+    ``_float_chain``), and the two paths agree to rounding.  Each returned Trajectory equals bit
+    for bit the one its lane gives alone whenever the ensemble and the lane
     alone take the same path.  The lanes run in the caller, and the error
     of the lowest failing lane is raised.
     """
@@ -892,9 +967,10 @@ def simulate_ensemble(model, inits, scheme, T_final, dt, surface=None, rng=None,
     _check_steps(scheme, dt_lane, T_lane, M_lane)
     n_steps = np.floor(T_lane / dt_lane + 1e-9).astype(int)
     per_lane_hits = max_hits if isinstance(max_hits, (list, tuple)) else [max_hits] * B
+    if not all(h is None or (isinstance(h, (int, np.integer)) and h >= 1)
+               for h in per_lane_hits):
+        raise ValueError(f"max_hits must be None or an integer >= 1, got {max_hits!r}")
     budget = np.array([np.inf if h is None else h for h in per_lane_hits], dtype=float)
-    if not (budget >= 1.0).all():
-        raise ValueError(f"max_hits must be None or at least 1, got {max_hits}")
     par = _lane_params(model, scheme, B, dt_lane, M=M, T=T, K=K, force=force, rng=rng,
                        c_step=c_step, n_steps=n_steps, budget=budget)
     X = np.array([s.X[0] for s in inits], dtype=float)
@@ -919,9 +995,8 @@ def simulate_ensemble(model, inits, scheme, T_final, dt, surface=None, rng=None,
         rec["vec"][0] = vec_rec
     hits = [[] for _ in range(B)]
     steps_done = np.zeros(B, dtype=int)
-    chain_force = (_float_force(model, force)
-                   if B <= _FLOAT_LANES and scheme in ("langevin", "smoluchowski") else None)
-    if _float_ehrenfest(model, scheme, B):
+    chains = _chain_forces(model, scheme, force, X, vec)
+    if scheme == "ehrenfest" and model._float_forms is not None and B <= _FLOAT_LANES:
         amplitudes = rec["vec"].view(float)     # (R, B, 4): u0, v0, u1, v1
         for b in range(B):
             rows = [rec[key][:, b] for key in ("X", "p", "z")]
@@ -929,19 +1004,23 @@ def simulate_ensemble(model, inits, scheme, T_final, dt, surface=None, rng=None,
             steps_done[b], hits[b] = _float_lane(
                 model, X[b], p[b], vec[b], z[b], t0[b], dt_lane[b], par["rate"][b],
                 n_steps[b], budget[b], surface, record_every, rows)
-    elif chain_force is not None:
-        langevin = scheme == "langevin"
-        for b in range(B):
+    elif chains is not None:
+        kicks = par.get("c2", par.get("kick"))
+        for b, (chain_force, array_force, sign) in enumerate(chains):
             steps_done[b], hits[b] = _float_chain(
-                scheme, chain_force, par["force"], model.L, float(X[b]), float(p[b]),
+                scheme, chain_force, array_force, model.L, float(X[b]), float(p[b]),
                 float(z[b]), float(t0[b]), float(dt_lane[b]),
-                float(par["c1"][b]) if langevin else None,
-                float(par["c2" if langevin else "kick"][b]), par["noise"].rngs[b],
+                float(par["c1"][b]) if "c1" in par else None,
+                None if kicks is None else float(kicks[b]),
+                par["noise"].rngs[b] if "noise" in par else None,
                 int(n_steps[b]), float(budget[b]), surface, record_every,
                 [rec[key][:, b] for key in ("X", "p", "z")])
             if vec is not None:
-                # the kernel carries a stochastic lane's vector unchanged
-                rec["vec"][1:steps_done[b] // record_every + 1, b] = vec[b]
+                # the kernel carries a stochastic lane's vector unchanged, and
+                # a Born-Oppenheimer lane's along its branch
+                rows = slice(1, steps_done[b] // record_every + 1)
+                rec["vec"][rows, b] = (vec[b] if sign is None else
+                                       _branch_vectors(model, rec["X"][rows, b], sign))
     else:
         _lockstep(model, scheme, par, X, p, vec, z, t0, n_steps, budget, surface,
                   record_every, rec, hits, steps_done)

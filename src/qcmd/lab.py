@@ -252,34 +252,28 @@ def converge(model, scheme, M_list, observables=None, e_ref=None, n_loops=8,
     compared instead and the signed errors are averaged, which also cancels
     the oscillating component.  Returns a RunRecord with the fitted exponent.
 
-    The work is shared among forked workers (``_util.fork_map``), once per
-    distinct cache key: a repeated mass reuses its key's reference and
-    entry.  A sweep whose lanes take the float Ehrenfest path
-    (``dynamics._float_ehrenfest``: Ehrenfest on a two-level family, at most
-    ``dynamics._FLOAT_LANES`` (mass, state) lanes in all, a count known
-    before any solve) runs one worker per mass.  The worker solves the
-    mass's reference unless it is cached, checks its caustic certificates,
-    integrates its lanes (``dynamics.simulate_ensemble`` on them alone) and
-    computes its record entry.  Every other sweep (Born-Oppenheimer, wider
-    Ehrenfest ensembles) runs in phases: the references not cached, side
-    by side in workers; the certificates in mass order; every lane of the
-    sweep as one lockstep ensemble; the entries.  The items, masses or
-    references, are shared out by count (``_util.fork_shares``): each gets
-    a forked process of its own, up to two processes a CPU, and the caller
-    runs none of them; on one CPU, or with a single item, the caller runs
-    them itself.  Workers change no result bit.  A failing sweep raises the
-    error of its lowest failing mass (in the phased order, within the first
-    phase that fails), as one worker would, and leaves ``cache`` unfilled:
-    the cache gets its new references only once every mass has its entry.
+    The work is shared among forked workers (``_util.fork_map``), one job
+    per distinct cache key: a repeated mass reuses its key's reference and
+    entry.  A job solves its mass's reference unless it is cached, checks
+    its caustic certificates, integrates its states' lanes
+    (``dynamics.simulate_ensemble`` on them alone, which picks its float or
+    lockstep path by itself) and computes its record entry.  The jobs are
+    shared out by count (``_util.fork_shares``): each gets a forked process
+    of its own, up to two processes a CPU, and the caller runs none of them;
+    on one CPU, or with a single job, the caller runs them itself.  Workers
+    change no result bit.  A failing sweep raises the error of its lowest
+    failing mass, as one worker would, and leaves ``cache`` unfilled: the
+    cache gets its new references only once every mass has its entry.
     ``wall_times`` holds the seconds of the reference, trajectory and error
     stages, each timed in the process that ran it and summed over masses,
     and the ``sweep`` wall time.
 
-    An empty ``M_list``, a mass that is not finite and >= 1, ``k_spread``,
-    ``count`` or ``n_grid_cap`` below 1, an ``energy_window`` that is not
-    finite and > 0, or a non-finite ``e_ref`` raises ValueError before
-    anything is solved or forked.  With fewer than three masses no
-    rate is fitted: ``alpha``, ``alpha_stderr`` and ``intercept`` stay None.
+    An empty ``M_list``, a mass that is not finite and >= 1, an ``n_loops``
+    that is not an integer >= 1, ``k_spread``, ``count`` or ``n_grid_cap``
+    below 1, an ``energy_window`` that is not finite and > 0, or a
+    non-finite ``e_ref`` raises ValueError before anything is solved or
+    forked.  With fewer than three masses no rate is fitted: ``alpha``,
+    ``alpha_stderr`` and ``intercept`` stay None.
 
     The sweep draws no random numbers: ``seed`` only labels the record, as
     its ``master_seed``, and does not change any result.
@@ -288,6 +282,8 @@ def converge(model, scheme, M_list, observables=None, e_ref=None, n_loops=8,
     t_start = clock()
     if scheme not in ("bo", "ehrenfest"):
         raise ValueError("convergence harness drives deterministic schemes only")
+    if not isinstance(n_loops, (int, np.integer)):
+        raise ValueError(f"n_loops must be an integer, got {n_loops!r}")
     if n_loops < 1:
         raise ValueError(f"n_loops must be >= 1, got {n_loops}")
     M_list = [float(M) for M in M_list]
@@ -368,17 +364,14 @@ def converge(model, scheme, M_list, observables=None, e_ref=None, n_loops=8,
             if caustics:
                 raise CausticError(f"caustics at M = {M}: {caustics}")
 
-    def integrate(cells):
-        """The trajectories of every (mass, state) lane of the (M, reference)
-        cells, as one ensemble."""
-        lanes = [(M, sel) for M, quantum in cells for sel in quantum["states"]]
+    def integrate(M, quantum):
+        """The trajectories of mass M's states, one lane each, as one ensemble."""
         launches = [_launch(model, scheme, sel["E_q"], M, X0, perp_correction)
-                    for M, sel in lanes]
+                    for sel in quantum["states"]]
         return dynamics.simulate_ensemble(
             model, [init for init, _ in launches], scheme,
             T_final=[4.0 * n_hits * (model.L / init.p[0]) for init, _ in launches],
-            dt=[dt for _, dt in launches], surface=X0,
-            M=[M for M, _ in lanes], max_hits=n_hits)
+            dt=[dt for _, dt in launches], surface=X0, M=M, max_hits=n_hits)
 
     basis_probe = espec.eigendecompose_field(
         model, np.linspace(0.0, model.L * (1 - 1e-12), 65))
@@ -447,41 +440,24 @@ def converge(model, scheme, M_list, observables=None, e_ref=None, n_loops=8,
         # layer loads numpy.testing, numpy.f2py and numpy.ma); the energies'
         # root solves need no scipy module
         import scipy.linalg  # noqa: F401
-    if dynamics._float_ehrenfest(model, scheme, sum(job[3] for job in per_mass)):
-        # one worker per mass: reference, certificate, lanes and entry
-        def cell(job):
-            M = job[1]
-            quantum, t_solve = reference(job)
-            t0 = clock()
-            certify(M, quantum)
-            t1 = clock()
-            trajectories = integrate([(M, quantum)])
-            t2 = clock()
-            return (quantum, entry(M, quantum, trajectories),
-                    (t_solve + t1 - t0, t2 - t1, clock() - t2))
 
-        done = dict(zip(jobs, fork_map(cell, jobs.values())))
-        quanta = {key: quantum for key, (quantum, _, _) in done.items()}
-        entries = [done[key][1] for key, *_ in per_mass]
-        stages = np.sum([seconds for _, _, seconds in done.values()], axis=0)
-    else:
-        # in lockstep: every reference, side by side in workers, then the
-        # certificates in mass order, all lanes as one ensemble, the entries
-        todo = [job for key, job in jobs.items() if key not in cache]
-        solved = dict(zip((key for key, *_ in todo),
-                          fork_map(reference, todo)))
-        quanta = {key: cache[key] if key in cache else solved[key][0] for key in jobs}
-        cells = [(M, quanta[key]) for key, M, _, _ in per_mass]
+    def cell(job):
+        """A job's reference, its mass's record entry, and the seconds of the
+        reference, trajectory and error stages."""
+        M = job[1]
+        quantum, t_solve = reference(job)
         t0 = clock()
-        for M, quantum in cells:
-            certify(M, quantum)
+        certify(M, quantum)
         t1 = clock()
-        trajectories = iter(integrate(cells))
+        trajectories = integrate(M, quantum)
         t2 = clock()
-        entries = [entry(M, quantum, [next(trajectories) for _ in quantum["states"]])
-                   for M, quantum in cells]
-        stages = (sum(seconds for _, seconds in solved.values()) + t1 - t0, t2 - t1,
-                  clock() - t2)
+        return (quantum, entry(M, quantum, trajectories),
+                (t_solve + t1 - t0, t2 - t1, clock() - t2))
+
+    done = dict(zip(jobs, fork_map(cell, jobs.values())))
+    quanta = {key: quantum for key, (quantum, _, _) in done.items()}
+    entries = [done[key][1] for key, *_ in per_mass]
+    stages = np.sum([seconds for _, _, seconds in done.values()], axis=0)
     for key, quantum in quanta.items():
         cache.setdefault(key, quantum)
     record.per_M = entries

@@ -108,11 +108,12 @@ class ModelSystem:
     ``ground_slope``.
 
     ``_float_forms`` is set by the two traceless two-level families, whose V
-    and dV/dX are both [[alpha, beta], [beta, -alpha]]: a pair of per-point
+    and dV/dX are both [[alpha, beta], [beta, -alpha]]: three per-point
     closed forms over Python floats, x -> (rho, cos theta, sin theta) of
     V(x) = rho R(theta) with R(theta) = [[cos theta, sin theta], [sin theta,
-    -cos theta]], and x -> (alpha', beta') of dV/dX (None for every other
-    family).
+    -cos theta]], x -> (alpha', beta') of dV/dX, and x -> (rho, d rho/dX)
+    of the signed rho, in the operations of ``_levels`` (None for every
+    other family).
 
     ``involutions`` is (P_r, P_h): symmetric d x d matrices with square I and
     V(-X) = P_r V(X) P_r, V(X + L/2) = P_h V(X) P_h, or None where the family
@@ -308,7 +309,8 @@ def _two_level_gap(params, L, d):
     # lambda_1 - lambda_0 = 2 hypot(cos X, delta); V is even in X, and
     # cos(X + pi) = -cos X swaps the diagonal: V(X + pi) = sx V(X) sx
     return dict(_fields=fields, _derivative=derivative, _second_derivative=d2pot,
-                gap_floor=2.0 * delta, _float_forms=(polar_floats, derivative_floats),
+                gap_floor=2.0 * delta,
+                _float_forms=(polar_floats, derivative_floats, rho_floats),
                 involutions=(np.eye(2), _SIGMA_X), **_reflection(polar, rho_floats))
 
 
@@ -346,13 +348,16 @@ def _two_level_cross(params, L, d):
     def derivative_floats(x):
         return math.cos(x), math.sin(x)
 
+    def rho_floats(x):
+        half = x / 2.0
+        return 2.0 * math.sin(half), math.cos(half)
+
     # rho changes sign at X = L = 0, so the levels swap there; sin(-X) =
     # -sin X swaps the diagonal: V(-X) = sx V(X) sx
     return dict(_fields=fields, _derivative=derivative, _second_derivative=d2pot,
                 gap_floor=0.0, seam=(1, 0),
-                _float_forms=(polar_floats, derivative_floats),
-                involutions=(_SIGMA_X, None),
-                **_reflection(polar, lambda x: polar_floats(x)[:2]))
+                _float_forms=(polar_floats, derivative_floats, rho_floats),
+                involutions=(_SIGMA_X, None), **_reflection(polar, rho_floats))
 
 
 def _multi_level(params, L, d):

@@ -41,20 +41,43 @@ def test_bo_one_step_position_formula():
     assert new.X[0] == pytest.approx(X0 + p0 * dt + 0.5 * dt * dt * force, abs=1e-15)
 
 
-def test_simulate_bo_matches_repeated_steps_bitwise():
+def _bo_on_the_kernel(monkeypatch):
+    """Run every Born-Oppenheimer lane on the lockstep kernel."""
+    monkeypatch.setattr(dynamics, "_FLOAT_BO_LANES", 0)
+    monkeypatch.setattr(dynamics, "_FLOAT_LANES", 0)
+
+
+def test_simulate_bo_matches_repeated_steps_bitwise(monkeypatch, sines_agree):
     # simulate carries each step's end force into the next step, step_bo
-    # recomputes it; on the sorted level and on a branch through a crossing
+    # recomputes it; on the sorted level and on a branch through a crossing.
+    # step_bo drives the lockstep kernel, which a one-lane simulate matches
+    # bit for bit; its float lane matches to rounding, and bit for bit where
+    # the sines agree and the float force has the kernel's operations
+    # (scalar_cos: not two_level_gap's hypot, nor the branch force -s rho')
     cross = build_model(ModelSpec(family="two_level_cross", d=2))
     branch = espec.eigen_at(cross, 1.0)[1][:, 0].astype(complex)
-    for m, phi in ((gap_model(), None), (cross, branch)):
-        init = dynamics.PhaseState.make(1.0, 2.5, phi=phi)
-        traj = dynamics.simulate(m, init, "bo", T_final=3.0, dt=1e-3)
-        assert traj.X[-1, 0] > 2.0 * np.pi
-        st = init
-        for i in range(1, traj.t.size):
-            st = dynamics.step_bo(m, st, 1e-3)
-            assert (st.X[0], st.p[0], st.z) == (traj.X[i, 0], traj.p[i, 0], traj.z[i])
-        assert np.array_equal(traj.H[-1:], [dynamics.hamiltonian(m, st, "bo")])
+    for on_floats in (True, False):
+        if not on_floats:
+            _bo_on_the_kernel(monkeypatch)
+        for m, phi, same_ops in ((gap_model(), None, False), (cross, branch, False),
+                                 (cos_model(0.2), None, True)):
+            exact = not on_floats or (same_ops and sines_agree)
+            init = dynamics.PhaseState.make(1.0, 2.5, phi=phi)
+            traj = dynamics.simulate(m, init, "bo", T_final=3.0, dt=1e-3)
+            assert traj.X[-1, 0] > 2.0 * np.pi
+            st = init
+            for i in range(1, traj.t.size):
+                st = dynamics.step_bo(m, st, 1e-3)
+                got, want = (st.X[0], st.p[0], st.z), (traj.X[i, 0], traj.p[i, 0], traj.z[i])
+                if exact:
+                    assert got == want
+                else:
+                    assert max(abs(a - b) for a, b in zip(got, want)) < 1e-12
+            H = dynamics.hamiltonian(m, st, "bo")
+            if exact:
+                assert np.array_equal(traj.H[-1:], [H])
+            else:
+                assert abs(traj.H[-1] - H) < 1e-12
 
 
 def test_bo_energy_error_scales_dt_squared():
@@ -1003,6 +1026,123 @@ def test_float_chains_keep_the_guards(monkeypatch):
     assert "X = [inf], p = [nan]" in messages[0][4]
 
 
+# ----------------------------------------- Born-Oppenheimer float lanes
+
+BO_FLOAT = [(ModelSpec(family="free"), False),
+            (ModelSpec(family="scalar_cos", params={"a": 0.3}), False),
+            (ModelSpec(family="two_level_gap", params={"delta": 0.25}, d=2), False),
+            (ModelSpec(family="two_level_gap", params={"delta": 0.25}, d=2), True),
+            (ModelSpec(family="two_level_cross", d=2), False),
+            (ModelSpec(family="two_level_cross", d=2), True)]
+
+
+def _bo_lanes(m, starts, branch):
+    """Lanes at (X0, p0), each with its sorted ground vector as branch
+    vector when ``branch`` holds."""
+    return [dynamics.PhaseState.make(X0, p0, phi=espec.eigen_at(m, X0)[1][:, 0].astype(complex)
+                                     if branch else None) for X0, p0 in starts]
+
+
+def _count_lockstep_calls(monkeypatch):
+    calls = []
+    lockstep = dynamics._lockstep
+    monkeypatch.setattr(dynamics, "_lockstep", lambda *args: calls.append(1) or lockstep(*args))
+    return calls
+
+
+@pytest.mark.parametrize("spec, branch", BO_FLOAT,
+                         ids=[f"{spec.family}-{'branch' if branch else 'ground'}"
+                              for spec, branch in BO_FLOAT])
+def test_float_bo_lanes_match_the_lockstep_kernel(monkeypatch, sines_agree, spec, branch):
+    m = build_model(spec)
+    # lane 0 passes X = 0, the crossing of two_level_cross, twice on the
+    # branch (it turns back at about X = 0.65) and once on the sorted level;
+    # lane 3 runs backwards
+    starts = [(-1.5, 2.0), (1.0, 1.6), (2.5, 3.0), (4.0, -2.2), (0.7, 2.4)]
+    kw = dict(dt=[1e-3, 1.5e-3, 2e-3, 1e-3, 5e-4], T_final=[4.0, 4.5, 8.0, 2.0, 3.5],
+              max_hits=[None, 1, 2, None, 3], surface=0.0, record_every=3)
+    inits = _bo_lanes(m, starts, branch)
+    calls = _count_lockstep_calls(monkeypatch)
+    floats = dynamics.simulate_ensemble(m, inits, "bo", **kw)
+    assert not calls
+    _bo_on_the_kernel(monkeypatch)
+    lockstep = dynamics.simulate_ensemble(m, inits, "bo", **kw)
+    assert calls
+    # the float force has the kernel's operations but on two_level_gap
+    # (math.hypot) and on a branch (-s rho', where the kernel forms
+    # -<v, dV v>)
+    exact = sines_agree and not branch and spec.family != "two_level_gap"
+    for a, b in zip(floats, lockstep):
+        _chains_agree(a, b, exact)
+    # a hit budget retires a lane before its steps run out
+    assert any(h and len(t.hits) == h and t.t[-1] < T - 0.01 for t, h, T
+               in zip(floats, kw["max_hits"], kw["T_final"]))
+    assert floats[0].t.size == 1334 and floats[0].X[0, 0] < 0.0 < floats[0].X.max()
+    if branch and spec.family == "two_level_cross":
+        assert floats[0].X[-1, 0] < 0.0
+
+
+def test_float_bo_lanes_alone_and_on_each_side_of_the_cut_off(monkeypatch):
+    m = build_model(ModelSpec(family="two_level_cross", d=2))
+    B = dynamics._FLOAT_BO_LANES + 1
+    inits = _bo_lanes(m, [(-1.0 + 0.1 * k, 2.5 + 0.01 * k) for k in range(B)], True)
+    kw = dict(dt=1e-3, T_final=0.3, surface=0.0, max_hits=1)
+    calls = _count_lockstep_calls(monkeypatch)
+    below = dynamics.simulate_ensemble(m, inits[:-1], "bo", **kw)
+    assert not calls
+    above = dynamics.simulate_ensemble(m, inits, "bo", **kw)
+    assert len(calls) == 1
+    assert any(t.hits for t in above)
+    # a lane alone runs on floats: bitwise below the cut-off, to rounding above
+    for b, init in enumerate(inits):
+        alone = dynamics.simulate(m, init, "bo", **kw)
+        if b < B - 1:
+            _same_trajectory(alone, below[b])
+        _chains_agree(alone, above[b], False)
+    assert len(calls) == 1
+    # a branch vector on multi_level keeps even one lane on the kernel
+    multi = build_model(STOCHASTIC[-1])
+    dynamics.simulate(multi, _bo_lanes(multi, [(1.0, 1.0)], True)[0], "bo", **kw)
+    assert len(calls) == 2
+    dynamics.simulate(multi, _bo_lanes(multi, [(1.0, 1.0)], False)[0], "bo", **kw)
+    assert len(calls) == 2
+    # lanes without a branch vector share the stochastic chains' cut-off
+    ground = _bo_lanes(m, [(0.5 + 0.1 * k, 2.5) for k in range(dynamics._FLOAT_LANES + 1)],
+                       False)
+    dynamics.simulate_ensemble(m, ground[:-1], "bo", **kw)
+    assert len(calls) == 2
+    dynamics.simulate_ensemble(m, ground, "bo", **kw)
+    assert len(calls) == 3
+
+
+def test_float_bo_lanes_keep_the_guards(monkeypatch):
+    cross = build_model(ModelSpec(family="two_level_cross", d=2))
+    messages = []
+    for on_floats in (True, False):
+        if not on_floats:
+            _bo_on_the_kernel(monkeypatch)
+        found = []
+        # the sorted ground force at the crossing X = 0, in one lane of three
+        inits = [dynamics.PhaseState.make(x, 1.0) for x in (1.0, 0.0, 2.0)]
+        with pytest.raises(CrossingError, match="degenerate") as err:
+            dynamics.simulate_ensemble(cross, inits, "bo", T_final=1.0, dt=0.01)
+        found.append(str(err.value))
+        # X grows by about 1e305 a step and overflows after about 1800 steps:
+        # the float force's math.sin and math.cos refuse the infinite
+        # position, where the kernel's numpy calls give a NaN force and so a
+        # NaN momentum; on the sorted level and on a branch
+        for m, branch in ((cos_model(0.2), False), (gap_model(), True)):
+            with pytest.raises(RuntimeError) as err, np.errstate(all="ignore"):
+                dynamics.simulate(m, _bo_lanes(m, [(0.5, 1e308)], branch)[0], "bo",
+                                  T_final=10.0, dt=1e-3)
+            found.append(str(err.value))
+        messages.append(found)
+    assert messages[0] == messages[1]
+    assert messages[0][0] == "lambda_0 is degenerate at X = 0.0; force undefined"
+    assert messages[0][1:] == ["non-finite state at t = 1.798 (X = [inf], p = [nan]); "
+                               "aborting"] * 2
+
+
 def test_simulate_rejects_bad_step_inputs():
     m = gap_model()
     M = 1024.0
@@ -1035,13 +1175,18 @@ def test_simulate_rejects_hit_budgets_below_one():
     init = dynamics.PhaseState.make(0.0, 1.0)
     for scheme in ("bo", "smoluchowski", "langevin"):
         kw = {} if scheme == "bo" else {"T": 0.1}
-        for max_hits in (0, -1, 0.5, np.nan, [1, 0]):
+        # and budgets that are not integers
+        for max_hits in (0, -1, 0.5, np.nan, [1, 0], 2.5, 2.0, np.float64(3.0), [1, 1.5]):
             rngs = None if scheme == "bo" else [stream_rng(0), stream_rng(1)]
             with pytest.raises(ValueError, match="max_hits"):
                 dynamics.simulate_ensemble(m, [init, init], scheme, T_final=1.0, dt=0.1,
                                            surface=1.0, max_hits=max_hits, rng=rngs, **kw)
     assert len(dynamics.simulate(m, init, "bo", T_final=3.0, dt=0.1, surface=1.0,
                                  max_hits=1).hits) == 1
+    # integers of any kind run, to that many hits
+    out = dynamics.simulate_ensemble(m, [init, init], "bo", T_final=30.0, dt=0.1, surface=1.0,
+                                     max_hits=[np.int64(2), None])
+    assert len(out[0].hits) == 2 and len(out[1].hits) > 2
 
 
 @pytest.mark.parametrize("path", ["float", "lockstep"])

@@ -150,6 +150,20 @@ def test_shared_reference_cache_keys_grid_cap_and_observables():
         assert abs(moved.per_M[0]["quantum"][name] - full.per_M[0]["quantum"][name] - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("n_loops", [2.0, 1.5, np.float64(3.0)], ids=repr)
+def test_converge_rejects_a_non_integer_loop_count_before_any_solve(monkeypatch, workers,
+                                                                     n_loops):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a reference was solved")
+
+    monkeypatch.setattr(lab, "_matched_eigenstates", no_solve)
+    forks = workers(2)
+    m = build_model(ModelSpec(family="two_level_gap", params={"delta": 0.25}, d=2))
+    with pytest.raises(ValueError, match="n_loops must be an integer, got"):
+        lab.converge(m, "bo", [64.0, 256.0], n_loops=n_loops)
+    assert forks == []
+
+
 @pytest.mark.parametrize("masses, options, message", [
     pytest.param([], {}, "M_list must hold at least one mass",
                  id="masses0-M_list must hold at least one mass"),
@@ -232,9 +246,12 @@ class _RanInCaller(Exception):
     pass
 
 
-def test_a_forked_float_ehrenfest_sweep_solves_and_integrates_nothing_in_the_caller(
-        monkeypatch, workers):
-    m = build_model(ModelSpec(family="two_level_gap", params={"delta": 0.25}, d=2))
+def _sweep_runs_nothing_in_the_caller(monkeypatch, workers, family, scheme, options):
+    """A forked three-mass sweep returns its record, with every reference
+    solved and every lane integrated in a child; on one CPU the caller runs
+    the sweep itself."""
+    params = {"delta": 0.25} if family == "two_level_gap" else {}
+    m = build_model(ModelSpec(family=family, params=params, d=2))
     caller = os.getpid()
 
     def only_in_children(run):
@@ -249,14 +266,33 @@ def test_a_forked_float_ehrenfest_sweep_solves_and_integrates_nothing_in_the_cal
                         only_in_children(dynamics.simulate_ensemble))
     masses = [64.0, 256.0, 1024.0]
     forks = workers(2)
-    rec = lab.converge(m, "ehrenfest", masses, n_loops=1)
+    rec = lab.converge(m, scheme, masses, n_loops=1, **options)
     assert [e["M"] for e in rec.per_M] == masses and rec.alpha is not None
     assert len(forks) == 3 and not forks.nested
     # one CPU: the caller runs the sweep itself
     forks = workers(1)
     with pytest.raises(_RanInCaller, match="_matched_eigenstates"):
-        lab.converge(m, "ehrenfest", masses, n_loops=1)
+        lab.converge(m, scheme, masses, n_loops=1, **options)
     assert forks == []
+    return rec
+
+
+def test_a_forked_float_ehrenfest_sweep_solves_and_integrates_nothing_in_the_caller(
+        monkeypatch, workers):
+    _sweep_runs_nothing_in_the_caller(monkeypatch, workers, "two_level_gap", "ehrenfest", {})
+
+
+@pytest.mark.parametrize("family, scheme, options", [
+    pytest.param("two_level_gap", "bo", {}, id="gap-bo"),
+    pytest.param("two_level_cross", "bo", {"energy_window": 0.7}, id="cross-bo-window"),
+    # more than 16 lanes a mass from M = 1024 on: lockstep Ehrenfest lanes
+    pytest.param("two_level_cross", "ehrenfest", {"energy_window": 0.7},
+                 id="cross-ehrenfest-window")])
+def test_every_forked_sweep_solves_and_integrates_nothing_in_the_caller(
+        monkeypatch, workers, family, scheme, options):
+    rec = _sweep_runs_nothing_in_the_caller(monkeypatch, workers, family, scheme, options)
+    if scheme == "ehrenfest":
+        assert rec.per_M[-1]["k_spread"] > dynamics._FLOAT_LANES
 
 
 @pytest.mark.parametrize("scheme, bad", [

@@ -206,15 +206,19 @@ def test_declared_involutions_hold(family, params, d):
                                             ("two_level_cross", {})])
 def test_float_forms_match_the_array_forms(family, params):
     m = build_model(ModelSpec(family=family, params=params, d=2))
-    polar, slope = m._float_forms
+    polar, slope, signed_rho = m._float_forms
     # through X = 0 and X = 2 pi, the crossing of two_level_cross
     xs = np.r_[np.linspace(-m.L, 2.0 * m.L, 4097), 0.0, m.L]
     V, dV = model.potential_and_derivative(m, xs)
-    lam = model.levels_and_slopes(m, xs)[0]
+    lam, slopes = model.levels_and_slopes(m, xs)
     for i, x in enumerate(xs.tolist()):
         # V = rho R(theta), with |rho| the upper level
         rho, cos_theta, sin_theta = polar(x)
         assert abs(abs(rho) - lam[i, 1]) < 1e-15
+        # the signed rho again, and its slope: sign(rho) rho' is the upper slope
+        same_rho, drho = signed_rho(x)
+        assert same_rho == rho
+        assert abs(np.sign(rho) * drho - slopes[i, 1]) < 1e-15
         assert abs(cos_theta ** 2 + sin_theta ** 2 - 1.0) < 1e-15
         assert max(abs(rho * cos_theta - V[i, 0, 0]), abs(rho * sin_theta - V[i, 0, 1])) < 1e-15
     for a in (1e-3, 0.1, 7.5):
