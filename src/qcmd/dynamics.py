@@ -18,36 +18,36 @@ new one.
 
 Every scheme has a second path.  At a few lanes each numpy call of the
 lockstep kernel costs mostly its fixed overhead, so a small ensemble runs
-each lane on its own as a loop over Python floats, from the families'
-per-point float closed forms:
+each lane on its own through one loop over Python floats (``_float_chain``,
+one arm a scheme), from the families' per-point float closed forms.  One
+path rule (``_float_path``) picks the path of an ensemble and gives each
+float lane what its arm reads:
 
-- Ehrenfest on one of the two traceless two-level families
-  (``_float_lane``), from the propagator and dV/dX, at most
-  ``_FLOAT_LANES`` lanes;
-- Langevin and Smoluchowski on every family (``_float_chain``), when the
-  force is the ground force (``force=None``) or the bound ``force`` of a
+- Ehrenfest on one of the two traceless two-level families, from the
+  propagator and dV/dX, at most ``_FLOAT_LANES`` lanes;
+- Langevin and Smoluchowski on every family, when the force is the ground
+  force (``force=None``) or the bound ``force`` of a
   ``gibbs.CorrectedPotential`` on the same model, from the levels and their
   slopes, at most ``_FLOAT_LANES`` lanes;
-- Born-Oppenheimer (``_float_chain``'s Verlet arm): lanes without a branch
-  vector on every family, with the ground force, at most ``_FLOAT_LANES``
-  lanes; lanes with one on the two traceless two-level families, at most
-  ``_FLOAT_BO_LANES`` lanes, with the force -s rho' of the smooth branch s
-  rho, the sign s fixed at launch by the branch the vector picks
-  (Hellmann-Feynman: for V = rho R(theta) with a signed rho, -<v, dV v> =
-  -s rho').
+- Born-Oppenheimer: lanes without a branch vector on every family, with the
+  ground force, at most ``_FLOAT_LANES`` lanes; lanes with one on the two
+  traceless two-level families, at most ``_FLOAT_BO_LANES`` lanes, with the
+  force -s rho' of the smooth branch s rho, the sign s fixed at launch by
+  the branch the vector picks (Hellmann-Feynman: for V = rho R(theta) with a
+  signed rho, -<v, dV v> = -s rho').
 
 The float lanes run one after another in the caller; this module starts
 no process.
 
-The float loops keep the kernel's guards, hit detection, records and
-noise draws, and agree with it to rounding: bit for bit where ``math`` and
+The float loop keeps the kernel's guards, hit detection, records and
+noise draws, and agrees with it to rounding: bit for bit where ``math`` and
 numpy round sin, cos and hypot alike, except Born-Oppenheimer lanes with a
 branch vector, whose force the kernel takes from the eigenvector.
 ``step_ehrenfest`` is a one-step ``simulate`` and so takes the same path;
 ``step_bo`` drives the kernel.  Wider ensembles, any other force callable,
 Ehrenfest on ``multi_level`` and the d = 1 families, and Born-Oppenheimer
 lanes with branch vectors on ``multi_level`` stay on the lockstep kernel,
-which is the reference the float loops are tested against.
+which is the reference the float loop is tested against.
 """
 
 import mmap
@@ -90,7 +90,7 @@ _NOISE_BLOCK = 4096
 _MAPPED_RECORD_BYTES = 1 << 20
 # Ehrenfest, Langevin, Smoluchowski and ground-force Born-Oppenheimer
 # ensembles of at most this many lanes run lane after lane over Python
-# floats (``_float_lane``, ``_float_chain``), wider ones in lockstep.
+# floats (``_float_chain``), wider ones in lockstep.
 # Measured on a 2-core host.  Ehrenfest on both two-level families (M =
 # 1024, 4000 steps a lane): a float lane-step costs 3-4 us, a lockstep
 # iteration 70-90 us at 12-24 lanes, so the float lanes take 0.6, 0.8, 1.0
@@ -150,7 +150,7 @@ class HittingRecord:
 
 @dataclass
 class Trajectory:
-    """Sampled path with per-step energy, action, hits and crossing events."""
+    """Sampled path with per-step energy, action and hits."""
 
     scheme: str
     dt: float
@@ -161,7 +161,6 @@ class Trajectory:
     z: np.ndarray
     phi: np.ndarray = None
     hits: list = field(default_factory=list)
-    crossings: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -382,7 +381,7 @@ def _per_lane(value, B):
 
 
 def _lane_params(model, scheme, B, dt, M=None, T=None, K=None, force=None,
-                 rng=None, c_step=DEFAULT_C_STEP, n_steps=None, budget=np.inf):
+                 rng=None, n_steps=None, budget=np.inf):
     """Per-lane constants of a kernel: step sizes, rotation rates, OU
     coefficients, noise sources and the force of the stochastic schemes.
 
@@ -395,7 +394,7 @@ def _lane_params(model, scheme, B, dt, M=None, T=None, K=None, force=None,
     par = {"dt": dt, "half": 0.5 * dt, "sixth": dt / 6.0}
     if scheme == "ehrenfest":
         M = _per_lane(model.M[0] if M is None else M, B)
-        dt_max = c_step / np.sqrt(M)
+        dt_max = DEFAULT_C_STEP / np.sqrt(M)
         over = dt > dt_max * (1.0 + 1e-12)
         if over.any():
             i = int(np.argmax(over))
@@ -440,7 +439,7 @@ def _lane_vectors(model, scheme, states):
     (normalized for Born-Oppenheimer, whose force follows it); else None.
     """
     if scheme == "ehrenfest":
-        phi = np.array([s.phi for s in states], dtype=complex)
+        phi = np.array([s.phi for s in states], dtype=complex).reshape(len(states), model.d)
         return phi, phi
     given = [s.phi is not None for s in states]
     if model.d == 1 or not any(given):
@@ -499,10 +498,10 @@ def initial_electron_state(model, X, p, M, perp_correction=False):
 # ------------------------------------------------------ one-lane wrappers
 
 
-def step_ehrenfest(model, state, dt, M, c_step=DEFAULT_C_STEP):
+def step_ehrenfest(model, state, dt, M):
     """One Strang step: half-kick, drift, exact electron rotation at the midpoint,
     half-kick; a one-step :func:`simulate`, so it takes the same path."""
-    traj = simulate(model, state, "ehrenfest", T_final=dt, dt=dt, M=M, c_step=c_step)
+    traj = simulate(model, state, "ehrenfest", T_final=dt, dt=dt, M=M)
     return traj.state(1)
 
 
@@ -567,94 +566,6 @@ def _nonfinite(t, X, p):
                         f"(X = {np.array([X])}, p = {np.array([p])}); aborting")
 
 
-def _band_exit(surface, L, X, X1, t, dt, z, z1, target, hits):
-    """A float lane's drift from X to X1 left its band: append the hit if it
-    crossed ``target``, and move the band.  Returns whether it hit and the
-    next (target, lo, hi) of ``_next_surface``."""
-    hit = X < target <= X1
-    if hit:
-        frac = (target - X) / (X1 - X)
-        hits.append(HittingRecord(tau=t + frac * dt, X=target, p=(X1 - X) / dt,
-                                  theta=z + frac * (z1 - z)))
-    return (hit, *map(float, _next_surface(surface, L, X1)))
-
-
-def _float_lane(model, X, p, phi, z, t, dt, rate, n_steps, budget, surface,
-                record_every, rows):
-    """One Ehrenfest lane of a traceless two-level family over Python floats.
-
-    The step of ``_ehrenfest_step`` written out for V = rho R(theta) and
-    dV/dX = [[alpha', beta'], [beta', -alpha']] (``ModelSystem._float_forms``):
-    the amplitude is the four floats phi = (u0 + i v0, u1 + i v1), the
-    propagator at the drift midpoint cos(a rho) I - i sin(a rho) R acts on
-    them in closed form, and the force -<phi, dV phi> is
-    -(alpha' (|phi0|^2 - |phi1|^2) + 2 beta' Re(conj(phi0) phi1)).  Guards,
-    hit detection, records and retirement are those of ``_lockstep``.
-
-    ``rows`` holds the lane's record columns X, p, z, u0, v0, u1, v1, each
-    written in place from row 1 on, through a memoryview: it stores a float
-    in less time than numpy's item assignment.  Returns the steps taken and
-    the hits.
-    """
-    polar, slope = model._float_forms[:2]
-    L = model.L
-    X, p, z, t, dt, rate = map(float, (X, p, z, t, dt, rate))
-    half, sixth = 0.5 * dt, dt / 6.0
-    u0, v0, u1, v1 = np.asarray(phi, dtype=complex).view(float).tolist()
-    a, b = slope(X)
-    n0, n1 = u0 * u0 + v0 * v0, u1 * u1 + v1 * v1
-    F = -(a * (n0 - n1) + 2.0 * b * (u0 * u1 + v0 * v1))
-    norm = n0 + n1
-    rec_X, rec_p, rec_z, rec_u0, rec_v0, rec_u1, rec_v1 = map(memoryview, rows)
-    hits = []
-    n_hit = 0
-    target, lo, hi = -inf, -inf, inf
-    if surface is not None:
-        target, lo, hi = map(float, _next_surface(surface, L, X))
-    i = 0
-    try:
-        for i in range(1, int(n_steps) + 1):
-            if not _NORM_LOW <= norm <= _NORM_HIGH:
-                raise ValueError("electron amplitude must be normalized to 1e-8")
-            p_half = p + half * F
-            X1 = X + dt * p_half
-            rho, cos_theta, sin_theta = polar(X + half * p_half)
-            arg = rate * rho
-            c, s = cos(arg), sin(arg)
-            a, b = s * cos_theta, s * sin_theta
-            u0, v0, u1, v1 = (c * u0 + (a * v0 + b * v1), c * v0 - (a * u0 + b * u1),
-                              c * u1 + (b * v0 - a * v1), c * v1 - (b * u0 - a * u1))
-            a, b = slope(X1)
-            n0, n1 = u0 * u0 + v0 * v0, u1 * u1 + v1 * v1
-            F = -(a * (n0 - n1) + 2.0 * b * (u0 * u1 + v0 * v1))
-            norm = n0 + n1
-            p1 = p_half + half * F
-            z1 = z + sixth * (p * p + 4.0 * (p_half * p_half) + p1 * p1)
-            t1 = t + dt
-            if not (isfinite(X1) and isfinite(p1)):
-                raise _nonfinite(t1, X1, p1)
-            spent = False
-            if not lo <= X1 <= hi:
-                hit, target, lo, hi = _band_exit(surface, L, X, X1, t, dt, z, z1, target, hits)
-                n_hit += hit
-                spent = n_hit >= budget
-            X, p, z, t = X1, p1, z1, t1
-            if i % record_every == 0:
-                j = i // record_every
-                rec_X[j], rec_p[j], rec_z[j] = X, p, z
-                rec_u0[j], rec_v0[j], rec_u1[j], rec_v1[j] = u0, v0, u1, v1
-            if spent:
-                break
-    except ValueError:
-        if not _NORM_LOW <= norm <= _NORM_HIGH:
-            raise
-        # math.cos and math.sin refuse the infinite drift midpoint or end
-        # point of a step whose position overflows, where the kernel's numpy
-        # calls give NaN forces and so a NaN momentum
-        raise _nonfinite(t + dt, X + dt * (p + half * F), nan) from None
-    return i, hits
-
-
 def _float_force(model, force):
     """The force of a few-lane stochastic run as a function of one float
     position, or None when it has no float form.
@@ -701,78 +612,127 @@ def _float_force(model, force):
     return corrected
 
 
-def _float_chain(scheme, force, array_force, L, X, p, z, t, dt, c1, kick, rng, n_steps,
-                 budget, surface, record_every, rows):
-    """One Langevin, Smoluchowski or Born-Oppenheimer lane over Python floats.
+def _float_chain(scheme, lane, L, X, p, z, t, dt, n_steps, budget, surface, record_every,
+                 rows):
+    """One lane over Python floats: the step of the scheme's kernel written
+    out for one lane, from what ``_float_path`` gives it in ``lane``.
 
-    The step of ``_langevin_step``, ``_smoluchowski_step`` or ``_bo_step``
-    written out for one lane, with the float ``force`` of ``_float_force``
-    or of a branch (``_chain_forces``); ``kick`` scales the noise, as c2 of
-    the OU update (Langevin, whose c1 damps the momentum) or as the
-    Euler-Maruyama kick (Smoluchowski, c1 None).  The noise is drawn as
-    ``_LaneNoise`` draws it, in blocks of min(_NOISE_BLOCK, steps left), or
-    one value a step under a hit budget; Born-Oppenheimer draws none (rng
-    None).  Guards, hit detection, records and retirement are those of
-    ``_lockstep``; a position that turns non-finite takes its end-of-step
-    force from ``array_force``, the kernel's, so that the error reports the
-    kernel's momentum.
+    Ehrenfest reads the float forms (polar, slope) of V = rho R(theta) and
+    dV/dX = [[alpha', beta'], [beta', -alpha']], the rotation rate sqrt(M)
+    dt, and the amplitude as the four floats phi = (u0 + i v0, u1 + i v1):
+    the propagator at the drift midpoint, cos(a rho) I - i sin(a rho) R,
+    acts on them in closed form, and the force -<phi, dV phi> is -(alpha'
+    (|phi0|^2 - |phi1|^2) + 2 beta' Re(conj(phi0) phi1)).  The other schemes
+    read a float force, the kernel's force on an array of positions, c1,
+    the kick and a generator: the kick scales the noise, as c2 of the OU
+    update (Langevin, whose c1 damps the momentum) or as the Euler-Maruyama
+    kick (Smoluchowski); Born-Oppenheimer has none of the three.  The noise
+    is drawn as ``_LaneNoise`` draws it, in blocks of min(_NOISE_BLOCK,
+    steps left), or one value a step under a hit budget.
 
-    ``rows`` holds the lane's record columns X, p and z, each written in
-    place from row 1 on, through a memoryview as in ``_float_lane``.
+    Guards, hit detection, records and retirement are those of
+    ``_lockstep``.  A position that turns non-finite takes its end-of-step
+    force from the kernel's, so that the error reports the kernel's
+    momentum; on an Ehrenfest lane ``math`` refuses it, and the error
+    reports the NaN momentum of the kernel's NaN force.
+
+    ``rows`` holds the lane's record columns X, p and z (and u0, v0, u1 and
+    v1 for Ehrenfest), each written in place from row 1 on, through a
+    memoryview: it stores a float in less time than numpy's item assignment.
     Returns the steps taken and the hits.
     """
-    langevin, bo = scheme == "langevin", scheme == "bo"
+    ehrenfest, langevin = scheme == "ehrenfest", scheme == "langevin"
+    smoluchowski = scheme == "smoluchowski"
     half, sixth = 0.5 * dt, dt / 6.0
-    if rng is None:
-        draw = None
-    elif isfinite(budget):
-        draw = rng.standard_normal
+    rec_X, rec_p, rec_z, *rec_phi = map(memoryview, rows)
+    F = draw = None
+    if ehrenfest:
+        (polar, slope), rate, (u0, v0, u1, v1) = lane
+        rec_u0, rec_v0, rec_u1, rec_v1 = rec_phi
+        if n_steps > 0:
+            a, b = slope(X)
+            n0, n1 = u0 * u0 + v0 * v0, u1 * u1 + v1 * v1
+            F = -(a * (n0 - n1) + 2.0 * b * (u0 * u1 + v0 * v1))
+            norm = n0 + n1
     else:
-        def blocks():
-            for start in range(0, n_steps, _NOISE_BLOCK):
-                yield from rng.standard_normal(min(_NOISE_BLOCK, n_steps - start)).tolist()
+        force, array_force, c1, kick, rng = lane
+        if rng is not None and isfinite(budget):
+            draw = rng.standard_normal
+        elif rng is not None:
+            def blocks():
+                for start in range(0, n_steps, _NOISE_BLOCK):
+                    yield from rng.standard_normal(min(_NOISE_BLOCK, n_steps - start)).tolist()
 
-        draw = blocks().__next__
-    rec_X, rec_p, rec_z = map(memoryview, rows)
+            draw = blocks().__next__
+        if not smoluchowski and n_steps > 0:
+            F = force(X)
     hits = []
-    n_hit = 0
     target, lo, hi = -inf, -inf, inf
     if surface is not None:
         target, lo, hi = map(float, _next_surface(surface, L, X))
-    F = force(X) if (langevin or bo) and n_steps > 0 else None
     i = 0
-    for i in range(1, n_steps + 1):
-        if langevin:
-            p1 = p + half * F
-            X1 = X + half * p1
-            p1 = c1 * p1 + kick * draw()
-            X1 = X1 + half * p1
-            F = force(X1) if isfinite(X1) else float(array_force(np.array([X1]))[0])
-            p1 = p1 + half * F
-            z1 = z + half * (p * p + p1 * p1)
-        elif bo:
-            p_half = p + half * F
-            X1 = X + dt * p_half
-            F = force(X1) if isfinite(X1) else float(array_force(np.array([X1]))[0])
-            p1 = p_half + half * F
-            z1 = z + sixth * (p * p + 4.0 * (p_half * p_half) + p1 * p1)
-        else:
-            X1 = X + dt * force(X) + kick * draw()
-            p1, z1 = p, z
-        t1 = t + dt
-        if not (isfinite(X1) and isfinite(p1)):
-            raise _nonfinite(t1, X1, p1)
-        spent = False
-        if not lo <= X1 <= hi:
-            hit, target, lo, hi = _band_exit(surface, L, X, X1, t, dt, z, z1, target, hits)
-            n_hit += hit
-            spent = n_hit >= budget
-        X, p, z, t = X1, p1, z1, t1
-        if i % record_every == 0:
-            j = i // record_every
-            rec_X[j], rec_p[j], rec_z[j] = X, p, z
-        if spent:
-            break
+    try:
+        for i in range(1, n_steps + 1):
+            if smoluchowski:
+                X1 = X + dt * force(X) + kick * draw()
+                p1, z1 = p, z
+            elif langevin:
+                p1 = p + half * F
+                X1 = X + half * p1
+                p1 = c1 * p1 + kick * draw()
+                X1 = X1 + half * p1
+                F = force(X1) if isfinite(X1) else float(array_force(np.array([X1]))[0])
+                p1 = p1 + half * F
+                z1 = z + half * (p * p + p1 * p1)
+            else:
+                # Born-Oppenheimer's Verlet step, or Ehrenfest's Strang step
+                # with the electron rotation between the drift and the force
+                p_half = p + half * F
+                X1 = X + dt * p_half
+                if ehrenfest:
+                    if not _NORM_LOW <= norm <= _NORM_HIGH:
+                        raise ValueError("electron amplitude must be normalized to 1e-8")
+                    rho, cos_theta, sin_theta = polar(X + half * p_half)
+                    arg = rate * rho
+                    c, s = cos(arg), sin(arg)
+                    a, b = s * cos_theta, s * sin_theta
+                    u0, v0, u1, v1 = (c * u0 + (a * v0 + b * v1), c * v0 - (a * u0 + b * u1),
+                                      c * u1 + (b * v0 - a * v1), c * v1 - (b * u0 - a * u1))
+                    a, b = slope(X1)
+                    n0, n1 = u0 * u0 + v0 * v0, u1 * u1 + v1 * v1
+                    F = -(a * (n0 - n1) + 2.0 * b * (u0 * u1 + v0 * v1))
+                    norm = n0 + n1
+                else:
+                    F = force(X1) if isfinite(X1) else float(array_force(np.array([X1]))[0])
+                p1 = p_half + half * F
+                z1 = z + sixth * (p * p + 4.0 * (p_half * p_half) + p1 * p1)
+            t1 = t + dt
+            if not (isfinite(X1) and isfinite(p1)):
+                raise _nonfinite(t1, X1, p1)
+            spent = False
+            if not lo <= X1 <= hi:
+                # the drift left its band: look for a crossing, and move the band
+                if X < target <= X1:
+                    frac = (target - X) / (X1 - X)
+                    hits.append(HittingRecord(tau=t + frac * dt, X=target, p=(X1 - X) / dt,
+                                              theta=z + frac * (z1 - z)))
+                    spent = len(hits) >= budget
+                target, lo, hi = map(float, _next_surface(surface, L, X1))
+            X, p, z, t = X1, p1, z1, t1
+            if i % record_every == 0:
+                j = i // record_every
+                rec_X[j], rec_p[j], rec_z[j] = X, p, z
+                if ehrenfest:
+                    rec_u0[j], rec_v0[j], rec_u1[j], rec_v1[j] = u0, v0, u1, v1
+            if spent:
+                break
+    except ValueError:
+        if not ehrenfest or not _NORM_LOW <= norm <= _NORM_HIGH:
+            raise
+        # math.cos and math.sin refuse the infinite drift midpoint or end
+        # point of a step whose position overflows, where the kernel's numpy
+        # calls give NaN forces and so a NaN momentum
+        raise _nonfinite(t + dt, X + dt * (p + half * F), nan) from None
     return i, hits
 
 
@@ -790,21 +750,34 @@ def _branch_vectors(model, X, sign):
     return Q[np.arange(X.size), :, (upper == (sign > 0.0)).astype(int)]
 
 
-def _chain_forces(model, scheme, force, X, vec):
-    """Per lane, the float force of ``_float_chain``, the kernel's force on
-    an array of positions, and the branch sign (None without a vector); or
-    None when the ensemble runs in lockstep.
+def _float_path(model, scheme, force, par, X, vec):
+    """The path rule: per lane, what ``_float_chain`` reads and the branch
+    sign (None but on Born-Oppenheimer lanes with branch vectors); or None
+    when the ensemble runs in lockstep.
 
-    Born-Oppenheimer lanes without a branch vector take the ground force, as
-    the stochastic chains do, and share their cut-off.  A lane with one
-    follows the branch s rho whose eigenvector the kernel's force
-    (``_bo_force``) picks at launch, with the force -s rho'.
+    - Ehrenfest, at most ``_FLOAT_LANES`` lanes on a traceless two-level
+      family: the float forms, the rotation rate and the amplitude floats.
+    - Langevin and Smoluchowski, at most ``_FLOAT_LANES`` lanes whose force
+      has a float form (``_float_force``), and Born-Oppenheimer lanes
+      without branch vectors, which take the ground force and share the
+      cut-off: the float force, the kernel's, and c1, the kick and the
+      generator (None where the scheme has none).
+    - Born-Oppenheimer, at most ``_FLOAT_BO_LANES`` lanes with branch vectors
+      on a traceless two-level family: each follows the branch s rho whose
+      eigenvector the kernel's force (``_bo_force``) picks at launch, with
+      the float force -s rho'.
     """
     B = X.size
-    if scheme == "bo" and vec is not None:
-        if B > _FLOAT_BO_LANES or model._float_forms is None:
+    forms = model._float_forms
+    if scheme == "ehrenfest":
+        if B > _FLOAT_LANES or forms is None:
             return None
-        rho = model._float_forms[2]
+        return [((forms[:2], rate, phi), None)
+                for rate, phi in zip(par["rate"].tolist(), vec.view(float).tolist())]
+    if scheme == "bo" and vec is not None:
+        if B > _FLOAT_BO_LANES or forms is None:
+            return None
+        rho = forms[2]
 
         def branch_force(sign):
             minus_sign = -sign
@@ -812,15 +785,24 @@ def _chain_forces(model, scheme, force, X, vec):
 
         overlap = (_branch_vectors(model, X, 1.0) * _bo_force(model, X, vec)[1]).sum(axis=1)
         signs = np.where(np.abs(overlap) > 0.5, 1.0, -1.0).tolist()
-        return [(branch_force(s), partial(_bo_start, model, None, b=vec[b:b + 1]), s)
-                for b, s in enumerate(signs)]
-    if scheme == "ehrenfest" or B > _FLOAT_LANES:
-        return None
-    if scheme == "bo":
-        force = None            # the Born-Oppenheimer kernel's ground force
-    chain = _float_force(model, force)
-    kernel = partial(_ground_force, model) if force is None else force
-    return None if chain is None else [(chain, kernel, None)] * B
+        forces = [(branch_force(s), partial(_bo_start, model, None, b=vec[b:b + 1]))
+                  for b, s in enumerate(signs)]
+    else:
+        if B > _FLOAT_LANES:
+            return None
+        if scheme == "bo":
+            force = None            # the Born-Oppenheimer kernel's ground force
+        chain = _float_force(model, force)
+        if chain is None:
+            return None
+        forces = [(chain, partial(_ground_force, model) if force is None else force)] * B
+        signs = [None] * B
+    none = [None] * B
+    kicks = par.get("c2", par.get("kick"))
+    constants = zip(par["c1"].tolist() if "c1" in par else none,
+                    none if kicks is None else kicks.tolist(),
+                    par["noise"].rngs.tolist() if "noise" in par else none)
+    return [((*pair, *c), s) for pair, c, s in zip(forces, constants, signs)]
 
 
 def _record(shape, dtype=float):
@@ -916,8 +898,7 @@ def _lockstep(model, scheme, par, X, p, vec, z, t, n_steps, budget, surface,
 
 
 def simulate_ensemble(model, inits, scheme, T_final, dt, surface=None, rng=None,
-                      M=None, T=None, K=None, force=None, record_every=1,
-                      c_step=DEFAULT_C_STEP, max_hits=None):
+                      M=None, T=None, K=None, force=None, record_every=1, max_hits=None):
     """Integrate one trajectory per initial state.
 
     ``T_final``, ``dt``, ``M`` and ``max_hits`` take one value for all lanes
@@ -930,20 +911,16 @@ def simulate_ensemble(model, inits, scheme, T_final, dt, surface=None, rng=None,
     budget (``max_hits``: None for none, else an integer >= 1) run out.
     Every recorded state's energy is evaluated after the loop.  A
     ``record_every`` or a ``max_hits`` that is not an integer >= 1 (or None,
-    for ``max_hits``), or a ``surface`` that is neither None nor finite,
-    raises ValueError before any step.
+    for ``max_hits``), a ``max_hits`` list whose length is not the lane
+    count, or a ``surface`` that is neither None nor finite, raises
+    ValueError before any step.  An empty ensemble returns [].
 
-    The lanes run in lockstep through the scheme's kernel, except in an
-    ensemble of at most ``_FLOAT_LANES`` lanes that is Ehrenfest on a
-    two-level family, or Langevin or Smoluchowski with the ground force or
-    a ``gibbs.CorrectedPotential`` force on ``model``, or Born-Oppenheimer
-    without branch vectors, and in a Born-Oppenheimer ensemble of at most
-    ``_FLOAT_BO_LANES`` lanes with branch vectors on a two-level family: its
-    lanes run each on its own over Python floats (``_float_lane``,
-    ``_float_chain``), and the two paths agree to rounding.  Each returned Trajectory equals bit
-    for bit the one its lane gives alone whenever the ensemble and the lane
-    alone take the same path.  The lanes run in the caller, and the error
-    of the lowest failing lane is raised.
+    The lanes run in lockstep through the scheme's kernel, or, where the path
+    rule (``_float_path``) takes a few lanes off it, each on its own over
+    Python floats (``_float_chain``); the two paths agree to rounding.  Each
+    returned Trajectory equals bit for bit the one its lane gives alone
+    whenever the ensemble and the lane alone take the same path.  The lanes
+    run in the caller, and the error of the lowest failing lane is raised.
     """
     if scheme not in _KERNELS:
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -967,12 +944,14 @@ def simulate_ensemble(model, inits, scheme, T_final, dt, surface=None, rng=None,
     _check_steps(scheme, dt_lane, T_lane, M_lane)
     n_steps = np.floor(T_lane / dt_lane + 1e-9).astype(int)
     per_lane_hits = max_hits if isinstance(max_hits, (list, tuple)) else [max_hits] * B
+    if len(per_lane_hits) != B:
+        raise ValueError(f"max_hits needs one budget per lane ({B}), got {len(per_lane_hits)}")
     if not all(h is None or (isinstance(h, (int, np.integer)) and h >= 1)
                for h in per_lane_hits):
         raise ValueError(f"max_hits must be None or an integer >= 1, got {max_hits!r}")
     budget = np.array([np.inf if h is None else h for h in per_lane_hits], dtype=float)
     par = _lane_params(model, scheme, B, dt_lane, M=M, T=T, K=K, force=force, rng=rng,
-                       c_step=c_step, n_steps=n_steps, budget=budget)
+                       n_steps=n_steps, budget=budget)
     X = np.array([s.X[0] for s in inits], dtype=float)
     p = np.array([s.p[0] for s in inits], dtype=float)
     finite = np.isfinite(X) & np.isfinite(p)
@@ -995,35 +974,26 @@ def simulate_ensemble(model, inits, scheme, T_final, dt, surface=None, rng=None,
         rec["vec"][0] = vec_rec
     hits = [[] for _ in range(B)]
     steps_done = np.zeros(B, dtype=int)
-    chains = _chain_forces(model, scheme, force, X, vec)
-    if scheme == "ehrenfest" and model._float_forms is not None and B <= _FLOAT_LANES:
-        amplitudes = rec["vec"].view(float)     # (R, B, 4): u0, v0, u1, v1
-        for b in range(B):
+    lanes = _float_path(model, scheme, force, par, X, vec)
+    if lanes is None:
+        _lockstep(model, scheme, par, X, p, vec, z, t0, n_steps, budget, surface,
+                  record_every, rec, hits, steps_done)
+    else:
+        for b, (lane, sign) in enumerate(lanes):
             rows = [rec[key][:, b] for key in ("X", "p", "z")]
-            rows += [amplitudes[:, b, k] for k in range(4)]
-            steps_done[b], hits[b] = _float_lane(
-                model, X[b], p[b], vec[b], z[b], t0[b], dt_lane[b], par["rate"][b],
-                n_steps[b], budget[b], surface, record_every, rows)
-    elif chains is not None:
-        kicks = par.get("c2", par.get("kick"))
-        for b, (chain_force, array_force, sign) in enumerate(chains):
+            if scheme == "ehrenfest":
+                # the amplitude's record as (R, B, 4): u0, v0, u1, v1
+                rows += [rec["vec"].view(float)[:, b, k] for k in range(4)]
             steps_done[b], hits[b] = _float_chain(
-                scheme, chain_force, array_force, model.L, float(X[b]), float(p[b]),
-                float(z[b]), float(t0[b]), float(dt_lane[b]),
-                float(par["c1"][b]) if "c1" in par else None,
-                None if kicks is None else float(kicks[b]),
-                par["noise"].rngs[b] if "noise" in par else None,
-                int(n_steps[b]), float(budget[b]), surface, record_every,
-                [rec[key][:, b] for key in ("X", "p", "z")])
-            if vec is not None:
+                scheme, lane, model.L, float(X[b]), float(p[b]), float(z[b]), float(t0[b]),
+                float(dt_lane[b]), int(n_steps[b]), float(budget[b]), surface, record_every,
+                rows)
+            if vec is not None and scheme != "ehrenfest":
                 # the kernel carries a stochastic lane's vector unchanged, and
                 # a Born-Oppenheimer lane's along its branch
                 rows = slice(1, steps_done[b] // record_every + 1)
                 rec["vec"][rows, b] = (vec[b] if sign is None else
                                        _branch_vectors(model, rec["X"][rows, b], sign))
-    else:
-        _lockstep(model, scheme, par, X, p, vec, z, t0, n_steps, budget, surface,
-                  record_every, rec, hits, steps_done)
 
     spec = model.spec().to_json()
     out = []
@@ -1050,13 +1020,11 @@ def simulate_ensemble(model, inits, scheme, T_final, dt, surface=None, rng=None,
 
 
 def simulate(model, init, scheme, T_final, dt, surface=None, rng=None,
-             M=None, T=None, K=None, force=None, record_every=1,
-             c_step=DEFAULT_C_STEP, max_hits=None):
+             M=None, T=None, K=None, force=None, record_every=1, max_hits=None):
     """Drive one trajectory: the one-lane case of :func:`simulate_ensemble`."""
     return simulate_ensemble(model, [init], scheme, T_final, dt, surface=surface,
                              rng=rng, M=M, T=T, K=K, force=force,
-                             record_every=record_every, c_step=c_step,
-                             max_hits=max_hits)[0]
+                             record_every=record_every, max_hits=max_hits)[0]
 
 
 def time_average(trajectory, g, burn_in=0.0, n_blocks=16):
@@ -1128,8 +1096,7 @@ def per_loop_averages(trajectory, g, n_loops=None):
     return _loop_averages(trajectory, g, n_loops)[1]
 
 
-def hitting_value_function(model, scheme, init, dt, M=None, t_max=200.0,
-                           c_step=DEFAULT_C_STEP):
+def hitting_value_function(model, scheme, init, dt, M=None, t_max=200.0):
     """Action gained until the first return to the start surface, and the
     return time.
 
@@ -1137,7 +1104,7 @@ def hitting_value_function(model, scheme, init, dt, M=None, t_max=200.0,
     along the path (no turning point).
     """
     traj = simulate(model, init, scheme, T_final=t_max, dt=dt,
-                    surface=float(init.X[0]), M=M, c_step=c_step, max_hits=1)
+                    surface=float(init.X[0]), M=M, max_hits=1)
     if not traj.hits:
         raise HittingTimeError(
             f"no return to the surface within t_max = {t_max}")

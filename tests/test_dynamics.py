@@ -756,22 +756,31 @@ def _close_trajectories(a, b, tol=1e-12):
 @pytest.mark.parametrize("spec", TWO_LEVEL)
 def test_float_lanes_match_the_lockstep_kernel(monkeypatch, spec):
     m = build_model(spec)
-    masses = [1024.0, 4096.0, 256.0]
-    # lane 0 passes X = 0, the crossing of two_level_cross, and the surface
-    inits = _dressed_lanes(m, [(-1.5, 2.0), (1.0, 1.6), (2.5, 3.0)], masses)
-    kw = dict(dt=[1e-3, 1.5e-3, 2e-3], M=masses, T_final=[1.5, 4.5, 8.0],
-              max_hits=[None, 1, 2], surface=0.0, record_every=3)
+    masses = [1024.0, 4096.0, 256.0, 1024.0, 2048.0]
+    # lane 0 passes X = 0, the crossing of two_level_cross, and the surface;
+    # lanes 3 and 4 take no step and one step
+    inits = _dressed_lanes(m, [(-1.5, 2.0), (1.0, 1.6), (2.5, 3.0), (0.7, 1.2), (-0.4, 1.9)],
+                           masses)
+    kw = dict(dt=[1e-3, 1.5e-3, 2e-3, 1e-3, 1.2e-3], M=masses,
+              T_final=[1.5, 4.5, 8.0, 0.0, 1.2e-3], max_hits=[None, 1, 2, None, 1],
+              surface=0.0, record_every=3)
+    # and the two short lanes again with every step recorded
+    short = {key: value[3:] if isinstance(value, list) else value for key, value in kw.items()}
+    short["record_every"] = 1
     calls = _count_propagator_calls(monkeypatch)
-    floats = dynamics.simulate_ensemble(m, inits, "ehrenfest", **kw)
-    assert not calls
-    monkeypatch.setattr(dynamics, "_FLOAT_LANES", 0)
-    lockstep = dynamics.simulate_ensemble(m, inits, "ehrenfest", **kw)
-    assert calls
+    runs = []
+    for lanes in (dynamics._FLOAT_LANES, 0):
+        monkeypatch.setattr(dynamics, "_FLOAT_LANES", lanes)
+        runs.append(dynamics.simulate_ensemble(m, inits, "ehrenfest", **kw)
+                    + dynamics.simulate_ensemble(m, inits[3:], "ehrenfest", **short))
+        assert bool(calls) == (lanes == 0)
+    floats, lockstep = runs
     for a, b in zip(floats, lockstep):
         _close_trajectories(a, b)
     # 1500 steps on lane 0; the hit budgets retire lanes 1 and 2 early
-    assert [len(t.hits) for t in floats] == [1, 1, 2]
-    assert [t.t.size for t in floats][0] == 501
+    assert [len(t.hits) for t in floats] == [1, 1, 2, 0, 0, 0, 0]
+    sizes = [t.t.size for t in floats]
+    assert sizes[0] == 501 and sizes[3:] == [1, 1, 1, 2]
     assert floats[0].X[0, 0] < 0.0 < floats[0].X[-1, 0]
     assert floats[1].t[-1] < 4.4 and floats[2].t[-1] < 7.9
 
@@ -1194,7 +1203,9 @@ def test_simulate_rejects_hit_budgets_below_one():
     ({"record_every": 0}, "record_every"), ({"record_every": -2}, "record_every"),
     ({"record_every": 2.5}, "record_every"), ({"record_every": 2.0}, "record_every"),
     ({"surface": np.nan}, "surface"), ({"surface": np.inf}, "surface"),
-    ({"surface": -np.inf}, "surface")])
+    ({"surface": -np.inf}, "surface"),
+    # a hit budget list of another length than the two lanes
+    ({"max_hits": [1]}, "max_hits"), ({"max_hits": [1, 1, 1]}, "max_hits")])
 def test_simulate_rejects_bad_record_steps_and_surfaces(monkeypatch, path, option, name):
     m = gap_model()
     M = 1024.0
@@ -1211,12 +1222,32 @@ def test_simulate_rejects_bad_record_steps_and_surfaces(monkeypatch, path, optio
     def no_step(*args, **kwargs):
         raise AssertionError("a lane was stepped")
 
-    for driver in ("_float_lane", "_float_chain", "_lockstep"):
+    for driver in ("_float_chain", "_lockstep"):
         monkeypatch.setattr(dynamics, driver, no_step)
     for scheme, init, kw in runs:
         with pytest.raises(ValueError, match=name):
             dynamics.simulate_ensemble(m, [init, init], scheme, T_final=0.1, dt=1e-3,
                                        rng=[stream_rng(0), stream_rng(1)], **kw, **option)
+
+
+@pytest.mark.parametrize("path", ["float", "lockstep"])
+def test_empty_ensembles_return_no_trajectories(monkeypatch, path):
+    m = gap_model()
+    lockstep_calls = []
+    if path == "lockstep":
+        # no cut-off admits even an empty ensemble
+        monkeypatch.setattr(dynamics, "_FLOAT_LANES", -1)
+        monkeypatch.setattr(dynamics, "_FLOAT_BO_LANES", -1)
+        lockstep = dynamics._lockstep
+        monkeypatch.setattr(dynamics, "_lockstep",
+                            lambda *args: lockstep_calls.append(1) or lockstep(*args))
+    runs = [("ehrenfest", {"M": 1024.0}), ("bo", {}), ("langevin", {"T": 0.1, "K": 1.0}),
+            ("smoluchowski", {"T": 0.1})]
+    for scheme, kw in runs:
+        rng = None if scheme in ("ehrenfest", "bo") else []
+        assert dynamics.simulate_ensemble(m, [], scheme, T_final=1.0, dt=1e-3, surface=0.0,
+                                          record_every=2, max_hits=[], rng=rng, **kw) == []
+    assert len(lockstep_calls) == (4 if path == "lockstep" else 0)
 
 
 # ------------------------------------------------------------ time_average
