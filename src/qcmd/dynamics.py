@@ -476,23 +476,20 @@ def initial_electron_state(model, X, p, M, perp_correction=False):
     """Ground eigenvector at X, optionally with the first-order transverse dressing.
 
     The dressed state adds i M^{-1/2} (V - lambda_0)^{-1} (p . d/dX) of the
-    ground eigenvector, projected off the ground level, then renormalizes.
+    ground eigenvector, projected off the ground level, then renormalizes; it
+    is undefined where the ground level is degenerate (CrossingError).
     """
     if not (isfinite(M) and M >= 1.0):
         raise ValueError(f"Ehrenfest needs finite masses M >= 1, got {M}")
-    lam, vec = espec.eigen_at(model, float(X))
-    phi = vec[:, 0].astype(complex)
-    if perp_correction and model.d > 1:
-        dV = model_mod.potential_derivative(model, float(X))
-        corr = np.zeros(model.d, dtype=complex)
-        for n in range(1, model.d):
-            gap = lam[n] - lam[0]
-            coupling = float(vec[:, n] @ dV @ vec[:, 0])
-            # <v_n, d/dX v_0> = coupling / (lam_0 - lam_n)
-            corr += (coupling / (lam[0] - lam[n])) / gap * vec[:, n]
-        phi = phi + 1j * float(p) / np.sqrt(M) * corr
-        phi /= np.linalg.norm(phi)
-    return phi
+    if not (perp_correction and model.d > 1):
+        return espec.eigen_at(model, float(X))[1][:, 0].astype(complex)
+    lam, vec, couplings = espec._ground_couplings(model, float(X))
+    corr = np.zeros(model.d, dtype=complex)
+    for n, coupling in enumerate(couplings, start=1):
+        # <v_n, d/dX v_0> = coupling / (lam_0 - lam_n)
+        corr += (coupling / (lam[0] - lam[n])) / (lam[n] - lam[0]) * vec[:, n]
+    phi = vec[:, 0].astype(complex) + 1j * float(p) / np.sqrt(M) * corr
+    return phi / np.linalg.norm(phi)
 
 
 # ------------------------------------------------------ one-lane wrappers

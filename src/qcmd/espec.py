@@ -259,19 +259,35 @@ def ground_force(model, X):
     return -float(slopes[0])
 
 
-def ground_curvature(model, X):
-    """d2(lambda_0)/dX2 by second-order eigenvalue perturbation theory."""
-    if model.d == 1:
-        return float(model_mod.potential_second_derivative(model, X)[0, 0])
-    dV = model_mod.potential_derivative(model, X)
+def _ground_couplings(model, X):
+    """Levels, eigenvectors and the couplings <v_n| dV/dX |v_0>, n >= 1, at a
+    scalar X or a stack (d >= 2), each as the stacked (v_n dV/dX) v_0, which
+    gives the one-point bits (einsum does not); a degenerate ground raises."""
     lam, vec = eigen_at(model, X)
+    closed = lam[..., 1] - lam[..., 0] < _DEGENERACY_TOL
+    if closed.any():
+        at = np.asarray(X, dtype=float)[closed][0]
+        raise CrossingError(f"lambda_0 is degenerate at X = {at}; couplings undefined")
+    dV = model_mod.potential_derivative(model, X)
+    rows, v0 = np.swapaxes(vec, -1, -2), vec[..., :, :1]
+    couplings = [((rows[..., n:n + 1, :] @ dV) @ v0)[..., 0, 0] for n in range(1, model.d)]
+    return lam, vec, couplings
+
+
+def ground_curvature(model, X):
+    """d2(lambda_0)/dX2 by second-order eigenvalue perturbation theory: a float
+    for a scalar X, an array of its shape for a stack of X, with the one-point
+    bits at every point; a degenerate ground level raises CrossingError."""
     d2V = model_mod.potential_second_derivative(model, X)
-    v0 = vec[:, 0]
-    out = float(v0 @ d2V @ v0)
-    for n in range(1, model.d):
-        coupling = float(vec[:, n] @ dV @ v0)
-        out += 2.0 * coupling * coupling / (lam[0] - lam[n])
-    return out
+    if model.d == 1:
+        out = d2V[..., 0, 0]
+    else:
+        lam, vec, couplings = _ground_couplings(model, X)
+        v0 = vec[..., :, :1]
+        out = ((np.swapaxes(v0, -1, -2) @ d2V) @ v0)[..., 0, 0]
+        for n, coupling in enumerate(couplings, start=1):
+            out = out + 2.0 * coupling * coupling / (lam[..., 0] - lam[..., n])
+    return float(out) if np.ndim(X) == 0 else out
 
 
 def gap_derivatives(model, X):

@@ -41,14 +41,6 @@ class GibbsSamples:
     proposal_log: tuple = None   # (logw_current, logw_proposal, accepted)
 
 
-def gaps_at(model, X):
-    lam = model_mod.levels_and_slopes(model, X)[0]
-    gaps = lam[1:] - lam[0]
-    if gaps.size and gaps.min() <= 1e-12:
-        raise CrossingError(f"level crossing at X = {X}; Gibbs sampling undefined")
-    return gaps
-
-
 def _check_temperature(T, what):
     # written so that NaN and inf fail it
     if not (np.isfinite(T) and T > 0.0):

@@ -212,48 +212,41 @@ def build_field(model, M, k, scheme="bo", n_grid=1024):
 
 
 def weight_along(trajectory, model, check_tol=1e-6, eps_caustic=EPS_CAUSTIC):
-    """Integrate the weight G and the first variation J along a trajectory.
+    """The weight G and the first variation J along a trajectory recorded at
+    every step (``record_every=1``; ValueError otherwise).
 
-    The tangent flow of the Verlet step is propagated with the Lagrangian
-    initialization dp/dX = -lambda_0'(X_0)/p_0, the log-weight accumulates
-    (1/2) dp/dX by Simpson, and the Liouville identity G_t^2/G_0^2 = J(t)
-    is asserted to ``check_tol``.
+    The tangent (dX, dp) of the Verlet step is propagated along the recorded
+    positions, with the ground curvature evaluated once on all of them, from
+    the Lagrangian initialization dp/dX = -lambda_0'(X_0)/p_0; the log-weight
+    accumulates (1/2) dp/dX by Simpson, and the Liouville identity
+    G_t^2/G_0^2 = J(t) is asserted to ``check_tol``.
     """
     if trajectory.scheme != "bo":
         raise NotImplementedError(
             "weight_along propagates the ground-surface tangent flow; "
             f"got scheme {trajectory.scheme!r}")
-    t = trajectory.t
-    n_steps = t.size - 1
-    dt = trajectory.dt
-    X = float(trajectory.X[0, 0])
+    t, dt = trajectory.t, trajectory.dt
+    if np.any(np.abs(np.diff(t) - dt) > 1e-6 * dt):
+        raise ValueError("weight_along needs every step recorded (record_every=1)")
+    X = trajectory.X[:, 0]
     p = float(trajectory.p[0, 0])
     if abs(p) <= eps_caustic:
         raise CausticError("initial momentum vanishes")
-    dX, dp = 1.0, espec.ground_force(model, X) / p
-    log_g = 0.0
-    G = np.empty(t.size)
-    J = np.empty(t.size)
-    G[0], J[0] = 1.0, 1.0
-    for i in range(n_steps):
+    curv = espec.ground_curvature(model, X).tolist()
+    dX, dp = 1.0, espec.ground_force(model, X[0]) / p
+    log_g, log_G, J = 0.0, [0.0], [1.0]
+    for i in range(t.size - 1):
         u0 = dp / dX
-        curv0 = espec.ground_curvature(model, X)
-        p_half = p + 0.5 * dt * espec.ground_force(model, X)
-        dp_half = dp - 0.5 * dt * curv0 * dX
-        X1 = X + dt * p_half
-        dX1 = dX + dt * dp_half
-        dX_mid = dX + 0.5 * dt * dp_half
-        u_mid = dp_half / dX_mid
-        curv1 = espec.ground_curvature(model, X1)
-        p1 = p_half + 0.5 * dt * espec.ground_force(model, X1)
-        dp1 = dp_half - 0.5 * dt * curv1 * dX1
-        u1 = dp1 / dX1
-        log_g += dt / 12.0 * (u0 + 4.0 * u_mid + u1)
-        X, p, dX, dp = X1, p1, dX1, dp1
+        dp_half = dp - 0.5 * dt * curv[i] * dX
+        u_mid = dp_half / (dX + 0.5 * dt * dp_half)
+        dX += dt * dp_half
+        dp = dp_half - 0.5 * dt * curv[i + 1] * dX
+        log_g += dt / 12.0 * (u0 + 4.0 * u_mid + dp / dX)
         if dX <= eps_caustic:
             raise CausticError(f"first variation vanished at t = {t[i + 1]:.6g}")
-        G[i + 1] = np.exp(log_g)
-        J[i + 1] = dX
+        log_G.append(log_g)
+        J.append(dX)
+    G, J = np.exp(log_G), np.array(J)
     dev = np.max(np.abs(G ** 2 / G[0] ** 2 - J) / np.maximum(1.0, np.abs(J)))
     if dev > check_tol:
         raise RuntimeError(

@@ -398,6 +398,46 @@ def test_loop_branches_launch_at_widest_first_gap():
         assert np.abs(loop.mu - mu).max() <= 1e-13
 
 
+def _per_point_curvature(m, X):
+    """ground_curvature's one-point formula: (v_0 d2V) v_0 plus the
+    perturbation sum of the couplings (v_n dV) v_0, point by point."""
+    if m.d == 1:
+        return float(mm.potential_second_derivative(m, X)[0, 0])
+    dV = mm.potential_derivative(m, X)
+    lam, vec = espec.eigen_at(m, X)
+    v0 = vec[:, 0]
+    out = float(v0 @ mm.potential_second_derivative(m, X) @ v0)
+    for n in range(1, m.d):
+        coupling = float(vec[:, n] @ dV @ v0)
+        out += 2.0 * coupling * coupling / (lam[0] - lam[n])
+    return out
+
+
+@pytest.mark.parametrize("family", sorted(BRANCH_MODELS))
+def test_ground_curvature_on_stacks_matches_the_per_point_formula(family):
+    m = BRANCH_MODELS[family]()
+    # away from the crossing of two_level_cross at X = 0
+    X = np.random.default_rng(5).uniform(0.01, m.L - 0.01, (12, 25))
+    expect = np.array([[_per_point_curvature(m, x) for x in row] for row in X])
+    assert np.array_equal(espec.ground_curvature(m, X), expect)
+    assert np.array_equal(espec.ground_curvature(m, X[3]), expect[3])
+    one = espec.ground_curvature(m, X[0, 0])
+    assert isinstance(one, float) and one == expect[0, 0]
+
+
+def test_degenerate_ground_level_has_no_curvature_and_no_dressed_start():
+    m = cross_model()
+    for X in (0.0, 2.0 * np.pi):
+        with pytest.raises(CrossingError):
+            espec.ground_curvature(m, X)
+        with pytest.raises(CrossingError):
+            dynamics.initial_electron_state(m, X, 1.2, 1024.0, perp_correction=True)
+    with pytest.raises(CrossingError):
+        espec.ground_curvature(m, np.array([0.5, 0.0]))
+    # the undressed ground vector is defined there
+    assert np.array_equal(dynamics.initial_electron_state(m, 0.0, 1.2, 1024.0), [0.0, 1.0])
+
+
 def _bo_trajectory(m, X0=0.5, E=0.6):
     p0 = np.sqrt(2.0 * (E - espec.eigen_at(m, X0)[0][0]))
     return dynamics.simulate(m, dynamics.PhaseState.make(X0, p0), "bo", T_final=1.0, dt=1e-3)

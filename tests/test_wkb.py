@@ -104,6 +104,68 @@ def test_weight_requires_bo_scheme():
         wkb.weight_along(traj, m)
 
 
+def _weight_along_reference(trajectory, model):
+    """weight_along as a second Verlet integration of X and p from the first
+    record row, with the force and the curvature evaluated point by point."""
+    t, dt = trajectory.t, trajectory.dt
+    X, p = float(trajectory.X[0, 0]), float(trajectory.p[0, 0])
+    dX, dp = 1.0, espec.ground_force(model, X) / p
+    log_g = 0.0
+    G, J = np.ones(t.size), np.ones(t.size)
+    for i in range(t.size - 1):
+        u0 = dp / dX
+        curv0 = espec.ground_curvature(model, X)
+        p_half = p + 0.5 * dt * espec.ground_force(model, X)
+        dp_half = dp - 0.5 * dt * curv0 * dX
+        X1 = X + dt * p_half
+        dX1 = dX + dt * dp_half
+        dX_mid = dX + 0.5 * dt * dp_half
+        u_mid = dp_half / dX_mid
+        curv1 = espec.ground_curvature(model, X1)
+        p1 = p_half + 0.5 * dt * espec.ground_force(model, X1)
+        dp1 = dp_half - 0.5 * dt * curv1 * dX1
+        u1 = dp1 / dX1
+        log_g += dt / 12.0 * (u0 + 4.0 * u_mid + u1)
+        X, p, dX, dp = X1, p1, dX1, dp1
+        G[i + 1] = np.exp(log_g)
+        J[i + 1] = dX
+    return G, J
+
+
+WEIGHT_MODELS = {
+    "scalar_cos": (lambda: cos_model(0.1), 1.0),
+    "two_level_gap": (lambda: build_model(ModelSpec(family="two_level_gap",
+                                                    params={"delta": 0.25}, d=2)), 0.6),
+    "multi_level": (lambda: build_model(ModelSpec(
+        family="multi_level", d=3,
+        params={"a0": 0.1, "gaps": [[0.8, 0.12], [1.6, 0.16]], "rot": 0.3})), 0.6),
+}
+
+
+@pytest.mark.parametrize("family", sorted(WEIGHT_MODELS))
+def test_weight_along_matches_the_reintegrating_reference(family):
+    make, E = WEIGHT_MODELS[family]
+    m = make()
+    traj = _bo_loop(m, E, dt=1e-3, t_final=1.5)
+    wv = wkb.weight_along(traj, m)
+    G, J = _weight_along_reference(traj, m)
+    assert np.array_equal(wv.J, J)
+    assert np.abs(wv.G / G - 1.0).max() <= 1e-13
+
+
+def test_weight_along_needs_every_step_recorded():
+    m = cos_model(0.1)
+    lam0 = espec.eigen_at(m, 0.5)[0][0]
+    init = dynamics.PhaseState.make(0.5, np.sqrt(2 * (1.0 - lam0)))
+    every = dynamics.simulate(m, init, "bo", T_final=2.0, dt=2e-4)
+    assert wkb.weight_along(every, m).J.size == every.t.size
+    sparse = dynamics.simulate(m, init, "bo", T_final=2.0, dt=2e-4, record_every=10)
+    with pytest.raises(ValueError, match="every step"):
+        wkb.weight_along(sparse, m)
+    with pytest.raises(ValueError, match="every step"):
+        wkb.detect_caustics(sparse, model=m)
+
+
 # ---------------------------------------------------------------- density
 
 def test_density_free_uniform():
