@@ -433,13 +433,15 @@ def converge(model, scheme, M_list, observables=None, e_ref=None, n_loops=8,
     for job in per_mass:
         jobs.setdefault(job[0], job)
     if any(key not in cache for key in jobs):
-        # the reference solves' scipy.linalg, loaded here although the caller
+        # the modules of the reference solves, loaded here although the caller
         # of a forked sweep solves nothing: the workers share the pages loaded
-        # before the fork, while loading it in each worker would cost each one
-        # about 25 MB RSS and 0.15-0.25 s a sweep (scipy 1.17's array API
-        # layer loads numpy.testing, numpy.f2py and numpy.ma); the energies'
-        # root solves need no scipy module
-        import scipy.linalg  # noqa: F401
+        # before the fork, while each worker would load them again every sweep
+        # (its first inverse iteration took 19-23 against 2.8 ms).
+        # The solves call scipy's LAPACK extension alone, 3.3 MB and 17 ms in
+        # a fresh process, not the scipy.linalg package around it, 25.6 MB
+        # and 0.15 s (scipy 1.17, 2-core host); the energies' root solves
+        # need no scipy module
+        qref._load_solver()
 
     def cell(job):
         """A job's reference, its mass's record entry, and the seconds of the

@@ -46,7 +46,9 @@ def test_mass_sweeps_load_no_scipy_optimize():
     # the energies' root solves run in the package, and crossing detection
     # loads scipy.optimize only for its minimize_scalar fallback; with the
     # module made unimportable, loading it in the caller or in a forked
-    # worker would fail the sweep
+    # worker would fail the sweep.  The reference solves call scipy's LAPACK
+    # extension alone, so neither the forked sweeps nor one whose cells run
+    # in the caller (one CPU) load the scipy.linalg package
     script = textwrap.dedent("""
         import os
         import sys
@@ -61,10 +63,35 @@ def test_mass_sweeps_load_no_scipy_optimize():
         cross = build_model(ModelSpec(family="two_level_cross", d=2))
         rec = lab.converge(cross, "bo", [64.0, 256.0], n_loops=1, energy_window=0.7)
         assert rec.per_M[0]["crossings"]
+        _util._cpu_count = lambda: 1
+        lab.converge(gap, "bo", [256.0, 1024.0], n_loops=1, k_spread=1)
+        assert "scipy.linalg" not in sys.modules
+        assert "scipy.linalg._flapack" in sys.modules
         print(len(forks))
     """)
-    # a child for each mass of each sweep
+    # a child for each mass of each forked sweep, none on one CPU
     assert run_fresh(script) == "4"
+
+
+def test_lapack_loader_is_reused_by_scipy_linalg():
+    # the extension that qref loads alone is the one scipy.linalg wraps
+    # once the package is imported, and the package still works
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from qcmd import qref
+
+        lapack = qref._lapack()
+        assert lapack.__name__ == "scipy.linalg._flapack"
+        assert "scipy.linalg" not in sys.modules
+        import scipy.linalg
+        assert scipy.linalg.lapack._flapack is qref._lapack() is lapack
+        band = np.array([[0.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
+        assert np.allclose(scipy.linalg.eig_banded(band, eigvals_only=True),
+                           [2.0 - np.sqrt(2.0), 2.0, 2.0 + np.sqrt(2.0)])
+        print(True)
+    """)
+    assert run_fresh(script) == "True"
 
 
 def run_fresh(script):

@@ -59,6 +59,21 @@ def real_fourier_basis(n):
     return np.column_stack(cols)
 
 
+def assert_windows_are_eig_banded(H, lower, upper):
+    """Each block's window from the direct dsbevx call is scipy's
+    eig_banded(select="v") of the same band, bit for bit; the windows
+    together hold at least one level."""
+    held = 0
+    for lo, hi in H.blocks:
+        band = qref._block_band(H.matrix, lo, hi)
+        direct = qref._window_values(band, lower, upper)
+        oracle = scipy.linalg.eig_banded(band, eigvals_only=True, select="v",
+                                         select_range=(lower, upper))
+        assert direct.dtype == oracle.dtype and np.array_equal(direct, oracle)
+        held += direct.size
+    assert held >= 1
+
+
 def dense_nearest(Hd, E, count):
     vals = np.linalg.eigvalsh(Hd)
     return vals[np.argsort(np.abs(vals - E), kind="stable")[:count]]
@@ -240,6 +255,7 @@ def test_block_narrower_than_the_band():
     expect = np.linalg.eigvalsh(dense_collocation(m, 4.0, 6))
     pairs = qref.eigensolve_near(H, 0.0, count=6)
     assert np.abs(np.sort([p.E for p in pairs]) - expect).max() < 1e-12
+    assert_windows_are_eig_banded(H, expect[0] - 1.0, expect[-1] + 1.0)
 
 
 @pytest.mark.parametrize("term, n_blocks", [("0.2", 2), ("0.2 sin X", 1)])
@@ -306,6 +322,28 @@ def test_level_density_window_matches_wide_window(family, monkeypatch):
     for H, E, count, pairs in sized:
         wide = qref.eigensolve_near(H, E, count=count)
         assert np.abs(np.array([p.E for p in pairs]) - [p.E for p in wide]).max() < 1e-12
+        diag = np.diagonal(H.potential, axis1=1, axis2=2) + H.kinetic.mean()
+        half = 0.05 * max(1.0, np.abs(diag).max())
+        assert_windows_are_eig_banded(H, E - half, E + half)
+
+
+def test_window_solve_keeps_the_checks_of_eig_banded(monkeypatch):
+    H = qref.assemble_hamiltonian(gap_model(), 64.0, 64)
+    for bad in (np.nan, np.inf, -np.inf):
+        matrix = H.matrix.copy()
+        matrix[-1, 3] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            qref.eigenvalues_near(dataclasses.replace(H, matrix=matrix), 0.3)
+    solve = qref._lapack().dsbevx
+
+    def failed(*args, **kwargs):
+        # a solve that reports failure with a count past its values
+        w, z, m, ifail, info = solve(*args, **kwargs)
+        return w, z, w.size + 1, ifail, 1
+
+    monkeypatch.setattr(qref._lapack(), "dsbevx", failed)
+    with pytest.raises(np.linalg.LinAlgError, match="info=1"):
+        qref.eigenvalues_near(H, 0.3)
 
 
 def test_level_density_window_holds_about_twice_count():
