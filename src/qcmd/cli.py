@@ -89,7 +89,7 @@ def _cmd_spectrum(args):
     field = espec.eigendecompose_field(model, grid)
     c = espec.detect_gap(field) if model.d > 1 else 0.0
     if model.d > 1:
-        kap, _ = espec.kappa(field, (0.0, model.L * (1.0 - 1e-9)), 0.0)
+        kap, _ = espec.kappa(model, (0.0, model.L * (1.0 - 1e-9)), 0.0)
     else:
         kap = 0.0
     header = (["X"] + [f"lambda_{n}" for n in range(model.d)]
@@ -177,8 +177,7 @@ def _cmd_gibbs(args):
     rng = stream_rng(args.seed)
     report = gibbs.gibbs_observable(model, g, args.T, n_samples=args.samples, rng=rng)
     if model.d > 1:
-        basis = espec.eigendecompose_field(model, periodic_grid(model.L, 129))
-        kap, t_over_gap = espec.kappa(basis, (0.0, model.L * (1.0 - 1e-9)), 0.0,
+        kap, t_over_gap = espec.kappa(model, (0.0, model.L * (1.0 - 1e-9)), 0.0,
                                       T=args.T)
     else:
         kap, t_over_gap = 0.0, 0.0

@@ -109,7 +109,7 @@ def detect_gap(field):
     return float(field.gaps[:, 1].min())
 
 
-def detect_crossings(field, trajectory, c_min=1e-8, sigma_tol=1e-10, gap_tol=1e-6):
+def detect_crossings(model, trajectory, c_min=1e-8, sigma_tol=1e-10, gap_tol=1e-6):
     """Locate ground-level crossings lambda_n = lambda_0 along a trajectory.
 
     Candidate brackets come from local minima of the adiabatic gap; each is
@@ -119,7 +119,6 @@ def detect_crossings(field, trajectory, c_min=1e-8, sigma_tol=1e-10, gap_tol=1e-
     of the same time, are flagged degenerate.  A model whose gap floor
     exceeds ``gap_tol`` has no crossing, and no level is evaluated.
     """
-    model = field.model
     if model.gap_floor > gap_tol:
         return []
     t = np.asarray(trajectory.t, dtype=float)
@@ -201,24 +200,19 @@ class BranchField:
         """Where loops are launched: the starting point, of widest first gap."""
         return float(self.grid[self.start])
 
-    def cycle_of(self, j=0):
-        """The branch indices traversed by the loop through branch j."""
-        cycle = [j]
-        nxt = int(self.permutation[j])
-        while nxt != j:
-            cycle.append(nxt)
-            nxt = int(self.permutation[nxt])
-        return cycle
-
-    def crossing_passes(self, cycle):
-        """Label swaps along one full loop; each adds pi/2 to the loop phase."""
-        n = self.grid.size
-        order = np.r_[np.arange(self.start, n), np.arange(0, self.start)]
-        changes = 0
-        for j in cycle:
-            seq = self.sorted_index[order, j]
-            changes += int(np.count_nonzero(np.diff(seq)))
-        return changes
+    def ground_loop(self):
+        """The loop through branch 0, as every loop caller reads it: the
+        branches it visits (the cycle of ``permutation`` through 0), their
+        profiles ``mu[:, cycle].T`` (one row a branch), and the quantization
+        index offset, a quarter per label swap along the loop (each crossing
+        pass adds pi/2 to the loop phase)."""
+        cycle = [0]
+        while int(self.permutation[cycle[-1]]) != 0:
+            cycle.append(int(self.permutation[cycle[-1]]))
+        order = np.r_[np.arange(self.start, self.grid.size), np.arange(0, self.start)]
+        passes = sum(int(np.count_nonzero(np.diff(self.sorted_index[order, j])))
+                     for j in cycle)
+        return cycle, self.mu[:, cycle].T, 0.25 * passes
 
 
 def smooth_branches(model, grid):
@@ -296,14 +290,13 @@ def gap_derivatives(model, X):
     return lam[..., 1:] - lam[..., :1], slopes[..., 1:] - slopes[..., :1]
 
 
-def kappa(field, domain, X_c, T=None, n_x=129, n_s=33):
+def kappa(model, domain, X_c, T=None, n_x=129, n_s=33):
     """Gap-flatness diagnostic over a domain, relative to the anchor X_c.
 
     kappa = max over X in domain and s in [0,1] of
     |sum_{j>0} d(gap_j)/dX(Y) (X - X_c) / gap_j(Y)|, Y = s X + (1-s) X_c.
     Also returns T / min gap over the sampled points.
     """
-    model = field.model
     lo, hi = float(domain[0]), float(domain[1])
     if not (lo <= X_c <= hi):
         raise ValueError("X_c must lie inside the domain")

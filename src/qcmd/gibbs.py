@@ -153,10 +153,7 @@ def marginal_ratio(model, X, X_c, T, n_samples=20000, rng=None, n_s=9,
         var += (w * (X - X_c) / T) ** 2 * float(dgaps ** 2 @ sig ** 2)
     sigma = float(np.sqrt(var))
     if check:
-        lo, hi = min(X, X_c), max(X, X_c)
-        grid_hi = min(hi, model.L * (1.0 - 1e-12))
-        basis = espec.eigendecompose_field(model, np.linspace(lo, grid_hi, 33))
-        kap, _ = espec.kappa(basis, (lo, hi), X_c, T=T)
+        kap, _ = espec.kappa(model, (min(X, X_c), max(X, X_c)), X_c, T=T)
         if abs(total) > kap + 3.0 * sigma + 1e-12:
             raise BoundViolationError(
                 f"|log ratio| = {abs(total):.3e} exceeds kappa + 3 sigma = {kap + 3 * sigma:.3e}")
@@ -321,8 +318,7 @@ def equilibrium_compare(model, g, T, schemes=("langevin", "smoluchowski"),
     report = gibbs_observable(model, g, T, n_grid=n_grid, n_samples=n_samples,
                               rng=stream_rng(master, 1))
     if model.d > 1:
-        basis = espec.eigendecompose_field(model, periodic_grid(model.L, 129))
-        kap = min(espec.kappa(basis, (0.0, model.L * (1.0 - 1e-9)), xc, T=T)[0]
+        kap = min(espec.kappa(model, (0.0, model.L * (1.0 - 1e-9)), xc, T=T)[0]
                   for xc in np.linspace(0.0, model.L * 0.9, 7))
     else:
         kap = 0.0

@@ -2,8 +2,11 @@
 
 The convergence harness matches a quantized classical energy to the nearest
 exact eigenvalue at each mass, compares quantum and trajectory observables,
-and fits the decay exponent of the error on a log-log scale.  Run records
-hold everything needed for a bit-identical replay.
+and fits the decay exponent of the error on a log-log scale.  It reads the
+one loop rule (``espec.BranchField.ground_loop`` on ``espec.loop_branches``
+for the quantization, on the reference grid for the classical density) and
+launches with the one launch rule, ``wkb.launch_state``, as ``wkb`` does.
+Run records hold everything needed for a bit-identical replay.
 """
 
 import json
@@ -120,20 +123,6 @@ class RunRecord:
         return data
 
 
-def _launch(model, scheme, E, M, X0, perp_correction=False):
-    """Initial state at energy E on the launch surface X0, and the step size
-    of the record's ``dt_rule``."""
-    lam, vec = espec.eigen_at(model, X0)
-    p0 = np.sqrt(2.0 * (E - lam[0]))
-    if scheme == "ehrenfest":
-        phi0 = dynamics.initial_electron_state(model, X0, p0, M,
-                                               perp_correction=perp_correction)
-        return (dynamics.PhaseState.make(X0, p0, phi=phi0),
-                min(dynamics.DEFAULT_C_STEP / np.sqrt(M), 1e-3))
-    phi0 = None if model.d == 1 else vec[:, 0].astype(complex)
-    return dynamics.PhaseState.make(X0, p0, phi=phi0), 1e-3
-
-
 def _loop_observables(traj, observables, n_hits, cycle_len=1):
     """Averages over the first n_hits returns, and their scatter over full periods.
 
@@ -210,13 +199,11 @@ def _matched_eigenstates(model, M, e_ref, loop_mu, floor_lam, observables,
         spacings.append(spacing)
     wanted = sorted(set().union(*candidates))
     pair_of = dict(zip(wanted, qref.eigenpairs(H, window, wanted)))
-    branch_fine = espec.smooth_branches(model, H.grid)
-    cycle_fine = branch_fine.cycle_of(0)
+    fine_mu = espec.smooth_branches(model, H.grid).ground_loop()[1]
     states = []
     for k, E_bs, spacing, cand in zip(k_list, E_list, spacings, candidates):
         with np.errstate(invalid="ignore"):
-            rho_cl = np.sum(1.0 / np.sqrt(np.maximum(
-                2.0 * (E_bs - branch_fine.mu[:, cycle_fine]), 1e-12)), axis=1)
+            rho_cl = np.sum(1.0 / np.sqrt(np.maximum(2.0 * (E_bs - fine_mu), 1e-12)), axis=0)
         cand = [pair_of[i] for i in cand]
         sims = [_lowpass_similarity(p.density, rho_cl) for p in cand]
         best = int(np.argmax(sims))
@@ -307,10 +294,8 @@ def converge(model, scheme, M_list, observables=None, e_ref=None, n_loops=8,
     # smooth continuation of the adiabatic levels: the ground branch may close
     # only after visiting several sorted levels (label swaps at crossings)
     branch = espec.loop_branches(model)
-    cycle = branch.cycle_of(0)
+    cycle, loop_mu, index_offset = branch.ground_loop()
     X0 = branch.launch
-    loop_mu = branch.mu[:, cycle].T
-    index_offset = 0.25 * branch.crossing_passes(cycle)
     floor_lam = float(branch.mu.min())
     # the energy window must clear every surface in the loop, else the loop
     # states hybridize with trapped (caustic) states and no single-mode
@@ -321,7 +306,7 @@ def converge(model, scheme, M_list, observables=None, e_ref=None, n_loops=8,
     record = RunRecord(config=model.spec().to_json(), scheme=scheme,
                        master_seed=seed, M_list=M_list,
                        e_ref=float(e_ref), n_loops=n_loops,
-                       dt_rule="bo: 1e-3; ehrenfest: min(0.1/sqrt(M), 1e-3)",
+                       dt_rule=wkb.DT_RULE,
                        per_M=[], observable_names=sorted(observables),
                        count=count, k_spread=k_spread, energy_window=energy_window,
                        doublet_average=doublet_average, n_grid_cap=n_grid_cap,
@@ -366,15 +351,12 @@ def converge(model, scheme, M_list, observables=None, e_ref=None, n_loops=8,
 
     def integrate(M, quantum):
         """The trajectories of mass M's states, one lane each, as one ensemble."""
-        launches = [_launch(model, scheme, sel["E_q"], M, X0, perp_correction)
+        launches = [wkb.launch_state(model, scheme, sel["E_q"], M, X0, perp_correction)
                     for sel in quantum["states"]]
         return dynamics.simulate_ensemble(
             model, [init for init, _ in launches], scheme,
             T_final=[4.0 * n_hits * (model.L / init.p[0]) for init, _ in launches],
             dt=[dt for _, dt in launches], surface=X0, M=M, max_hits=n_hits)
-
-    basis_probe = espec.eigendecompose_field(
-        model, np.linspace(0.0, model.L * (1 - 1e-12), 65))
 
     def entry(M, quantum, trajectories):
         """Mass M's record entry, from its reference and its states' trajectories."""
@@ -387,7 +369,7 @@ def converge(model, scheme, M_list, observables=None, e_ref=None, n_loops=8,
                 crossings = [
                     {"sigma": ev.sigma, "X": ev.X_sigma, "level": ev.level,
                      "slope": ev.slope, "degenerate": ev.degenerate}
-                    for ev in espec.detect_crossings(basis_probe, traj)
+                    for ev in espec.detect_crossings(model, traj)
                 ]
             errs = {name: sel["quantum"][name] - c_obs[name]
                     for name in observables}
@@ -504,7 +486,9 @@ def replay(record):
 
 def symplectic_perturbation_study(model, scheme, dt_list, M=4096.0, e_ref=None,
                                   n_loops=4, seed=0, cache=None):
-    """Observable error against dt at fixed mass, on top of the mass floor.
+    """Observable error against dt at fixed mass, on top of the mass floor,
+    over n_loops full periods of the sweep's loop, launched as the sweep
+    launches (``wkb.launch_state``).
 
     Also integrates symplectic Euler on the matched grid and reports the
     maximum position deviation from Verlet (the two share positions when the
@@ -517,23 +501,23 @@ def symplectic_perturbation_study(model, scheme, dt_list, M=4096.0, e_ref=None,
                    n_loops=n_loops, seed=seed, cache=cache)
     E_q = rec.per_M[0]["E_q"]
     quantum = rec.per_M[0]["quantum"]
-    X0 = espec.loop_branches(model).launch
-    lam0 = espec.eigen_at(model, X0)[0][0]
-    p0 = np.sqrt(2.0 * (E_q - lam0))
-    t_loop = model.L / p0
+    branch = espec.loop_branches(model)
+    X0 = branch.launch
+    n_hits = n_loops * len(branch.ground_loop()[0])
+    init, _ = wkb.launch_state(model, "bo", E_q, M, X0)
+    t_loop = model.L / init.p[0]
     dt_list = sorted(float(dt) for dt in dt_list)
-    init = dynamics.PhaseState.make(X0, p0)
     trajectories = dynamics.simulate_ensemble(
-        model, [init] * len(dt_list), "bo", T_final=3.0 * n_loops * t_loop,
-        dt=dt_list, surface=X0, max_hits=n_loops)
+        model, [init] * len(dt_list), "bo", T_final=3.0 * n_hits * t_loop,
+        dt=dt_list, surface=X0, max_hits=n_hits)
+    f0 = espec.ground_force(model, X0)
     values = {}
     euler_max_dev = 0.0
     for dt, traj in zip(dt_list, trajectories):
-        values[dt] = {name: dynamics.loop_average(traj, g, n_loops)
+        values[dt] = {name: dynamics.loop_average(traj, g, n_hits)
                       for name, g in observables.items()}
         # symplectic Euler with momenta shifted half a kick behind Verlet
-        f0 = espec.ground_force(model, X0)
-        st = dynamics.PhaseState.make(X0, p0 - 0.5 * dt * f0)
+        st = dynamics.PhaseState.make(X0, init.p - 0.5 * dt * f0, phi=init.phi)
         dev = 0.0
         n_cmp = min(200, traj.t.size - 1)
         for i in range(n_cmp):

@@ -1,10 +1,13 @@
 """WKB field assembly on the torus.
 
-One quantization routine on level profiles (a one-row profile is the ground
-surface) gives the quantized energy, the nearest index and the level
-spacing; one assembler builds the phase, weight and density fields with
-their caustic check; and the approximate eigenfunction
-rho^(1/2) psi exp(i sqrt(M) theta) is assembled on a reference grid.
+One quantization routine on level profiles gives the quantized energy, the
+nearest index and the level spacing; ``quantized_energy`` and
+``bohr_sommerfeld_index`` apply it to the loop that ``lab.converge`` runs
+(``espec.BranchField.ground_loop``), and ``launch_state`` launches that loop's
+trajectories.  One assembler builds the phase, weight and density fields of
+a single-branch loop with their caustic check; and the approximate
+eigenfunction rho^(1/2) psi exp(i sqrt(M) theta) is assembled on a
+reference grid.
 """
 
 from dataclasses import dataclass
@@ -12,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics, espec
-from . import model as model_mod
 from .errors import CausticError
 from ._util import brentq, periodic_antiderivative, periodic_grid, periodic_integral
 
@@ -25,6 +27,8 @@ __all__ = [
     "level_spacing",
     "quantized_energy",
     "bohr_sommerfeld_index",
+    "DT_RULE",
+    "launch_state",
     "build_field",
     "field_from_energy",
     "weight_along",
@@ -33,7 +37,7 @@ __all__ = [
 ]
 
 EPS_CAUSTIC = 1e-6
-_N_QUAD = 4096
+_N_QUAD = 4096      # the Ehrenfest spline profile's quantization points
 
 
 @dataclass(frozen=True)
@@ -111,20 +115,36 @@ def level_spacing(profiles, L, E, M):
     return 2.0 * np.pi / (np.sqrt(M) * dAdE)
 
 
-def _ground_profile(model):
-    return model_mod.levels_and_slopes(model, periodic_grid(model.L, _N_QUAD))[0][:, 0]
-
-
 def quantized_energy(model, k, M):
-    """Energy whose one-loop action on the ground surface equals 2 pi k / sqrt(M)."""
+    """Energy whose action around the loop through branch 0
+    (``espec.BranchField.ground_loop``) equals 2 pi (k + offset) / sqrt(M)."""
     if k < 1:
         raise ValueError("quantization index k must be >= 1")
-    return quantized_energy_from_profiles(_ground_profile(model), model.L, k, M)
+    _, profiles, offset = espec.loop_branches(model).ground_loop()
+    return quantized_energy_from_profiles(profiles, model.L, k, M, index_offset=offset)
 
 
 def bohr_sommerfeld_index(model, E_ref, M):
-    """Quantization index on the ground surface whose energy is nearest E_ref."""
-    return quantization_index(_ground_profile(model), model.L, E_ref, M)
+    """Quantization index on the loop through branch 0 whose energy is nearest E_ref."""
+    _, profiles, offset = espec.loop_branches(model).ground_loop()
+    return quantization_index(profiles, model.L, E_ref, M, index_offset=offset)
+
+
+DT_RULE = "bo: 1e-3; ehrenfest: min(0.1/sqrt(M), 1e-3)"   # launch_state's, as records state it
+
+
+def launch_state(model, scheme, E, M, X0, perp_correction=False):
+    """State at energy E on the launch surface X0, with the ground eigenvector
+    as amplitude or branch vector (none for d = 1), and its step by ``DT_RULE``."""
+    lam, vec = espec.eigen_at(model, X0)
+    p0 = np.sqrt(2.0 * (E - lam[0]))
+    if scheme == "ehrenfest":
+        phi0 = dynamics.initial_electron_state(model, X0, p0, M,
+                                               perp_correction=perp_correction)
+        return (dynamics.PhaseState.make(X0, p0, phi=phi0),
+                min(dynamics.DEFAULT_C_STEP / np.sqrt(M), 1e-3))
+    phi0 = None if model.d == 1 else vec[:, 0].astype(complex)
+    return dynamics.PhaseState.make(X0, p0, phi=phi0), 1e-3
 
 
 def _assemble_field(model, E, M, n_grid, surface, scheme, k):
@@ -157,17 +177,13 @@ def field_from_energy(model, E, M, n_grid=1024, k=None):
 
 
 def _ehrenfest_effective_potential(model, E0, M):
-    """One Ehrenfest loop from the launch point; returns periodic splines of
+    """One Ehrenfest loop from the launch state; returns periodic splines of
     V_hat_0(X) and psi_hat(X)."""
     from scipy.interpolate import CubicSpline  # scipy loads on first use
 
     X0 = espec.loop_branches(model).launch
-    lam0_start = espec.eigen_at(model, X0)[0][0]
-    p0 = np.sqrt(2.0 * (E0 - lam0_start))
-    phi0 = dynamics.initial_electron_state(model, X0, p0, M)
-    init = dynamics.PhaseState.make(X0, p0, phi=phi0)
-    dt = min(dynamics.DEFAULT_C_STEP / np.sqrt(M), 2e-3)
-    traj = dynamics.simulate(model, init, "ehrenfest", T_final=10.0 * model.L / p0,
+    init, dt = launch_state(model, "ehrenfest", E0, M, X0)
+    traj = dynamics.simulate(model, init, "ehrenfest", T_final=10.0 * model.L / init.p[0],
                              dt=dt, surface=X0, M=M, max_hits=1)
     if not traj.hits:
         raise CausticError("Ehrenfest loop did not close; cannot build the field")
@@ -194,9 +210,15 @@ def _ehrenfest_effective_potential(model, E0, M):
 
 
 def build_field(model, M, k, scheme="bo", n_grid=1024):
-    """Quantize the energy for index k and assemble the field."""
+    """Quantize the energy for index k on the loop through branch 0 and
+    assemble the field; a loop through several branches (a crossing) has no
+    single-surface field and raises ValueError."""
     if scheme not in ("bo", "ehrenfest"):
         raise ValueError(f"unknown scheme {scheme!r}")
+    cycle = espec.loop_branches(model).ground_loop()[0]
+    if len(cycle) > 1:
+        raise ValueError(f"the loop through branch 0 visits branches {cycle}; "
+                         "fields are built on single-branch loops only")
     E = quantized_energy(model, k, M)
     if scheme == "bo":
         return field_from_energy(model, E, M, n_grid=n_grid, k=k)

@@ -223,8 +223,7 @@ def test_criterion_9_gibbs_equivalence():
                                       "rot": 0.3}, T=0.1, K=1.0))
     g = lambda x: np.cos(2 * np.pi * x / m.L)
     rep = gibbs.equilibrium_compare(m, g, 0.1, budget=150_000, dt=0.05, seed=3)
-    basis = espec.eigendecompose_field(m, periodic_grid(m.L, 65))
-    _, t_over_gap = espec.kappa(basis, (0.0, m.L * (1 - 1e-9)), 0.0, T=0.1)
+    _, t_over_gap = espec.kappa(m, (0.0, m.L * (1 - 1e-9)), 0.0, T=0.1)
     ok = (rep.kappa <= 0.05 and t_over_gap <= 0.1 + 1e-9
           and all(rep.passes.values()))
     detail = (f"kappa = {rep.kappa:.4f} <= 0.05, T/gap = {t_over_gap:.3f}; " +
@@ -240,12 +239,11 @@ def test_criterion_10_marginal_ratio_bound():
                                       "rot": 0.3}, T=0.1, K=1.0))
     T = 0.1
     X_c = 0.5
-    basis = espec.eigendecompose_field(m, periodic_grid(m.L, 65))
     worst = -np.inf
     for i, X in enumerate(np.linspace(0.8, 5.8, 10)):
         val, sig = gibbs.marginal_ratio(m, float(X), X_c, T, n_samples=20000,
                                         rng=stream_rng(100 + i), check=False)
-        kap, _ = espec.kappa(basis, (min(X, X_c), max(X, X_c)), X_c, T=T)
+        kap, _ = espec.kappa(m, (min(X, X_c), max(X, X_c)), X_c, T=T)
         margin = kap + 3.0 * sig - abs(val)
         worst = max(worst, abs(val) - kap - 3.0 * sig)
         assert abs(val) <= kap + 3.0 * sig
@@ -264,7 +262,7 @@ def test_criterion_11_corrected_potential():
     # weak gap condition holds while the strong flatness condition fails
     corr_full = gibbs.corrected_potential(basis, T, trace_coefficient=1.0)
     corr_half = gibbs.corrected_potential(basis, T, trace_coefficient=0.5)
-    kap_strong, _ = espec.kappa(basis, (0.0, m.L * (1 - 1e-9)), 0.0, T=T)
+    kap_strong, _ = espec.kappa(m, (0.0, m.L * (1 - 1e-9)), 0.0, T=T)
     assert kap_strong > 0.5
     assert corr_full.diagnostics["t_over_gap"] < 0.15
     assert corr_full.diagnostics["weak_kappa"] < 0.05

@@ -1,10 +1,11 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from qcmd import cli
+from qcmd import cli, dynamics
 
 
 @pytest.fixture
@@ -147,14 +148,33 @@ def test_wkb_rejects_bad_inputs(tmp_path, cos_config, capsys, option, message):
     assert not out.exists()
 
 
-def test_wkb_ehrenfest_turning_back_exits_two(tmp_path, capsys):
-    config = tmp_path / "cross.json"
-    config.write_text(json.dumps({"family": "two_level_cross", "d": 2}))
+def test_wkb_ehrenfest_turning_back_exits_two(tmp_path, capsys, monkeypatch, cos_config):
+    # the Ehrenfest loop is stubbed to run backwards (p <= 0), a caustic
+    simulate = dynamics.simulate
+
+    def backwards(*args, **kwargs):
+        traj = simulate(*args, **kwargs)
+        return dataclasses.replace(traj, p=-traj.p)
+
+    monkeypatch.setattr(dynamics, "simulate", backwards)
     out = tmp_path / "wkb.csv"
-    assert cli.main(["wkb", "--config", str(config), "--M", "256", "--k", "34",
+    assert cli.main(["wkb", "--config", cos_config, "--M", "256", "--k", "12",
                      "--scheme", "ehrenfest", "--ngrid", "128", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "certificate failed" in err and "caustic" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scheme", ["bo", "ehrenfest"])
+def test_wkb_multi_branch_loop_exits_one(tmp_path, capsys, scheme):
+    # the crossing family's loop visits both branches: no single-surface field
+    config = tmp_path / "cross.json"
+    config.write_text(json.dumps({"family": "two_level_cross", "d": 2}))
+    out = tmp_path / "wkb.csv"
+    assert cli.main(["wkb", "--config", str(config), "--M", "256", "--k", "89",
+                     "--scheme", scheme, "--ngrid", "128", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "single-branch loops" in err and "Traceback" not in err
     assert not out.exists()
 
 

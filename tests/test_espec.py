@@ -170,29 +170,27 @@ def test_detect_crossings_gap_family_empty(monkeypatch):
     init = dynamics.PhaseState.make(0.0, 1.5,
                                     phi=espec.eigen_at(m, 0.0)[1][:, 0].astype(complex))
     traj = dynamics.simulate(m, init, "bo", T_final=10.0, dt=1e-3)
-    f = espec.eigendecompose_field(m, periodic_grid(m.L, 64))
     calls = []
     levels = mm.levels_and_slopes
     monkeypatch.setattr(mm, "levels_and_slopes", lambda *a: calls.append(a) or levels(*a))
     # the gap floor 2 delta rules out every crossing before any level is read
-    assert espec.detect_crossings(f, traj) == []
+    assert espec.detect_crossings(m, traj) == []
     assert calls == []
     # a gap tolerance above the floor makes the path searched
-    espec.detect_crossings(f, traj, gap_tol=1.0)
+    espec.detect_crossings(m, traj, gap_tol=1.0)
     assert calls
 
 
 def test_detect_crossings_single_and_double_pass():
     m, traj1 = _cross_trajectory(3.0)
-    f = espec.eigendecompose_field(m, periodic_grid(m.L, 64))
-    events = espec.detect_crossings(f, traj1)
+    events = espec.detect_crossings(m, traj1)
     assert len(events) == 1
     # |p| = 1 at the crossing -> slope |d gap/dt| = 2
     assert abs(events[0].slope - 2.0) < 0.05
     assert not events[0].degenerate
 
     m, traj2 = _cross_trajectory(5.0)
-    events2 = espec.detect_crossings(f, traj2)
+    events2 = espec.detect_crossings(m, traj2)
     # oracle: count near-zero touches of the gap on dense samples
     gap = mm.levels_and_slopes(m, traj2.X[:, 0])[0]
     g = gap[:, 1] - gap[:, 0]
@@ -207,13 +205,12 @@ def test_crossing_brackets_read_the_bits_of_the_whole_record(monkeypatch):
     # reach past the first and the last row of a record cut close to its
     # two crossings
     m, traj = _cross_trajectory(5.0)
-    f = espec.eigendecompose_field(m, periodic_grid(m.L, 64))
     g = np.diff(mm.levels_and_slopes(m, traj.X[:, 0])[0], axis=1)[:, 0]
     first, last = np.flatnonzero((g[1:-1] <= g[:-2]) & (g[1:-1] <= g[2:])) + 1
     cut = types.SimpleNamespace(t=traj.t[first - 1:last + 2], X=traj.X[first - 1:last + 2])
     interp = np.interp
     for record in (traj, cut):
-        sliced = espec.detect_crossings(f, record)
+        sliced = espec.detect_crossings(m, record)
         times, rows = [], []
 
         def whole(x, xp, fp, t=record.t, X=record.X[:, 0]):
@@ -222,7 +219,7 @@ def test_crossing_brackets_read_the_bits_of_the_whole_record(monkeypatch):
             return interp(x, t, X)
 
         monkeypatch.setattr(np, "interp", whole)
-        assert espec.detect_crossings(f, record) == sliced
+        assert espec.detect_crossings(m, record) == sliced
         monkeypatch.setattr(np, "interp", interp)
         assert len(sliced) == 2 and max(rows) < record.t.size / 100
     hs = np.median(np.diff(cut.t))
@@ -249,8 +246,7 @@ def test_ground_curvature_matches_fd():
 
 def test_kappa_constant_gaps_zero():
     m = multi([[1.0, 0.0], [2.0, 0.0]])
-    f = espec.eigendecompose_field(m, periodic_grid(m.L, 32))
-    kap, t_over = espec.kappa(f, (0.5, 4.0), 1.0, T=0.1)
+    kap, t_over = espec.kappa(m, (0.5, 4.0), 1.0, T=0.1)
     assert kap < 1e-12
     assert abs(t_over - 0.1) < 1e-12
 
@@ -258,10 +254,9 @@ def test_kappa_constant_gaps_zero():
 def test_kappa_matches_dense_oracle_and_bound():
     eps = 0.1
     m = multi([[1.0, eps]])
-    f = espec.eigendecompose_field(m, periodic_grid(m.L, 64))
     dom = (np.pi - np.pi / 2, np.pi + np.pi / 2)   # half-width pi/2 around X_c
     X_c = np.pi
-    kap, _ = espec.kappa(f, dom, X_c, T=0.05)
+    kap, _ = espec.kappa(m, dom, X_c, T=0.05)
     # direct maximization oracle on a dense grid
     best = 0.0
     for x in np.linspace(dom[0], dom[1], 401):
@@ -274,22 +269,22 @@ def test_kappa_matches_dense_oracle_and_bound():
 
 
 def test_kappa_invariant_under_level_shift():
-    f1 = espec.eigendecompose_field(multi([[1.0, 0.05]], a0=0.0), periodic_grid(2 * np.pi, 32))
-    f2 = espec.eigendecompose_field(multi([[1.0, 0.05]], a0=0.4), periodic_grid(2 * np.pi, 32))
-    k1, _ = espec.kappa(f1, (0.5, 4.0), 1.0, T=0.1)
-    k2, _ = espec.kappa(f2, (0.5, 4.0), 1.0, T=0.1)
+    k1, _ = espec.kappa(multi([[1.0, 0.05]], a0=0.0), (0.5, 4.0), 1.0, T=0.1)
+    k2, _ = espec.kappa(multi([[1.0, 0.05]], a0=0.4), (0.5, 4.0), 1.0, T=0.1)
     assert abs(k1 - k2) < 1e-10
 
 
 def test_smooth_branches_gap_vs_cross():
     fb = espec.smooth_branches(gap_model(), periodic_grid(2 * np.pi, 256))
     assert list(fb.permutation) == [0, 1]
-    assert fb.cycle_of(0) == [0]
+    cycle, profiles, offset = fb.ground_loop()
+    assert cycle == [0] and offset == 0.0 and np.array_equal(profiles, fb.mu[:, :1].T)
     fc = espec.smooth_branches(cross_model(), periodic_grid(2 * np.pi, 256))
     assert list(fc.permutation) == [1, 0]
-    cyc = fc.cycle_of(0)
-    assert sorted(cyc) == [0, 1]
-    assert fc.crossing_passes(cyc) == 2
+    cycle, profiles, offset = fc.ground_loop()
+    assert cycle == [0, 1] and profiles.shape == (2, 256)
+    # two label swaps along the loop, a quarter each
+    assert offset == 0.5
     # the smooth branch is differentiable through the crossing (no |.| kink);
     # the only discontinuity sits at the continuation seam, which is excluded
     n = fc.grid.size
@@ -369,9 +364,9 @@ def test_smooth_branches_match_per_point_loop(family):
         assert (np.diff(lam[differ], axis=1) == 0.0).any(axis=1).all()
         oracle = espec.BranchField(grid=grid, mu=mu, sorted_index=sorted_index,
                                    permutation=permutation, start=start)
-        assert field.cycle_of(0) == oracle.cycle_of(0)
-        assert field.crossing_passes(field.cycle_of(0)) == oracle.crossing_passes(
-            oracle.cycle_of(0))
+        cycle, profiles, offset = field.ground_loop()
+        assert (cycle, offset) == oracle.ground_loop()[::2]
+        assert np.abs(profiles - oracle.ground_loop()[1]).max() <= 1e-13
 
 
 @pytest.mark.parametrize("grid", [np.linspace(1.0, 2.0 * np.pi + 1.0, 64, endpoint=False),

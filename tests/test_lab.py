@@ -116,6 +116,22 @@ def test_symplectic_study_verlet_slope_and_euler_positions():
     assert max(total_small) <= 3.0 * out["floor"] + 1e-12
 
 
+def test_symplectic_study_runs_the_sweeps_loop_through_a_crossing():
+    # the study launches like converge and counts full periods of the loop
+    # through both branches, so its lanes follow the smooth branch through
+    # the crossing, the Verlet dt term is second order there too, and the
+    # mass floor does not depend on the number of loops
+    m = build_model(ModelSpec(family="two_level_cross", d=2))
+    floors = []
+    for n_loops in (1, 2):
+        out = lab.symplectic_perturbation_study(m, "bo", [4e-2, 2e-2, 1e-2, 1e-3],
+                                                M=256.0, n_loops=n_loops)
+        assert abs(out["dt_fit"]["q"] - 2.0) < 0.2
+        assert out["euler_verlet_max_position_dev"] < 1e-10
+        floors.append(out["floor"])
+    assert abs(floors[0] - floors[1]) < 1e-8
+
+
 def test_converge_classical_values_belong_to_first_state():
     m = build_model(ModelSpec(family="two_level_gap", params={"delta": 0.25}, d=2))
     obs = {"cos2": lambda x: np.cos(2 * x)}
@@ -306,7 +322,7 @@ def test_forked_sweep_raises_the_lowest_failing_mass_error(monkeypatch, workers,
     m = build_model(ModelSpec(family="two_level_gap", params={"delta": 0.25}, d=2))
     masses = [64.0, 256.0, 1024.0]
     kinds = {masses[i]: kind for i, kind in bad.items()}
-    solve, launch = lab._matched_eigenstates, lab._launch
+    solve, launch = lab._matched_eigenstates, wkb.launch_state
 
     def matched(model, M, e_ref, loop_mu, *args, **kwargs):
         quantum = solve(model, M, e_ref, loop_mu, *args, **kwargs)
@@ -322,7 +338,7 @@ def test_forked_sweep_raises_the_lowest_failing_mass_error(monkeypatch, workers,
         return init, dt
 
     monkeypatch.setattr(lab, "_matched_eigenstates", matched)
-    monkeypatch.setattr(lab, "_launch", launched)
+    monkeypatch.setattr(wkb, "launch_state", launched)
     errors = []
     for cpus in (1, 2):
         forks = workers(cpus)
@@ -354,13 +370,12 @@ def _match_over_every_pair(model, M, e_ref, loop_mu, floor_lam, observables, cou
     H = qref.assemble_hamiltonian(model, M, n_grid, e_max=None if n_grid_cap else e_kin)
     pairs = qref.eigensolve_near(H, 0.5 * (min(E_list) + max(E_list)),
                                  count=count + 6 * (k_spread - 1))
-    branch = espec.smooth_branches(model, H.grid)
+    fine_mu = espec.smooth_branches(model, H.grid).ground_loop()[1]
     states, candidates = [], set()
     for k, E_bs in zip(k_list, E_list):
         spacing = wkb.level_spacing(loop_mu, L, E_bs, M)
         with np.errstate(invalid="ignore"):
-            rho_cl = np.sum(1.0 / np.sqrt(np.maximum(
-                2.0 * (E_bs - branch.mu[:, branch.cycle_of(0)]), 1e-12)), axis=1)
+            rho_cl = np.sum(1.0 / np.sqrt(np.maximum(2.0 * (E_bs - fine_mu), 1e-12)), axis=0)
         cand = [p for p in pairs if abs(p.E - E_bs) <= 0.6 * spacing]
         if not cand:
             cand = sorted(pairs, key=lambda p: abs(p.E - E_bs))[:2]
@@ -394,8 +409,7 @@ def test_matching_on_candidate_vectors_equals_matching_on_every_pair(
         monkeypatch.setattr(qref, "_CLUSTER_TOL", cluster_tol)
     # the arguments converge passes
     branch = espec.loop_branches(m)
-    cycle = branch.cycle_of(0)
-    loop_mu = branch.mu[:, cycle].T
+    _, loop_mu, offset = branch.ground_loop()
     floor_lam = float(branch.mu.min())
     e_ref = float(loop_mu.max()) + 0.5 * max(1.0, float(loop_mu.max()) - floor_lam)
     count, k_spread = 16, options.get("k_spread", 1)
@@ -406,7 +420,6 @@ def test_matching_on_candidate_vectors_equals_matching_on_every_pair(
         count = k_spread + 12
     args = (m, M, e_ref, loop_mu, floor_lam, lab.default_observables(m.L), count,
             k_spread, True, None)
-    offset = 0.25 * branch.crossing_passes(cycle)
     clusters = []
     solve = qref._cluster_vectors
 

@@ -1,8 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from qcmd import ModelSpec, build_model, dynamics, espec, qref, wkb
+from qcmd import ModelSpec, build_model, dynamics, espec, lab, qref, wkb
+from qcmd import model as mm
+from qcmd._util import periodic_grid
 from qcmd.errors import CausticError
 
 
@@ -45,6 +49,69 @@ def test_quantized_energy_below_barrier_raises():
     m = cos_model(0.5)
     with pytest.raises(ValueError, match="barrier"):
         wkb.quantized_energy(m, 1, 1e6)
+
+
+def _ground_level_rule(model):
+    """The sorted ground level on 4096 points, with no connection phase: the
+    quantization rule that the loop rule replaced, kept as the reference on
+    the families whose loop through branch 0 is the ground surface."""
+    return mm.levels_and_slopes(model, periodic_grid(model.L, 4096))[0][:, 0]
+
+
+SINGLE_BRANCH = {
+    "free": ModelSpec(family="free"),
+    "scalar_cos": ModelSpec(family="scalar_cos", params={"a": 0.1}),
+    "two_level_gap": ModelSpec(family="two_level_gap", params={"delta": 0.25}, d=2),
+    "multi_level": ModelSpec(family="multi_level", d=3, params={
+        "a0": 0.2, "gaps": [[1.0, 0.02], [2.0, 0.03]], "rot": 0.3}),
+}
+
+
+@pytest.mark.parametrize("family", sorted(SINGLE_BRANCH))
+def test_loop_quantization_matches_the_ground_level_rule(family):
+    m = build_model(SINGLE_BRANCH[family])
+    assert len(espec.loop_branches(m).ground_loop()[0]) == 1
+    ground = _ground_level_rule(m)
+    for M in (64.0, 256.0, 1024.0, 4096.0, 16384.0, 65536.0):
+        for E_ref in (0.6, 1.0, 2.5, 4.0):
+            k = wkb.bohr_sommerfeld_index(m, E_ref, M)
+            assert k == wkb.quantization_index(ground, m.L, E_ref, M)
+            E = wkb.quantized_energy(m, k, M)
+            assert E == pytest.approx(
+                wkb.quantized_energy_from_profiles(ground, m.L, k, M), rel=1e-14, abs=0.0)
+
+
+def test_crossing_loop_quantization_is_the_sweeps():
+    # on the crossing family the loop through branch 0 visits both branches
+    # and passes the crossing twice: wkb quantizes the loop converge runs
+    m = build_model(ModelSpec(family="two_level_cross", d=2))
+    rec = lab.converge(m, "bo", [64.0, 256.0], n_loops=1)
+    for entry in rec.per_M:
+        M = entry["M"]
+        assert wkb.bohr_sommerfeld_index(m, rec.e_ref, M) == entry["k"]
+        assert wkb.quantized_energy(m, entry["k"], M) == entry["E_bs"]
+
+
+@pytest.mark.parametrize("scheme", ["bo", "ehrenfest"])
+def test_build_field_refuses_a_multi_branch_loop(scheme):
+    m = build_model(ModelSpec(family="two_level_cross", d=2))
+    k = wkb.bohr_sommerfeld_index(m, 4.0, 256.0)
+    with pytest.raises(ValueError, match="single-branch loops"):
+        wkb.build_field(m, 256.0, k, scheme=scheme, n_grid=256)
+
+
+def test_launch_state_follows_the_records_dt_rule():
+    assert wkb.DT_RULE == "bo: 1e-3; ehrenfest: min(0.1/sqrt(M), 1e-3)"
+    m = build_model(ModelSpec(family="two_level_gap", params={"delta": 0.25}, d=2))
+    X0 = espec.loop_branches(m).launch
+    for M in (1.0, 64.0, 1e4, 1e6):
+        init, dt = wkb.launch_state(m, "bo", 1.0, M, X0)
+        assert dt == 1e-3 and init.X[0] == X0
+        assert 0.5 * init.p[0] ** 2 + espec.eigen_at(m, X0)[0][0] == pytest.approx(1.0)
+        assert np.array_equal(init.phi, espec.eigen_at(m, X0)[1][:, 0])
+        init, dt = wkb.launch_state(m, "ehrenfest", 1.0, M, X0)
+        assert dt == min(0.1 / np.sqrt(M), 1e-3)
+    assert lab.converge(m, "bo", [64.0], n_loops=1).dt_rule == wkb.DT_RULE
 
 
 # ------------------------------------------------------------ weight_along
@@ -287,11 +354,20 @@ def test_ehrenfest_field_two_level_gap_launches_at_branch_start():
     assert np.abs(field.psi[0] - phi0).max() < 1e-12
 
 
-def test_ehrenfest_field_turning_back_is_a_caustic():
-    # the Ehrenfest loop turns back (p < 0) before it returns to its launch point
-    m = build_model(ModelSpec(family="two_level_cross", d=2))
+def test_ehrenfest_field_turning_back_is_a_caustic(monkeypatch):
+    # an Ehrenfest loop that turns back (p <= 0) before it returns to its
+    # launch point is a caustic: the loop is stubbed to run backwards
+    simulate = dynamics.simulate
+
+    def backwards(*args, **kwargs):
+        traj = simulate(*args, **kwargs)
+        return dataclasses.replace(traj, p=-traj.p)
+
+    monkeypatch.setattr(dynamics, "simulate", backwards)
+    m = cos_model(0.1)
     with pytest.raises(CausticError, match="turned back"):
-        wkb.build_field(m, 256.0, 34, scheme="ehrenfest", n_grid=256)
+        wkb.build_field(m, 256.0, wkb.bohr_sommerfeld_index(m, 1.0, 256.0),
+                        scheme="ehrenfest", n_grid=256)
 
 
 @pytest.mark.parametrize("M", [0.0, 0.5, -4.0, np.nan, np.inf])
